@@ -5,16 +5,17 @@ arguments, compute preference-gated defeats, enumerate stable extensions.
 
 from .formula import (And, Atom, Box, Diamond, Formula, Implies, Know, Not,
                       Oblig, Or, Perm, Power, Right, RuleAtom, Stit,
-                      UnknownOperator, agents_in, contrary, normalize, parse,
-                      print_formula, subformulas)
+                      UnknownOperator, agents_in, conflict_class, contrary,
+                      normalize, parse, print_formula, subformulas)
 from .hohfeld import (IncompleteCover, NormativePosition, PositionKind,
                       correlative, generalize, opposite, position_warnings,
                       to_formula)
 from .theory import (DanglingRuleAtom, DuplicateId, Premise, Rule, RuleKind,
-                     Schemes, Strength, Theory, UnknownAgent, ValidationError,
-                     instantiate_schemes, load_theory)
-from .arguments import (Argument, Ordering, Preference, classify, compare,
-                        construct_arguments)
+                     SchemeRoundsExceeded, Schemes, Strength, Theory,
+                     UnknownAgent, ValidationError, instantiate_schemes,
+                     load_theory, parse_theory)
+from .arguments import (Argument, Ordering, classify, construct_arguments,
+                        dispreferred)
 from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
                         DefeatKind, TooLarge, acceptance, brute_force_stable,
                         compute_defeats, grounded_extension,

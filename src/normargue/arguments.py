@@ -1,4 +1,4 @@
-"""Argument construction and preference comparison.
+"""Argument construction and preference orderings.
 
 Arguments are built bottom-up from the premises: every premise yields a
 depth-0 argument, and a rule whose antecedents are all concluded by
@@ -22,12 +22,6 @@ class Ordering(Enum):
     UNIVERSAL = "universal"
     RULE_BASED = "rule_based"
     PREMISE_BASED = "premise_based"
-
-
-class Preference(Enum):
-    PREFERRED = "preferred"
-    DISPREFERRED = "dispreferred"
-    EQUAL = "equal"
 
 
 @dataclass(frozen=True)
@@ -100,15 +94,12 @@ def classify(a: Argument) -> tuple[str, str]:
             "plausible" if a.plausible else "firm")
 
 
-def compare(a: Argument, b: Argument, ordering: Ordering) -> Preference:
-    """Compare a against b: strict beats defeasible under RULE_BASED, firm
-    beats plausible under PREMISE_BASED, UNIVERSAL never separates."""
-    if ordering is Ordering.UNIVERSAL:
-        return Preference.EQUAL
+def dispreferred(a: Argument, b: Argument, ordering: Ordering | None) -> bool:
+    """Whether a ranks below b: defeasible below strict under RULE_BASED,
+    plausible below firm under PREMISE_BASED. UNIVERSAL and None (an
+    ungated locus) never separate two arguments."""
     if ordering is Ordering.RULE_BASED:
-        ra, rb = not a.defeasible, not b.defeasible
-    else:
-        ra, rb = not a.plausible, not b.plausible
-    if ra == rb:
-        return Preference.EQUAL
-    return Preference.PREFERRED if ra else Preference.DISPREFERRED
+        return a.defeasible and not b.defeasible
+    if ordering is Ordering.PREMISE_BASED:
+        return a.plausible and not b.plausible
+    return False

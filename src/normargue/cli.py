@@ -6,8 +6,10 @@
     normargue export theory.naf [--format dot|json] [shared flags]
     normargue check theory.naf [shared flags]
 
-Exit codes: 0 ok, 1 oracle disagreement, 2 parse or validation error,
-3 framework too large for the brute-force oracle. All output is
+Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
+stable check, 2 parse or validation error (also a missing file, and
+--oracle with --semantics grounded: the oracle checks stable extensions
+only), 3 framework too large for the brute-force oracle. All output is
 deterministic; ANSI color is used only on a terminal and can be switched
 off with NORMARGUE_COLOR=0.
 """
@@ -68,13 +70,18 @@ def _defeat_dict(d: Defeat) -> dict:
 
 
 def cmd_run(ns) -> int:
+    if ns.oracle and ns.semantics == "grounded":
+        raise ValueError("--oracle checks stable extensions and cannot be "
+                         "used with --semantics grounded")
     theory, args, defeats, af, truncated = _pipeline(ns)
     if ns.semantics == "grounded":
         extensions = [grounded_extension(af)]
     else:
         extensions = stable_extensions(af)
-        for ext in extensions:
-            assert verify_extension(af, ext)
+        if not all(verify_extension(af, ext) for ext in extensions):
+            print("error: a solver extension fails the stable check",
+                  file=sys.stderr)
+            return 1
         if ns.oracle:
             expected = brute_force_stable(af)
             if expected != extensions:
@@ -234,10 +241,7 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (SyntaxError, ValidationError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (SyntaxError, ValidationError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except TooLarge as e:

@@ -395,78 +395,55 @@ def _complement(f: Formula) -> Formula:
     return f.f if isinstance(f, Not) else Not(f)
 
 
+def _map(f: Formula, g) -> Formula:
+    """f rebuilt with g applied to each direct subformula. Formula nodes
+    are dataclasses, so vars(f) holds their fields in declaration order."""
+    if not isinstance(f, Formula):
+        raise TypeError("not a formula: %r" % (f,))
+    return type(f)(*[g(v) if isinstance(v, Formula) else v
+                     for v in vars(f).values()])
+
+
 def normalize(f: Formula, weak: bool = False) -> Formula:
     """Eliminate double negation and rewrite Diamond g as ~[]~g. With the
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
     implication is left untouched."""
-    if isinstance(f, (Atom, RuleAtom)):
-        return f
     if isinstance(f, Not):
         return _complement(normalize(f.f, weak))
-    if isinstance(f, And):
-        return And(normalize(f.left, weak), normalize(f.right, weak))
-    if isinstance(f, Or):
-        return Or(normalize(f.left, weak), normalize(f.right, weak))
-    if isinstance(f, Implies):
-        return Implies(normalize(f.left, weak), normalize(f.right, weak))
-    if isinstance(f, Box):
-        return Box(normalize(f.f, weak))
     if isinstance(f, Diamond):
         return Not(Box(_complement(normalize(f.f, weak))))
-    if isinstance(f, Know):
-        return Know(f.agent, normalize(f.f, weak))
-    if isinstance(f, Oblig):
-        return Oblig(f.agent, f.toward, normalize(f.f, weak))
-    if isinstance(f, Perm):
-        body = normalize(f.f, weak)
-        if weak:
-            return Not(Oblig(f.agent, None, _complement(body)))
-        return Perm(f.agent, body)
-    if isinstance(f, Stit):
-        return Stit(f.agent, normalize(f.f, weak))
-    if isinstance(f, Right):
-        return Right(f.agent, normalize(f.f, weak))
-    if isinstance(f, Power):
-        return Power(f.agent, f.toward, normalize(f.f, weak))
-    raise TypeError("not a formula: %r" % (f,))
+    if weak and isinstance(f, Perm):
+        return Not(Oblig(f.agent, None, _complement(normalize(f.f, weak))))
+    return _map(f, lambda x: normalize(x, weak))
 
 
 # ------------------------------------------------------------- contrariness
 
 def _cform(f: Formula) -> Formula:
-    """Rewrite every implication a -> b into ~(a & ~b), collapsing double
-    negations, so that necessity/possibility duals collide syntactically."""
-    if isinstance(f, (Atom, RuleAtom)):
-        return f
+    """Rewrite every implication a -> b of a normalized formula into
+    ~(a & ~b), collapsing double negations, so that necessity/possibility
+    duals collide syntactically."""
     if isinstance(f, Not):
         return _complement(_cform(f.f))
     if isinstance(f, Implies):
         return Not(And(_cform(f.left), _complement(_cform(f.right))))
-    if isinstance(f, And):
-        return And(_cform(f.left), _cform(f.right))
-    if isinstance(f, Or):
-        return Or(_cform(f.left), _cform(f.right))
-    if isinstance(f, Box):
-        return Box(_cform(f.f))
-    if isinstance(f, Know):
-        return Know(f.agent, _cform(f.f))
-    if isinstance(f, Oblig):
-        return Oblig(f.agent, f.toward, _cform(f.f))
-    if isinstance(f, Perm):
-        return Perm(f.agent, _cform(f.f))
-    if isinstance(f, Stit):
-        return Stit(f.agent, _cform(f.f))
-    if isinstance(f, Right):
-        return Right(f.agent, _cform(f.f))
-    if isinstance(f, Power):
-        return Power(f.agent, f.toward, _cform(f.f))
-    if isinstance(f, Diamond):  # only reachable on unnormalized input
-        return _complement(Box(_complement(_cform(f.f))))
-    raise TypeError("not a formula: %r" % (f,))
+    return _map(f, _cform)
 
 
 def _negation_linked(f: Formula, g: Formula) -> bool:
     return (isinstance(f, Not) and f.f == g) or (isinstance(g, Not) and g.f == f)
+
+
+def conflict_class(f: Formula, weak: bool = False) -> Formula:
+    """The implication-free normal form of f without one outer negation,
+    nor the negation of an obligation's body. contrary(f, g, theory) implies
+    that f and g share a class or are a pair declared in theory.contraries."""
+    c = _cform(normalize(f, weak))
+    if isinstance(c, Not):
+        c = c.f
+    if isinstance(c, Oblig) and isinstance(c.f, Not):
+        c = Oblig(c.agent, c.toward, c.f.f)
+    return c
 
 
 def contrary(f: Formula, g: Formula, theory=None) -> bool:

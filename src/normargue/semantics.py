@@ -8,10 +8,15 @@ Three attack forms, each anchored at a locus inside the target:
   undercut   contrary of a defeasible rule's name (@rule); locus is the
              rule id
 
-An attack only becomes a defeat if the attacker is not dispreferred at the
-locus under the configured ordering. Undercuts are preference-free by
-default. Extensions are stable (conflict-free, defeating every outsider);
-the solver is an exact backtracking labelling with unit propagation, and
+compute_defeats runs one loop over a table of loci, each with its formula,
+its ordering and the sub-argument it sits on. An attacker whose conclusion
+is contrary to the formula defeats every argument containing that
+sub-argument unless dispreferred to it; undercuts are ungated by default.
+Candidate attackers come from an index by conflict_class and declared
+contrary pairs, and contrary confirms each one.
+
+Extensions are stable (conflict-free, defeating every outsider); the
+solver is an exact backtracking labelling with unit propagation, and
 brute_force_stable is an independent cross-check for small frameworks.
 """
 
@@ -20,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arguments import Argument, Ordering, Preference, compare
-from .formula import Formula, RuleAtom, contrary
+from .arguments import Argument, Ordering, dispreferred
+from .formula import Formula, RuleAtom, conflict_class, contrary, normalize
 from .theory import RuleKind, Strength, Theory
 
 
@@ -78,41 +83,44 @@ def _sub_closure(args: list[Argument]) -> list[set[int]]:
 def compute_defeats(args: list[Argument], theory: Theory,
                     config: DefeatConfig | None = None) -> set[Defeat]:
     cfg = config or DefeatConfig()
+    weak = theory.weak_mode
     rules = {r.id: r for r in theory.rules}
-    premises = {p.id: p for p in theory.premises}
-    premise_arg = {next(iter(a.premise_ids)): a.id
-                   for a in args if a.top_rule is None}
-    closure = _sub_closure(args)
+    loci = []  # (kind, locus, formula, ordering, locus sub-argument)
+    for s in args:
+        if s.top_rule is None:
+            if s.plausible:  # an ordinary premise
+                loci.append((DefeatKind.UNDERMINE, next(iter(s.premise_ids)),
+                             s.conclusion, cfg.undermine_ordering, s))
+        elif rules[s.top_rule].kind is RuleKind.DEFEASIBLE:
+            loci.append((DefeatKind.REBUT, s.id, s.conclusion,
+                         cfg.rebut_ordering, s))
+            loci.append((DefeatKind.UNDERCUT, s.top_rule, RuleAtom(s.top_rule),
+                         cfg.undercut_ordering, s))
 
-    defeats: set[Defeat] = set()
-    for b in args:
-        rebut_loci = [s for s in sorted(closure[b.id])
-                      if args[s].top_rule is not None
-                      and rules[args[s].top_rule].kind is RuleKind.DEFEASIBLE]
-        ordinary = [pid for pid in sorted(b.premise_ids)
-                    if premises[pid].strength is Strength.ORDINARY]
-        applied = [(args[s].top_rule, s) for s in sorted(closure[b.id])
-                   if args[s].top_rule is not None
-                   and rules[args[s].top_rule].kind is RuleKind.DEFEASIBLE]
-        for a in args:
-            for s in rebut_loci:
-                if contrary(a.conclusion, args[s].conclusion, theory) and \
-                        compare(a, args[s], cfg.rebut_ordering) \
-                        is not Preference.DISPREFERRED:
-                    defeats.add(Defeat(a.id, b.id, DefeatKind.REBUT, s))
-            for pid in ordinary:
-                if contrary(a.conclusion, premises[pid].formula, theory) and \
-                        compare(a, args[premise_arg[pid]],
-                                cfg.undermine_ordering) \
-                        is not Preference.DISPREFERRED:
-                    defeats.add(Defeat(a.id, b.id, DefeatKind.UNDERMINE, pid))
-            for rid, s in applied:
-                if contrary(a.conclusion, RuleAtom(rid), theory) and (
-                        cfg.undercut_ordering is None
-                        or compare(a, args[s], cfg.undercut_ordering)
-                        is not Preference.DISPREFERRED):
-                    defeats.add(Defeat(a.id, b.id, DefeatKind.UNDERCUT, rid))
-    return defeats
+    # contrary looks only at normal forms: group the attackers by theirs,
+    # and file each normal form under its conflict class and, if it is
+    # declared contrary to some formula, under that formula's class too
+    holders: dict[Formula, list[Argument]] = {}
+    for a in args:
+        holders.setdefault(normalize(a.conclusion, weak), []).append(a)
+    by_class: dict[Formula, set[Formula]] = {}
+    for c in holders:
+        by_class.setdefault(conflict_class(c, weak), set()).add(c)
+    for pair in theory.contraries:
+        for x, y in (pair, pair[::-1]):
+            if y in holders:
+                by_class.setdefault(conflict_class(x, weak), set()).add(y)
+
+    # per locus sub-argument: (attacker, kind, locus) of its defeats
+    local: list[list[tuple]] = [[] for _ in args]
+    for kind, locus, f, ordering, s in loci:
+        for c in by_class.get(conflict_class(f, weak), ()):
+            if contrary(c, f, theory):
+                local[s.id].extend((a.id, kind, locus) for a in holders[c]
+                                   if not dispreferred(a, s, ordering))
+    closure = _sub_closure(args)
+    return {Defeat(a, b.id, kind, locus) for b in args
+            for s in closure[b.id] for a, kind, locus in local[s]}
 
 
 # ------------------------------------------------------------ extensions

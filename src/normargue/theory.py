@@ -24,7 +24,6 @@ whitespace so they cannot collide with `|` and `~` inside formulas.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,6 +49,10 @@ class DuplicateId(ValidationError):
 
 class DanglingRuleAtom(ValidationError):
     pass
+
+
+class SchemeRoundsExceeded(ValidationError):
+    """Scheme grounding had not reached its fixpoint after max_depth rounds."""
 
 
 class Strength(Enum):
@@ -120,16 +123,16 @@ def _parse_at(text: str, lineno: int) -> Formula:
         raise SyntaxError("line %d: %s" % (lineno, e)) from None
 
 
-def load_theory(source, *, weak_mode: bool = False, max_depth: int = 3) -> Theory:
-    """Load and validate a theory from a file path or DSL text. Strings
-    containing a newline are taken as text, everything else as a path."""
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif "\n" not in source and os.path.exists(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
+def load_theory(path, *, weak_mode: bool = False,
+                max_depth: int = 3) -> Theory:
+    """Read the theory file at path and parse it with parse_theory."""
+    return parse_theory(Path(path).read_text(encoding="utf-8"),
+                        weak_mode=weak_mode, max_depth=max_depth)
 
+
+def parse_theory(text: str, *, weak_mode: bool = False,
+                 max_depth: int = 3) -> Theory:
+    """Parse and validate a theory from DSL text."""
     agents: list[str] = []
     premises: list[Premise] = []
     rules: list[Rule] = []
@@ -343,6 +346,7 @@ def _modal_ands(pool: list[Formula]) -> list[Formula]:
 def instantiate_schemes(theory: Theory) -> Theory:
     """Ground the enabled schemes against the subformulas in play, rounds
     capped at max_depth, rule ids `<scheme>#<k>` in generation order.
+    Raises SchemeRoundsExceeded if a further round would still add rules.
     Adding nothing returns the theory unchanged."""
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
@@ -353,6 +357,7 @@ def instantiate_schemes(theory: Theory) -> Theory:
         new: list[Rule] = []
 
         def add(scheme: str, kind: RuleKind, antecedents, consequent):
+            consequent = normalize(consequent, theory.weak_mode)
             key = (kind, tuple(antecedents), consequent)
             if key in existing:
                 return
@@ -409,16 +414,16 @@ def instantiate_schemes(theory: Theory) -> Theory:
                     add("k_truth", RuleKind.STRICT, [k], k.f)
         return new
 
-    reached_fixpoint = False
     for _ in range(theory.max_depth):
         new = one_round()
         if not new:
-            reached_fixpoint = True
             break
         rules.extend(new)
-    if not reached_fixpoint:
-        probe = one_round()
-        assert not probe, "scheme instantiation exceeded max_depth rounds"
+    else:
+        if one_round():
+            raise SchemeRoundsExceeded(
+                "scheme grounding still adds rules after %d rounds, the cap "
+                "set by --max-depth; raise --max-depth" % theory.max_depth)
 
     defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
     for name, lineno in theory.pending_rule_refs:

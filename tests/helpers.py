@@ -1,5 +1,6 @@
-"""Shared test utilities: fixture paths, a seeded random formula generator,
-random frameworks for solver fuzzing, and a one-call pipeline runner."""
+"""Shared test utilities: fixture paths, a seeded random formula generator
+and conflict-biased formula pairs, random frameworks for solver fuzzing,
+and a one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
                        Diamond, Implies, Know, Not, Oblig, Or, Perm, Power,
                        Right, RuleAtom, Stit, And, compute_defeats,
-                       construct_arguments, instantiate_schemes, load_theory,
+                       construct_arguments, instantiate_schemes,
                        stable_extensions)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -66,6 +67,26 @@ def random_formula(rng, depth=3):
     return Power(a, b, sub())
 
 
+def conflict_pair(rng, depth=2):
+    """Two formulas biased towards conflict, in random order: a formula and
+    its negation, obligations with negated bodies, a necessary implication
+    and its possibility dual, a permission and its weak-mode dual, or two
+    unrelated random formulas."""
+    f, g = random_formula(rng, depth), random_formula(rng, depth)
+    a = rng.choice(AGENTS)
+    bearer = rng.choice((None,) + AGENTS)
+    toward = None if bearer is None or rng.random() < 0.5 else \
+        rng.choice(AGENTS)
+    pair = rng.choice([
+        (f, Not(f)),
+        (Oblig(bearer, toward, f), Oblig(bearer, toward, Not(f))),
+        (Box(Implies(f, g)), Diamond(And(f, Not(g)))),
+        (Perm(a, f), Oblig(a, None, Not(f))),
+        (f, g),
+    ])
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
 def random_af(rng, max_n=12):
     n = rng.randint(0, max_n)
     density = rng.uniform(0.05, 0.35)
@@ -77,9 +98,10 @@ def random_af(rng, max_n=12):
     return ArgumentationFramework(n, frozenset(defeats))
 
 
-def run_pipeline(path, *, weak_mode=False, max_depth=3, config=None):
-    theory = instantiate_schemes(
-        load_theory(path, weak_mode=weak_mode, max_depth=max_depth))
+def run_pipeline(theory, *, config=None):
+    """Ground, build, defeat and solve a theory from load_theory or
+    parse_theory."""
+    theory = instantiate_schemes(theory)
     args, truncated = construct_arguments(theory)
     defeats = compute_defeats(args, theory, config)
     af = ArgumentationFramework(len(args), frozenset(defeats))

@@ -21,7 +21,7 @@ def ok(n, text):
 
 def test_criterion_1_abortion_unique_extension():
     t0 = time.perf_counter()
-    r = run_pipeline(ABORTION)
+    r = run_pipeline(load_theory(ABORTION))
     elapsed = time.perf_counter() - t0
     assert r.extensions == [frozenset({0, 1, 2, 3, 5, 6})]
     got = {str(r.args[i].conclusion) for i in r.extensions[0]}
@@ -39,7 +39,7 @@ def test_criterion_1_abortion_unique_extension():
 
 
 def test_criterion_2_abortion_defeat_kinds_and_loci():
-    r = run_pipeline(ABORTION)
+    r = run_pipeline(load_theory(ABORTION))
     a4 = ids_concluding(r.args, "O_{doc,par} [doc] K_par(ill)").pop()
     b4 = ids_concluding(r.args, "~O_{doc,par} [doc] K_par(ill)").pop()
     c2 = ids_concluding(r.args, "~P_par [par](abortion)").pop()
@@ -53,7 +53,7 @@ def test_criterion_2_abortion_defeat_kinds_and_loci():
 
 
 def test_criterion_3_doctor_asymmetric_rebut():
-    r = run_pipeline(DOCTOR)
+    r = run_pipeline(load_theory(DOCTOR))
     b3 = ids_concluding(r.args, "P K_doctor(illness)").pop()
     a4 = ids_concluding(r.args, "~P K_doctor(illness)").pop()
     assert any(d.attacker == b3 and d.target == a4 for d in r.defeats)
@@ -66,7 +66,7 @@ def test_criterion_3_doctor_asymmetric_rebut():
 
 def test_criterion_4_knife_scheme_verdicts():
     assert load_theory(KNIFE).rules == (), "fixture must carry no rules"
-    r = run_pipeline(KNIFE)
+    r = run_pipeline(load_theory(KNIFE))
     assert len(r.theory.rules) == 6
     assert all("#" in rule.id for rule in r.theory.rules)
     accepted = ["O_c(~misuse)",                     # A
@@ -105,7 +105,7 @@ def test_criterion_5_solver_matches_brute_force():
 def test_criterion_6_every_solver_output_verifies():
     total = 0
     for path in (DOCTOR, ABORTION, KNIFE):
-        r = run_pipeline(path)
+        r = run_pipeline(load_theory(path))
         for ext in r.extensions:
             assert verify_extension(r.af, ext)
             total += 1

@@ -1,19 +1,19 @@
 import random
 
-from normargue import (Ordering, Preference, classify, compare,
-                       construct_arguments, instantiate_schemes, load_theory)
+from normargue import (Ordering, classify, construct_arguments, dispreferred,
+                       instantiate_schemes, load_theory, parse_theory)
 
 from helpers import ABORTION, DOCTOR, KNIFE, ids_concluding
 
 
-def build(source, **kw):
-    return construct_arguments(instantiate_schemes(load_theory(source, **kw)))
+def build(theory):
+    return construct_arguments(instantiate_schemes(theory))
 
 
 # ------------------------------------------------------------ construction
 
 def test_doctor_arguments():
-    args, truncated = build(DOCTOR)
+    args, truncated = build(load_theory(DOCTOR))
     assert not truncated
     assert len(args) == 8
     table = {a.id: (a.top_rule, a.sub_args, str(a.conclusion)) for a in args}
@@ -25,7 +25,7 @@ def test_doctor_arguments():
 
 
 def test_abortion_arguments():
-    args, truncated = build(ABORTION)
+    args, truncated = build(load_theory(ABORTION))
     assert not truncated
     assert len(args) == 10
     table = {a.id: (a.top_rule, a.sub_args) for a in args}
@@ -40,7 +40,7 @@ def test_abortion_arguments():
 
 
 def test_knife_arguments():
-    args, truncated = build(KNIFE)
+    args, truncated = build(load_theory(KNIFE))
     assert not truncated
     assert len(args) == 10
     assert [a.top_rule for a in args] == [None, None, None, None, "fcp#1",
@@ -51,7 +51,7 @@ def test_knife_arguments():
 
 
 def test_single_premise_theory():
-    args, truncated = build("AGENTS: a\nPREMISE prem p1: p")
+    args, truncated = build(parse_theory("AGENTS: a\nPREMISE prem p1: p"))
     assert len(args) == 1 and not truncated
     a = args[0]
     assert a.top_rule is None and a.depth == 0
@@ -63,10 +63,10 @@ def test_depth_cap_truncates():
     chain = ("AGENTS: a\nPREMISE axiom p0: p\n"
              "RULE strict r1: p |- q\nRULE strict r2: q |- r\n"
              "SCHEME fcp off\nSCHEME owp off")
-    args, truncated = build(chain, max_depth=1)
+    args, truncated = build(parse_theory(chain, max_depth=1))
     assert truncated
     assert {str(a.conclusion) for a in args} == {"p", "q"}
-    args, truncated = build(chain, max_depth=2)
+    args, truncated = build(parse_theory(chain, max_depth=2))
     assert not truncated
     assert {str(a.conclusion) for a in args} == {"p", "q", "r"}
 
@@ -74,14 +74,14 @@ def test_depth_cap_truncates():
 def test_duplicate_antecedent_combinations_deduplicated():
     text = ("AGENTS: a\nPREMISE axiom x1: p\nPREMISE axiom x2: p\n"
             "RULE strict rr: p ; p |- q\nSCHEME fcp off\nSCHEME owp off")
-    args, _ = build(text)
+    args, _ = build(parse_theory(text))
     derived = [a for a in args if a.top_rule == "rr"]
     assert sorted(a.sub_args for a in derived) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_premise_ids_union_invariant():
     for path in (DOCTOR, ABORTION, KNIFE):
-        args, _ = build(path)
+        args, _ = build(load_theory(path))
         for a in args:
             if a.sub_args:
                 union = frozenset().union(
@@ -94,13 +94,13 @@ def test_premise_ids_union_invariant():
 # ---------------------------------------------------------- classification
 
 def test_classify_fixture_arguments():
-    args, _ = build(ABORTION)
+    args, _ = build(load_theory(ABORTION))
     assert classify(args[5]) == ("strict", "firm")        # axiom premise
     assert classify(args[4]) == ("strict", "plausible")   # ordinary premise
     assert classify(args[6]) == ("strict", "plausible")   # strict over a2
     assert classify(args[7]) == ("defeasible", "plausible")
     assert classify(args[8]) == ("defeasible", "plausible")
-    kargs, _ = build(KNIFE)
+    kargs, _ = build(load_theory(KNIFE))
     assert classify(kargs[7]) == ("strict", "firm")       # owp prohibition
     assert classify(kargs[4]) == ("defeasible", "firm")
 
@@ -109,7 +109,7 @@ def test_defeasibility_propagates_through_strict_rules():
     text = ("AGENTS: a\nPREMISE axiom p0: p\n"
             "RULE defeasible r1: p |~ q\nRULE strict r2: q |- r\n"
             "SCHEME fcp off\nSCHEME owp off")
-    args, _ = build(text)
+    args, _ = build(parse_theory(text))
     top = ids_concluding(args, "r")
     assert len(top) == 1
     assert classify(args[top.pop()]) == ("defeasible", "firm")
@@ -118,28 +118,30 @@ def test_defeasibility_propagates_through_strict_rules():
 # -------------------------------------------------------------- comparison
 
 def test_compare_orderings():
-    args, _ = build(ABORTION)
+    args, _ = build(load_theory(ABORTION))
     strict_firm = args[5]
     strict_plaus = args[6]
     defeasible_plaus = args[7]
     u, r, p = Ordering.UNIVERSAL, Ordering.RULE_BASED, Ordering.PREMISE_BASED
 
-    assert compare(strict_firm, defeasible_plaus, u) is Preference.EQUAL
-    assert compare(strict_firm, defeasible_plaus, r) is Preference.PREFERRED
-    assert compare(defeasible_plaus, strict_firm, r) is Preference.DISPREFERRED
-    assert compare(strict_firm, strict_plaus, r) is Preference.EQUAL
-    assert compare(strict_firm, strict_plaus, p) is Preference.PREFERRED
-    assert compare(strict_plaus, defeasible_plaus, p) is Preference.EQUAL
-    assert compare(strict_plaus, strict_firm, p) is Preference.DISPREFERRED
+    def equal(a, b, o):
+        return not dispreferred(a, b, o) and not dispreferred(b, a, o)
+
+    assert equal(strict_firm, defeasible_plaus, u)
+    assert dispreferred(defeasible_plaus, strict_firm, r)
+    assert not dispreferred(strict_firm, defeasible_plaus, r)
+    assert equal(strict_firm, strict_plaus, r)
+    assert dispreferred(strict_plaus, strict_firm, p)
+    assert not dispreferred(strict_firm, strict_plaus, p)
+    assert equal(strict_plaus, defeasible_plaus, p)
+    # None marks an ungated locus
+    assert not dispreferred(defeasible_plaus, strict_firm, None)
 
 
 def test_compare_is_antisymmetric():
     rng = random.Random(5)
-    args, _ = build(ABORTION)
-    mirror = {Preference.PREFERRED: Preference.DISPREFERRED,
-              Preference.DISPREFERRED: Preference.PREFERRED,
-              Preference.EQUAL: Preference.EQUAL}
+    args, _ = build(load_theory(ABORTION))
     for _ in range(100):
         a, b = rng.choice(args), rng.choice(args)
         for o in Ordering:
-            assert compare(b, a, o) is mirror[compare(a, b, o)]
+            assert not (dispreferred(a, b, o) and dispreferred(b, a, o))

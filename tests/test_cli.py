@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from normargue import ArgumentationFramework, Defeat, DefeatKind
+from normargue import ArgumentationFramework, Defeat, DefeatKind, load_theory
+from normargue import cli
 from normargue.cli import main
 
 from helpers import ABORTION, DOCTOR, KNIFE, run_pipeline
@@ -107,6 +108,24 @@ def test_weak_mode_flag_changes_defeats(capsys, tmp_path):
     assert len(report["extensions"]) == 2
 
 
+def test_weak_mode_query_finds_scheme_conclusion(capsys, tmp_path):
+    # the owp prohibition rule concludes ~P_a(q & r), which weak mode
+    # reads as O_a ~(q & r): queries and rules must see that form
+    f = tmp_path / "weak_owp.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom o: O_a ~q\n"
+                 "PREMISE axiom d: <>(q & r)\n"
+                 "RULE strict follow: O_a ~(q & r) |- s\n")
+    code, out, _ = run_cli(capsys, "run", str(f), "--json", "--weak-mode",
+                           "--query", "~P_a(q & r)", "--query", "s")
+    report = json.loads(out)
+    assert code == 0
+    assert report["extensions"] == [[0, 1, 2, 3]]
+    assert report["queries"] == [
+        {"formula": "O_a ~(q & r)", "credulous": True, "skeptical": True},
+        {"formula": "s", "credulous": True, "skeptical": True},
+    ]
+
+
 def test_max_depth_flag(capsys, tmp_path):
     f = tmp_path / "chain.naf"
     f.write_text("AGENTS: a\nPREMISE axiom p0: p\nRULE strict r1: p |- q\n"
@@ -136,7 +155,7 @@ def test_export_json_round_trips(capsys):
         payload["n_args"],
         frozenset(Defeat(d["attacker"], d["target"], DefeatKind(d["kind"]),
                          d["locus"]) for d in payload["defeats"]))
-    assert rebuilt == run_pipeline(ABORTION).af
+    assert rebuilt == run_pipeline(load_theory(ABORTION)).af
 
 
 # ------------------------------------------------------------------- check
@@ -166,6 +185,35 @@ def test_exit_2_on_bad_file(capsys, tmp_path):
 def test_exit_2_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "run", "no_such_theory.naf")
     assert code == 2 and "error:" in err
+    assert "No such file" in err and "no_such_theory.naf" in err
+    assert "directive" not in err
+
+
+def test_exit_2_on_scheme_rounds_beyond_max_depth(capsys, tmp_path):
+    f = tmp_path / "climb.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom base: P_a(p0)\n" + "".join(
+        "PREMISE axiom b%d: [](p%d -> p%d)\n" % (i, i + 1, i)
+        for i in range(4)))
+    code, out, err = run_cli(capsys, "run", str(f))
+    assert code == 2 and not out
+    assert "error:" in err and "--max-depth" in err
+    code, _, _ = run_cli(capsys, "run", str(f), "--max-depth", "4")
+    assert code == 0
+
+
+def test_exit_2_on_oracle_with_grounded(capsys):
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--oracle",
+                             "--semantics", "grounded")
+    assert code == 2 and not out
+    assert "--oracle" in err and "grounded" in err
+
+
+def test_exit_1_on_extension_failing_its_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "stable_extensions",
+                        lambda af: [frozenset(range(af.n_args))])
+    code, out, err = run_cli(capsys, "run", str(ABORTION))
+    assert code == 1 and not out
+    assert "stable check" in err
 
 
 def test_exit_2_on_bad_query(capsys):

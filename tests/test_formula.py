@@ -4,10 +4,10 @@ import pytest
 
 from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
-                       UnknownOperator, agents_in, contrary, normalize,
-                       parse, subformulas)
+                       UnknownOperator, agents_in, conflict_class, contrary,
+                       normalize, parse, subformulas)
 
-from helpers import random_formula
+from helpers import conflict_pair, random_formula
 
 
 # ---------------------------------------------------------------- parsing
@@ -204,6 +204,36 @@ def test_contrary_symmetric_on_random_pairs():
         f = random_formula(rng, depth=3)
         g = Not(f) if rng.random() < 0.4 else random_formula(rng, depth=3)
         assert contrary(f, g) == contrary(g, f)
+
+
+def test_conflict_class_covers_contrary():
+    # contrary(f, g) implies a shared class or a declared pair
+    rng = random.Random(41)
+    shared = declared_only = 0
+    for _ in range(1500):
+        f, g = conflict_pair(rng, depth=rng.randint(0, 3))
+        for weak in (False, True):
+            pairs = (((normalize(f, weak), normalize(g, weak)),)
+                     if rng.random() < 0.1 else ())
+            t = Theory(agents=("a", "b"), premises=(), rules=(),
+                       contraries=pairs, weak_mode=weak)
+            if not contrary(f, g, t):
+                continue
+            if conflict_class(f, weak) == conflict_class(g, weak):
+                shared += 1
+            else:
+                assert pairs, (f, g, weak)
+                declared_only += 1
+    assert shared > 1000 and declared_only > 50
+
+
+def test_conflict_class_examples():
+    assert conflict_class(parse("~p")) == conflict_class(parse("p"))
+    assert conflict_class(parse("O_a ~p")) == parse("O_a p")
+    assert conflict_class(parse("<>(p & ~q)")) == \
+        conflict_class(parse("[](p -> q)"))
+    assert conflict_class(parse("P_a p"), weak=True) == parse("O_a p")
+    assert conflict_class(parse("P_a p")) == parse("P_a p")
 
 
 # ---------------------------------------------------------------- helpers

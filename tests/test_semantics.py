@@ -1,14 +1,24 @@
+import itertools
 import random
 
 import pytest
 
 from normargue import (Argument, ArgumentationFramework, Defeat,
-                       DefeatConfig, DefeatKind, Ordering, TooLarge,
-                       acceptance, brute_force_stable, compute_defeats,
-                       grounded_extension, parse, stable_extensions,
-                       verify_extension)
+                       DefeatConfig, DefeatKind, Not, Ordering, Premise, Rule,
+                       RuleAtom, RuleKind, SchemeRoundsExceeded, Schemes,
+                       Strength, Theory, TooLarge, acceptance,
+                       brute_force_stable, compute_defeats,
+                       construct_arguments, grounded_extension,
+                       instantiate_schemes, load_theory, normalize, parse,
+                       parse_theory, stable_extensions, verify_extension)
 
-from helpers import ABORTION, DOCTOR, KNIFE, random_af, run_pipeline
+from helpers import (ABORTION, AGENTS, DOCTOR, KNIFE, conflict_pair,
+                     random_af, random_formula, run_pipeline)
+from reference_defeats import reference_defeats
+
+# every DefeatConfig: rebut, undermine and undercut ordering
+CONFIGS = [DefeatConfig(r, u, c) for r, u, c in itertools.product(
+    Ordering, Ordering, (None, *Ordering))]
 
 
 def af_of(*edges, n=None):
@@ -21,12 +31,12 @@ def af_of(*edges, n=None):
 # ------------------------------------------------------------ defeat tables
 
 def test_doctor_defeats():
-    r = run_pipeline(DOCTOR)
+    r = run_pipeline(load_theory(DOCTOR))
     assert r.defeats == {Defeat(7, 6, DefeatKind.REBUT, 6)}
 
 
 def test_abortion_defeats():
-    r = run_pipeline(ABORTION)
+    r = run_pipeline(load_theory(ABORTION))
     assert r.defeats == {
         Defeat(6, 7, DefeatKind.REBUT, 7),
         Defeat(6, 9, DefeatKind.REBUT, 7),
@@ -41,7 +51,7 @@ def test_abortion_defeats():
 
 
 def test_knife_defeats():
-    r = run_pipeline(KNIFE)
+    r = run_pipeline(load_theory(KNIFE))
     assert r.defeats == {
         Defeat(2, 6, DefeatKind.REBUT, 6),
         Defeat(7, 4, DefeatKind.REBUT, 4),
@@ -51,13 +61,13 @@ def test_knife_defeats():
 
 def test_rebut_needs_defeasible_top_rule():
     # B3 (strict top rule) defeats A4, never the reverse
-    r = run_pipeline(DOCTOR)
+    r = run_pipeline(load_theory(DOCTOR))
     assert Defeat(7, 6, DefeatKind.REBUT, 6) in r.defeats
     assert not any(d.target == 7 for d in r.defeats)
 
 
 def test_axiom_premises_cannot_be_undermined():
-    r = run_pipeline(ABORTION)
+    r = run_pipeline(load_theory(ABORTION))
     # d is an axiom, c1 merely ordinary; only the latter is a locus
     assert not any(d.kind is DefeatKind.UNDERMINE and d.locus == "d"
                    for d in r.defeats)
@@ -65,11 +75,11 @@ def test_axiom_premises_cannot_be_undermined():
 
 
 def test_preference_gate_blocks_dispreferred_attacks():
-    base = run_pipeline(ABORTION)
+    base = run_pipeline(load_theory(ABORTION))
     assert Defeat(8, 1, DefeatKind.UNDERMINE, "a2") in base.defeats
     # raise the bar: rule-based gating makes the defeasible underminer
     # dispreferred against the strict premise argument
-    gated = run_pipeline(ABORTION, config=DefeatConfig(
+    gated = run_pipeline(load_theory(ABORTION), config=DefeatConfig(
         undermine_ordering=Ordering.RULE_BASED))
     assert Defeat(8, 1, DefeatKind.UNDERMINE, "a2") not in gated.defeats
     assert Defeat(8, 6, DefeatKind.UNDERMINE, "a2") not in gated.defeats
@@ -79,25 +89,26 @@ def test_universal_ordering_gates_nothing():
     loose = DefeatConfig(rebut_ordering=Ordering.UNIVERSAL,
                          undermine_ordering=Ordering.UNIVERSAL)
     for path in (DOCTOR, ABORTION, KNIFE):
-        assert run_pipeline(path).defeats <= run_pipeline(
-            path, config=loose).defeats
+        theory = load_theory(path)
+        assert run_pipeline(theory).defeats <= run_pipeline(
+            theory, config=loose).defeats
 
 
 def test_rebut_gate_blocks_weaker_side():
     text = ("AGENTS: a\nPREMISE axiom s0: s\nPREMISE prem w0: w\n"
             "RULE defeasible rs: s |~ t\nRULE defeasible rw: w |~ ~t\n"
             "SCHEME fcp off\nSCHEME owp off")
-    default = run_pipeline(text)
+    default = run_pipeline(parse_theory(text))
     assert {(d.attacker, d.target) for d in default.defeats} == \
         {(2, 3), (3, 2)}
-    gated = run_pipeline(text, config=DefeatConfig(
+    gated = run_pipeline(parse_theory(text), config=DefeatConfig(
         rebut_ordering=Ordering.PREMISE_BASED))
     assert {(d.attacker, d.target) for d in gated.defeats} == {(2, 3)}
 
 
 def test_undercut_is_preference_free_by_default():
-    plain = run_pipeline(ABORTION)
-    gated = run_pipeline(ABORTION, config=DefeatConfig(
+    plain = run_pipeline(load_theory(ABORTION))
+    gated = run_pipeline(load_theory(ABORTION), config=DefeatConfig(
         undercut_ordering=Ordering.RULE_BASED))
     cut = {d for d in plain.defeats if d.kind is DefeatKind.UNDERCUT}
     assert cut == {Defeat(5, 8, DefeatKind.UNDERCUT, "rc2")}
@@ -108,18 +119,89 @@ def test_undercut_hits_superarguments():
     text = ("AGENTS: a\nPREMISE axiom p0: p\nPREMISE axiom x0: x\n"
             "RULE defeasible r1: p |~ q\nRULE strict r2: q |- s\n"
             "CONTRARY: x ~ @r1\nSCHEME fcp off\nSCHEME owp off")
-    r = run_pipeline(text)
+    r = run_pipeline(parse_theory(text))
     cuts = {(d.attacker, d.target, d.locus) for d in r.defeats
             if d.kind is DefeatKind.UNDERCUT}
     assert cuts == {(1, 2, "r1"), (1, 3, "r1")}
 
 
+def random_theory(rng):
+    """A small theory whose rules chain: premises, antecedents and most
+    consequents are drawn from one shared pool of random formulas, two of
+    them a conflict_pair. It has ordinary and axiom premises, ~@r
+    conclusions, declared contraries with @rule atoms, random scheme
+    toggles and, a third of the time, weak mode. Formulas are normalized
+    as the loader does."""
+    weak = rng.random() < 1 / 3
+    pool = [random_formula(rng, depth=rng.randint(0, 2)) for _ in range(3)]
+    pool += conflict_pair(rng, depth=rng.randint(0, 2))
+    ids = ["r%d" % i for i in range(1, rng.randint(2, 5))]
+    premises = [Premise("p%d" % i, rng.choice(pool),
+                        rng.choice(list(Strength)))
+                for i in range(rng.randint(1, 5))]
+    rules = []
+    for rid in ids:
+        roll = rng.random()
+        if roll < 0.4:
+            consequent = rng.choice(pool)
+        elif roll < 0.7:
+            consequent = Not(rng.choice(pool))
+        elif roll < 0.85:
+            consequent = Not(RuleAtom(rng.choice(ids)))
+        else:
+            consequent = random_formula(rng, depth=2)
+        antecedents = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+        rules.append(Rule(rid, tuple(antecedents), consequent,
+                          rng.choice(list(RuleKind))))
+    contraries = [(rng.choice(pool), RuleAtom(rng.choice(ids))
+                   if rng.random() < 0.6 else rng.choice(pool))
+                  for _ in range(rng.randint(0, 2))]
+    norm = lambda f: normalize(f, weak)
+    theory = Theory(
+        agents=AGENTS,
+        premises=tuple(Premise(p.id, norm(p.formula), p.strength)
+                       for p in premises),
+        rules=tuple(Rule(r.id, tuple(map(norm, r.antecedents)),
+                         norm(r.consequent), r.kind) for r in rules),
+        contraries=tuple((norm(x), norm(y)) for x, y in contraries),
+        schemes=Schemes(*(rng.random() < 0.5 for _ in range(4))),
+        weak_mode=weak, max_depth=rng.randint(1, 3))
+    try:
+        return instantiate_schemes(theory)
+    except SchemeRoundsExceeded:
+        return theory
+
+
+def test_defeats_match_reference_on_fixtures():
+    for path, weak in itertools.product((DOCTOR, ABORTION, KNIFE),
+                                        (False, True)):
+        theory = instantiate_schemes(load_theory(path, weak_mode=weak))
+        args, _ = construct_arguments(theory)
+        for cfg in CONFIGS:
+            assert compute_defeats(args, theory, cfg) == \
+                reference_defeats(args, theory, cfg), (path, weak, cfg)
+
+
+def test_defeats_match_reference_on_random_theories():
+    kinds = set()
+    for seed in range(240):
+        theory = random_theory(random.Random(seed))
+        args, _ = construct_arguments(theory)
+        for cfg in (DefeatConfig(), CONFIGS[seed % len(CONFIGS)]):
+            got = compute_defeats(args, theory, cfg)
+            assert got == reference_defeats(args, theory, cfg), (seed, cfg)
+            kinds |= {d.kind for d in got}
+    assert kinds == set(DefeatKind)
+
+
 # ----------------------------------------------------------------- solving
 
 def test_fixture_extensions():
-    assert run_pipeline(DOCTOR).extensions == [frozenset({0, 1, 2, 3, 4, 5, 7})]
-    assert run_pipeline(ABORTION).extensions == [frozenset({0, 1, 2, 3, 5, 6})]
-    assert run_pipeline(KNIFE).extensions == [frozenset({0, 1, 2, 3, 5, 7, 9})]
+    def extensions(path):
+        return run_pipeline(load_theory(path)).extensions
+    assert extensions(DOCTOR) == [frozenset({0, 1, 2, 3, 4, 5, 7})]
+    assert extensions(ABORTION) == [frozenset({0, 1, 2, 3, 5, 6})]
+    assert extensions(KNIFE) == [frozenset({0, 1, 2, 3, 5, 7, 9})]
 
 
 def test_empty_framework():
@@ -188,7 +270,7 @@ def test_solver_against_brute_force_fuzz():
 # -------------------------------------------------------------- acceptance
 
 def test_acceptance_modes():
-    r = run_pipeline(KNIFE)
+    r = run_pipeline(load_theory(KNIFE))
     f = parse("P_c(K_c(customer) & handle)")
     assert acceptance(r.args, r.extensions, f, "credulous")
     assert acceptance(r.args, r.extensions, f, "skeptical")

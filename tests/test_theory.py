@@ -1,8 +1,9 @@
 import pytest
 
 from normargue import (DanglingRuleAtom, DuplicateId, Oblig, RuleKind,
-                       Strength, UnknownAgent, instantiate_schemes,
-                       load_theory, parse)
+                       SchemeRoundsExceeded, Strength, UnknownAgent,
+                       ValidationError, instantiate_schemes, load_theory,
+                       normalize, parse, parse_theory)
 
 from helpers import ABORTION, DOCTOR, KNIFE
 
@@ -35,19 +36,27 @@ def test_load_doctor_position_premise():
 
 
 def test_load_from_text_and_path_string():
-    t = load_theory("AGENTS: a\nPREMISE axiom p1: K_a(q)")
+    t = parse_theory("AGENTS: a\nPREMISE axiom p1: K_a(q)")
     assert len(t.premises) == 1
     t2 = load_theory(str(DOCTOR))
     assert len(t2.premises) == 4
 
 
+def test_load_missing_file_names_it():
+    # a path is never read as theory text, whatever it looks like
+    with pytest.raises(FileNotFoundError) as err:
+        load_theory("nonexist.naf")
+    assert "nonexist.naf" in str(err.value)
+
+
 def test_load_empty_theory():
-    t = load_theory("")
+    t = parse_theory("")
     assert t.agents == () and t.premises == () and t.rules == ()
 
 
 def test_comments_and_blank_lines():
-    t = load_theory("# header\n\nAGENTS: a\nPREMISE axiom p1: p  # trailing\n")
+    t = parse_theory(
+        "# header\n\nAGENTS: a\nPREMISE axiom p1: p  # trailing\n")
     assert t.premises[0].formula == parse("p")
 
 
@@ -58,20 +67,20 @@ def test_comment_hash_inside_rule_ref_survives():
             "PREMISE axiom px: x\n"
             "CONTRARY: x ~ @fcp#1  # undercuts the generated rule\n"
             "SCHEME owp off\n")
-    t = instantiate_schemes(load_theory(text))
+    t = instantiate_schemes(parse_theory(text))
     assert any(r.id == "fcp#1" for r in t.rules)
 
 
 def test_premises_normalized_at_load():
-    t = load_theory("AGENTS: a\nPREMISE axiom p1: <>~~p")
+    t = parse_theory("AGENTS: a\nPREMISE axiom p1: <>~~p")
     assert t.premises[0].formula == parse("~[]~p")
-    t = load_theory("AGENTS: a\nPREMISE axiom p1: P_a p", weak_mode=True)
+    t = parse_theory("AGENTS: a\nPREMISE axiom p1: P_a p", weak_mode=True)
     assert t.premises[0].formula == parse("~O_a ~p")
     assert t.weak_mode
 
 
 def test_crlf_input():
-    t = load_theory("AGENTS: a\r\nPREMISE axiom p1: p\r\n")
+    t = parse_theory("AGENTS: a\r\nPREMISE axiom p1: p\r\n")
     assert len(t.premises) == 1
 
 
@@ -79,20 +88,20 @@ def test_crlf_input():
 
 def test_unknown_agent():
     with pytest.raises(UnknownAgent) as err:
-        load_theory("PREMISE axiom p1: K_a(q)")
+        parse_theory("PREMISE axiom p1: K_a(q)")
     assert "line 1" in str(err.value) and "a" in str(err.value)
     with pytest.raises(UnknownAgent):
-        load_theory("AGENTS: a\nRULE strict r1: p |- K_b(q)")
+        parse_theory("AGENTS: a\nRULE strict r1: p |- K_b(q)")
     with pytest.raises(UnknownAgent):
-        load_theory("AGENTS: a\nPOSITION duty(a, b): p")
+        parse_theory("AGENTS: a\nPOSITION duty(a, b): p")
 
 
 def test_duplicate_ids():
     with pytest.raises(DuplicateId) as err:
-        load_theory("AGENTS: a\nPREMISE axiom x: p\nRULE strict x: p |- q")
+        parse_theory("AGENTS: a\nPREMISE axiom x: p\nRULE strict x: p |- q")
     assert "line 3" in str(err.value)
     with pytest.raises(DuplicateId):
-        load_theory("AGENTS: a, a")
+        parse_theory("AGENTS: a, a")
 
 
 def test_syntax_errors_name_the_line():
@@ -110,24 +119,24 @@ def test_syntax_errors_name_the_line():
     ]
     for text in cases:
         with pytest.raises(SyntaxError) as err:
-            load_theory("AGENTS: a, b\n" + text)
+            parse_theory("AGENTS: a, b\n" + text)
         assert "line 2" in str(err.value), text
 
 
 def test_dangling_rule_atom():
     with pytest.raises(DanglingRuleAtom) as err:
-        load_theory("AGENTS: a\nPREMISE axiom p1: p\nCONTRARY: p ~ @nope")
+        parse_theory("AGENTS: a\nPREMISE axiom p1: p\nCONTRARY: p ~ @nope")
     assert "nope" in str(err.value) and "line 3" in str(err.value)
     # strict rules cannot be undercut, so naming one dangles too
     with pytest.raises(DanglingRuleAtom):
-        load_theory("AGENTS: a\nPREMISE axiom p1: p\n"
+        parse_theory("AGENTS: a\nPREMISE axiom p1: p\n"
                     "RULE strict r1: p |- q\nCONTRARY: p ~ @r1")
 
 
 def test_dangling_generated_ref_caught_at_instantiation():
     text = ("AGENTS: c\nPREMISE axiom px: x\nPREMISE axiom pb: P_c(q)\n"
             "CONTRARY: x ~ @fcp#9\n")
-    t = load_theory(text)  # deferred: generated ids resolve later
+    t = parse_theory(text)  # deferred: generated ids resolve later
     with pytest.raises(DanglingRuleAtom) as err:
         instantiate_schemes(t)
     assert "fcp#9" in str(err.value)
@@ -167,7 +176,7 @@ def test_knife_scheme_table():
 
 
 def test_schemes_off_is_identity():
-    t = load_theory("AGENTS: c\nPREMISE axiom pb: P_c(q)\n"
+    t = parse_theory("AGENTS: c\nPREMISE axiom pb: P_c(q)\n"
                     "PREMISE axiom pc: <>(q & m)\n"
                     "SCHEME fcp off\nSCHEME owp off")
     assert instantiate_schemes(t) == t
@@ -180,7 +189,7 @@ def test_instantiation_idempotent():
 
 def test_instantiation_monotone():
     full, _ = knife_rules()
-    trimmed = instantiate_schemes(load_theory(
+    trimmed = instantiate_schemes(parse_theory(
         "\n".join(l for l in KNIFE.read_text().splitlines()
                   if not l.startswith("PREMISE axiom ph"))))
     full_keys = {(r.kind, r.antecedents, r.consequent) for r in full.rules}
@@ -194,7 +203,7 @@ def test_weak_closure_scheme():
             "PREMISE axiom w1: P_doctor(record)\n"
             "PREMISE axiom w2: [](record -> (record | sell))\n"
             "SCHEME fcp off\nSCHEME owp off\nSCHEME weak_closure on\n")
-    t = instantiate_schemes(load_theory(text))
+    t = instantiate_schemes(parse_theory(text))
     generated = [r for r in t.rules if r.id.startswith("weak_closure")]
     assert len(generated) == 1
     r = generated[0]
@@ -206,7 +215,7 @@ def test_weak_closure_scheme():
 def test_k_truth_scheme():
     text = ("AGENTS: a\nPREMISE axiom k1: K_a(K_a(p))\n"
             "SCHEME fcp off\nSCHEME owp off\nSCHEME k_truth on\n")
-    t = instantiate_schemes(load_theory(text))
+    t = instantiate_schemes(parse_theory(text))
     got = {(str(r.antecedents[0]), str(r.consequent), r.kind)
            for r in t.rules}
     assert got == {("K_a K_a(p)", "K_a(p)", RuleKind.STRICT),
@@ -214,7 +223,7 @@ def test_k_truth_scheme():
 
 
 def test_k_truth_off_by_default():
-    t = instantiate_schemes(load_theory(
+    t = instantiate_schemes(parse_theory(
         "AGENTS: a\nPREMISE axiom k1: K_a(p)\nSCHEME fcp off\nSCHEME owp off"))
     assert t.rules == ()
 
@@ -226,7 +235,30 @@ def test_abortion_schemes_generate_nothing():
 
 
 def test_instantiation_fixpoint_within_cap():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SchemeRoundsExceeded):
         instantiate_schemes(load_theory(KNIFE, max_depth=1))
     t = instantiate_schemes(load_theory(KNIFE, max_depth=2))
     assert len(t.rules) == 6
+
+
+def test_scheme_rounds_exceeded_names_the_cap():
+    # fcp walks P_a(p0) up four box-implications, one rule per round
+    text = "AGENTS: a\nPREMISE axiom base: P_a(p0)\n" + "".join(
+        "PREMISE axiom b%d: [](p%d -> p%d)\n" % (i, i + 1, i)
+        for i in range(4))
+    with pytest.raises(SchemeRoundsExceeded) as err:
+        instantiate_schemes(parse_theory(text))
+    assert isinstance(err.value, ValidationError)
+    assert "3 rounds" in str(err.value) and "--max-depth" in str(err.value)
+    t = instantiate_schemes(parse_theory(text, max_depth=4))
+    assert [r.id for r in t.rules] == ["fcp#1", "fcp#2", "fcp#3", "fcp#4"]
+
+
+def test_weak_mode_scheme_consequents_normalized():
+    t = instantiate_schemes(parse_theory(
+        "AGENTS: a\nPREMISE axiom o: O_a ~q\nPREMISE axiom d: <>(q & r)\n",
+        weak_mode=True))
+    [owp] = t.rules
+    assert owp.kind is RuleKind.STRICT
+    assert owp.consequent == parse("O_a ~(q & r)")
+    assert normalize(owp.consequent, True) == owp.consequent
