@@ -7,11 +7,11 @@
     normargue check theory.naf [shared flags]
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
-stable check, 2 parse or validation error (also a missing file, and
---oracle with --semantics grounded: the oracle checks stable extensions
-only), 3 framework too large for the brute-force oracle. All output is
-deterministic; ANSI color is used only on a terminal and can be switched
-off with NORMARGUE_COLOR=0.
+stable check, 2 parse or validation error (also a missing file, a
+negative --max-depth, and --oracle with --semantics grounded: the oracle
+checks stable extensions only), 3 framework too large for the brute-force
+oracle. All output is deterministic; ANSI color is used only on a terminal
+and can be switched off with NORMARGUE_COLOR=0.
 """
 
 from __future__ import annotations

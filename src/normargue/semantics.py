@@ -15,13 +15,21 @@ sub-argument unless dispreferred to it; undercuts are ungated by default.
 Candidate attackers come from an index by conflict_class and declared
 contrary pairs, and contrary confirms each one.
 
-Extensions are stable (conflict-free, defeating every outsider); the
-solver is an exact backtracking labelling with unit propagation, and
-brute_force_stable is an independent cross-check for small frameworks.
+Extensions are stable (conflict-free, defeating every outsider). Stable
+semantics factors over the weakly connected components of the defeat
+graph, so stable_extensions solves each component on its own and returns
+the sorted products of their labellings; an argument without defeats is
+always IN. Each component is searched depth-first over in/out decisions
+with an explicit stack, and a label change rechecks only that argument and
+its victims. grounded_extension counts each argument's attackers not yet
+rejected and accepts it when the count reaches zero, in O(n + E).
+verify_extension checks each extension directly, and brute_force_stable
+is an independent cross-check for small frameworks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,108 +136,154 @@ def compute_defeats(args: list[Argument], theory: Theory,
 _UNDET, _IN, _OUT = 0, 1, 2
 
 
-def stable_extensions(af: ArgumentationFramework) -> list[frozenset[int]]:
-    """All stable extensions, sorted by their sorted member tuples. Exact:
-    backtracking over in/out labels with unit propagation."""
-    n = af.n_args
-    attackers = [set() for _ in range(n)]
-    for d in af.defeats:
-        attackers[d.target].add(d.attacker)
-
-    label = [_UNDET] * n
-    found: list[frozenset[int]] = []
-
-    def assign(i: int, v: int, trail: list[int]) -> bool:
-        if label[i] == v:
-            return True
-        if label[i] != _UNDET:
-            return False
-        label[i] = v
-        trail.append(i)
-        return True
-
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                atk = attackers[i]
-                if label[i] == _IN:
-                    for a in atk:
-                        if label[a] == _IN:
-                            return False
-                        if label[a] == _UNDET:
-                            if not assign(a, _OUT, trail):
-                                return False
-                            changed = True
-                elif label[i] == _OUT:
-                    if any(label[a] == _IN for a in atk):
-                        continue
-                    undecided = [a for a in atk if label[a] == _UNDET]
-                    if not undecided:
-                        return False
-                    if len(undecided) == 1:
-                        if not assign(undecided[0], _IN, trail):
-                            return False
-                        changed = True
-                else:
-                    if any(label[a] == _IN for a in atk):
-                        if not assign(i, _OUT, trail):
-                            return False
-                        changed = True
-                    elif all(label[a] == _OUT for a in atk):
-                        if not assign(i, _IN, trail):
-                            return False
-                        changed = True
-        return True
-
-    def undo(trail: list[int], mark: int):
-        while len(trail) > mark:
-            label[trail.pop()] = _UNDET
-
-    def search():
-        trail: list[int] = []
-        if not propagate(trail):
-            undo(trail, 0)
-            return
-        i = next((j for j in range(n) if label[j] == _UNDET), None)
-        if i is None:
-            found.append(frozenset(j for j in range(n) if label[j] == _IN))
-            undo(trail, 0)
-            return
-        for v in (_IN, _OUT):
-            mark = len(trail)
-            label[i] = v
-            trail.append(i)
-            search()
-            undo(trail, mark)
-        undo(trail, 0)
-
-    search()
-    return sorted(found, key=lambda s: tuple(sorted(s)))
-
-
-def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
-    """Least fixpoint: accept whatever only defeated attackers attack."""
-    n = af.n_args
-    attackers = [set() for _ in range(n)]
-    victims = [set() for _ in range(n)]
+def _attack_lists(af: ArgumentationFramework):
+    """Attackers and victims of each argument, each listed once."""
+    attackers: list[set[int]] = [set() for _ in range(af.n_args)]
+    victims: list[set[int]] = [set() for _ in range(af.n_args)]
     for d in af.defeats:
         attackers[d.target].add(d.attacker)
         victims[d.attacker].add(d.target)
+    return attackers, victims
 
-    accepted: set[int] = set()
-    rejected: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if i in accepted or i in rejected:
+
+def _components(attackers, victims) -> list[list[int]]:
+    """Weakly connected components of the defeat graph, each sorted, in
+    order of their least member."""
+    seen = [False] * len(attackers)
+    parts = []
+    for root in range(len(attackers)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        part, todo = [], [root]
+        while todo:
+            i = todo.pop()
+            part.append(i)
+            for j in (*attackers[i], *victims[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        parts.append(sorted(part))
+    return parts
+
+
+def _stable_labellings(part: list[int], attackers, victims,
+                       label: list[int]) -> list[tuple[int, ...]]:
+    """The IN sets of every stable labelling of one component, as sorted
+    tuples. Depth-first over decisions with an explicit stack of frames
+    (trail mark, position of the decided argument, its value); after every
+    decision only the changed arguments and their victims are rechecked.
+    label must be _UNDET on part; other components' labels are never read."""
+    trail: list[int] = []
+
+    def propagate(work: list[int]) -> bool:
+        # a check of i reads label[i] and its attackers' labels, so a change
+        # at i queues i and its victims
+        while work:
+            i = work.pop()
+            hit, open_ = False, []  # an attacker IN; the undecided ones
+            for a in attackers[i]:
+                if label[a] == _IN:
+                    hit = True
+                    break
+                if label[a] == _UNDET:
+                    open_.append(a)
+            li = label[i]
+            if li == _IN:  # every attacker must be OUT
+                if hit:
+                    return False
+                forced, v = open_, _OUT
+            elif li == _OUT:  # some attacker must be IN
+                if hit or len(open_) > 1:
+                    continue
+                if not open_:
+                    return False
+                forced, v = open_, _IN
+            elif hit:
+                forced, v = [i], _OUT
+            elif not open_:
+                forced, v = [i], _IN
+            else:
                 continue
-            if attackers[i] <= rejected:
-                accepted.add(i)
-                rejected |= victims[i] - accepted
-                changed = True
+            for j in forced:  # each still undecided: nothing set it yet
+                label[j] = v
+                trail.append(j)
+                work.append(j)
+                work.extend(victims[j])
+        return True
+
+    def decide(i: int, v: int) -> bool:
+        label[i] = v
+        trail.append(i)
+        return propagate([i, *victims[i]])
+
+    found = []
+    stack: list[tuple[int, int, int]] = []
+    pos = 0  # part[:pos] is labelled
+    ok = propagate(list(part))
+    while True:
+        if ok:
+            while pos < len(part) and label[part[pos]] != _UNDET:
+                pos += 1
+            if pos < len(part):
+                stack.append((len(trail), pos, _IN))
+                ok = decide(part[pos], _IN)
+                continue
+            found.append(tuple(i for i in part if label[i] == _IN))
+        # backtrack to the latest decision that still has OUT to try
+        while stack:
+            mark, pos, v = stack.pop()
+            while len(trail) > mark:
+                label[trail.pop()] = _UNDET
+            if v == _IN:
+                stack.append((mark, pos, _OUT))
+                ok = decide(part[pos], _OUT)
+                break
+        else:
+            return found
+
+
+def stable_extensions(af: ArgumentationFramework) -> list[frozenset[int]]:
+    """All stable extensions, sorted by their sorted member tuples. Exact:
+    stable semantics factors over weakly connected components, so each
+    component is solved on its own and the extensions are the products of
+    one labelling per component."""
+    attackers, victims = _attack_lists(af)
+    label = [_UNDET] * af.n_args
+    always: list[int] = []  # arguments without defeats, always IN
+    choices = []
+    for part in _components(attackers, victims):
+        if len(part) == 1 and not attackers[part[0]] and not victims[part[0]]:
+            always.append(part[0])
+            continue
+        found = _stable_labellings(part, attackers, victims, label)
+        if not found:
+            return []
+        choices.append(found)
+    members = sorted(tuple(sorted(itertools.chain(always, *pick)))
+                     for pick in itertools.product(*choices))
+    return [frozenset(m) for m in members]
+
+
+def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
+    """Least fixpoint, in O(n + E): accept an argument once every attacker
+    is rejected, and reject whatever an accepted argument attacks."""
+    attackers, victims = _attack_lists(af)
+    live = [len(a) for a in attackers]  # attackers not yet rejected
+    rejected = [False] * af.n_args
+    accepted: set[int] = set()
+    work = [i for i in range(af.n_args) if not live[i]]
+    while work:
+        i = work.pop()
+        accepted.add(i)
+        for v in victims[i]:
+            if rejected[v]:
+                continue
+            rejected[v] = True
+            for w in victims[v]:
+                live[w] -= 1
+                if not live[w]:
+                    work.append(w)
     return frozenset(accepted)
 
 

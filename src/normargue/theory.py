@@ -133,6 +133,9 @@ def load_theory(path, *, weak_mode: bool = False,
 def parse_theory(text: str, *, weak_mode: bool = False,
                  max_depth: int = 3) -> Theory:
     """Parse and validate a theory from DSL text."""
+    if max_depth < 0:
+        raise ValidationError("max_depth (--max-depth) must be at least 0, "
+                              "got %d" % max_depth)
     agents: list[str] = []
     premises: list[Premise] = []
     rules: list[Rule] = []

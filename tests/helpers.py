@@ -1,6 +1,7 @@
 """Shared test utilities: fixture paths, a seeded random formula generator
-and conflict-biased formula pairs, random frameworks for solver fuzzing,
-and a one-call pipeline runner."""
+and conflict-biased formula pairs, random frameworks and their disjoint
+unions for solver fuzzing, grounded semantics from its definition, and a
+one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -96,6 +97,32 @@ def random_af(rng, max_n=12):
             if rng.random() < density:
                 defeats.add(Defeat(i, j, DefeatKind.REBUT, j))
     return ArgumentationFramework(n, frozenset(defeats))
+
+
+def disjoint_union(*afs):
+    """One framework holding each of afs, renumbered after the ones before
+    it, with no defeats between them."""
+    defeats, offset = set(), 0
+    for af in afs:
+        defeats |= {Defeat(d.attacker + offset, d.target + offset, d.kind,
+                           d.locus) for d in af.defeats}
+        offset += af.n_args
+    return ArgumentationFramework(offset, frozenset(defeats))
+
+
+def grounded_by_definition(af):
+    """The least fixpoint of the characteristic function, iterated from the
+    empty set: F(S) holds every argument whose attackers are all attacked
+    by S. Quadratic; only for cross-checking grounded_extension."""
+    attackers = {i: {d.attacker for d in af.defeats if d.target == i}
+                 for i in range(af.n_args)}
+    s = frozenset()
+    while True:
+        hit = {d.target for d in af.defeats if d.attacker in s}
+        nxt = frozenset(i for i in range(af.n_args) if attackers[i] <= hit)
+        if nxt == s:
+            return s
+        s = nxt
 
 
 def run_pipeline(theory, *, config=None):

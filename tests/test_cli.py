@@ -201,6 +201,17 @@ def test_exit_2_on_scheme_rounds_beyond_max_depth(capsys, tmp_path):
     assert code == 0
 
 
+def test_exit_2_on_negative_max_depth(capsys, tmp_path):
+    # a rule-free theory has no depth for a negative cap to cut
+    f = tmp_path / "flat.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom p0: p\n")
+    for path in (str(KNIFE), str(f)):
+        code, out, err = run_cli(capsys, "run", path, "--max-depth", "-1")
+        assert code == 2 and not out
+        assert "error:" in err and "--max-depth" in err
+        assert "rounds" not in err
+
+
 def test_exit_2_on_oracle_with_grounded(capsys):
     code, out, err = run_cli(capsys, "run", str(DOCTOR), "--oracle",
                              "--semantics", "grounded")

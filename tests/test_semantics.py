@@ -13,7 +13,8 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        parse_theory, stable_extensions, verify_extension)
 
 from helpers import (ABORTION, AGENTS, DOCTOR, KNIFE, conflict_pair,
-                     random_af, random_formula, run_pipeline)
+                     disjoint_union, grounded_by_definition, random_af,
+                     random_formula, run_pipeline)
 from reference_defeats import reference_defeats
 
 # every DefeatConfig: rebut, undermine and undercut ordering
@@ -265,6 +266,64 @@ def test_solver_against_brute_force_fuzz():
         assert got == brute_force_stable(af)
         for e in got:
             assert verify_extension(af, e)
+
+
+def random_union(rng):
+    """A disjoint union of 2-4 random frameworks of up to 6 arguments each,
+    redrawn until it has at most 20 arguments (brute force's cap)."""
+    while True:
+        af = disjoint_union(*(random_af(rng, max_n=6)
+                              for _ in range(rng.randint(2, 4))))
+        if af.n_args <= 20:
+            return af
+
+
+def test_solver_against_brute_force_on_disjoint_unions():
+    rng = random.Random(4321)
+    for k in range(300):
+        af = random_union(rng)
+        got = stable_extensions(af)
+        assert got == brute_force_stable(af), k
+        for e in got:
+            assert verify_extension(af, e), (k, e)
+
+
+def test_extensions_sorted_across_components():
+    # components {0, 3, 5, 6} and {1, 4}, 2 isolated: the product of the
+    # per-component lists, {0,3}|{0,5} by {1}|{4}, would put {0,2,3,4}
+    # before {0,1,2,5}
+    af = af_of((0, 6), (5, 6), (3, 5), (5, 3), (1, 4), (4, 1))
+    assert stable_extensions(af) == [
+        frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 5}),
+        frozenset({0, 2, 3, 4}), frozenset({0, 2, 4, 5})]
+
+
+def test_deep_ladder_solves_without_recursion():
+    # a_i <-> b_i and b_i -> a_{i+1}, with a_i = 2i and b_i = 2i + 1: one
+    # component of 2200 arguments whose stable extensions are a_1..a_k plus
+    # b_{k+1}..b_n, one per k in 0..n. Its size exceeds the default
+    # recursion limit on purpose.
+    n = 1100
+    edges = [(2 * i, 2 * i + 1) for i in range(n)]
+    edges += [(2 * i + 1, 2 * i) for i in range(n)]
+    edges += [(2 * i + 1, 2 * i + 2) for i in range(n - 1)]
+    af = af_of(*edges)
+    exts = stable_extensions(af)
+    assert len(exts) == n + 1
+    assert exts[0] == frozenset(range(0, 2 * n, 2))
+    assert exts[-1] == frozenset(range(1, 2 * n, 2))
+    for e in exts[::100]:
+        assert verify_extension(af, e)
+
+
+def test_grounded_matches_definition():
+    rng = random.Random(2468)
+    for k in range(300):
+        af = random_af(rng)
+        assert grounded_extension(af) == grounded_by_definition(af), k
+    for k in range(100):
+        af = random_union(rng)
+        assert grounded_extension(af) == grounded_by_definition(af), k
 
 
 # -------------------------------------------------------------- acceptance

@@ -254,6 +254,15 @@ def test_scheme_rounds_exceeded_names_the_cap():
     assert [r.id for r in t.rules] == ["fcp#1", "fcp#2", "fcp#3", "fcp#4"]
 
 
+def test_negative_max_depth_rejected():
+    for load in (lambda: load_theory(KNIFE, max_depth=-1),
+                 lambda: parse_theory("AGENTS: a\n", max_depth=-1)):
+        with pytest.raises(ValidationError) as err:
+            load()
+        assert "--max-depth" in str(err.value) and "-1" in str(err.value)
+    assert parse_theory("AGENTS: a\n", max_depth=0).max_depth == 0
+
+
 def test_weak_mode_scheme_consequents_normalized():
     t = instantiate_schemes(parse_theory(
         "AGENTS: a\nPREMISE axiom o: O_a ~q\nPREMISE axiom d: <>(q & r)\n",
