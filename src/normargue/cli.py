@@ -12,6 +12,10 @@ negative --max-depth, and --oracle with --semantics grounded: the oracle
 checks stable extensions only), 3 framework too large for the brute-force
 oracle. All output is deterministic; ANSI color is used only on a terminal
 and can be switched off with NORMARGUE_COLOR=0.
+
+The --json report is exactly json.dumps(report, indent=2). _dump_report
+writes it: json encodes each top-level value except the extensions array,
+which is joined from one token per argument id.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ def cmd_run(ns) -> int:
         })
 
     sorted_defeats = sorted(defeats, key=defeat_sort_key)
+    members = [sorted(e) for e in extensions]
     if ns.json:
         report = {
             "schema": 1,
@@ -112,11 +117,11 @@ def cmd_run(ns) -> int:
             },
             "arguments": [_argument_dict(a) for a in args],
             "defeats": [_defeat_dict(d) for d in sorted_defeats],
-            "extensions": [sorted(e) for e in extensions],
+            "extensions": members,
             "queries": queries,
             "truncated": truncated,
         }
-        print(json.dumps(report, indent=2))
+        print(_dump_report(report))
         return 0
 
     print(_paint("theory:", "1"), "%d agents, %d premises, %d rules, "
@@ -136,15 +141,16 @@ def cmd_run(ns) -> int:
         print("  %s" % d)
     if ns.semantics == "grounded":
         print(_paint("grounded extension:", "1"))
-        _print_extension(extensions[0], args)
+        for i in members[0]:
+            print("  %d: %s" % (i, args[i].conclusion))
     elif not extensions:
         print(_paint("no stable extension", "1"))
     else:
         print(_paint("stable extensions (%d):" % len(extensions), "1"))
-        for k, ext in enumerate(extensions, 1):
-            print("  extension %d: {%s}" % (k, ", ".join(
-                str(i) for i in sorted(ext))))
-            _print_extension(ext, args, indent="    ")
+        line = ["    %d: %s" % (a.id, a.conclusion) for a in args]
+        for k, ids in enumerate(members, 1):
+            print("\n".join(["  extension %d: {%s}" % (
+                k, ", ".join(map(str, ids)))] + [line[i] for i in ids]))
     for q in queries:
         print("query %s: credulous=%s skeptical=%s" % (
             q["formula"],
@@ -153,9 +159,23 @@ def cmd_run(ns) -> int:
     return 0
 
 
-def _print_extension(ext, args, indent="  "):
-    for i in sorted(ext):
-        print("%s%d: %s" % (indent, i, args[i].conclusion))
+def _dump_report(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte, for the report cmd_run
+    builds. Each top-level value is encoded by json and shifted one level
+    in (encoded JSON holds no raw newline inside a string); the extensions
+    array, one line per member of every extension, is joined from one
+    precomputed token per argument id instead."""
+    token = [",\n      %d" % i for i in range(len(report["arguments"]))]
+
+    def value(key, v):
+        if key == "extensions" and v:
+            return "[\n    %s\n  ]" % ",\n    ".join(
+                "[%s\n    ]" % "".join(map(token.__getitem__, ids))[1:]
+                if ids else "[]" for ids in v)
+        return json.dumps(v, indent=2).replace("\n", "\n  ")
+
+    return "{\n  %s\n}" % ",\n  ".join(
+        "%s: %s" % (json.dumps(k), value(k, v)) for k, v in report.items())
 
 
 def render_dot(args: list[Argument], defeats) -> str:

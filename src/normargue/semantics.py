@@ -23,13 +23,19 @@ always IN. Each component is searched depth-first over in/out decisions
 with an explicit stack, and a label change rechecks only that argument and
 its victims. grounded_extension counts each argument's attackers not yet
 rejected and accepts it when the count reaches zero, in O(n + E).
-verify_extension checks each extension directly, and brute_force_stable
-is an independent cross-check for small frameworks.
+verify_extension checks each extension directly and apart from the
+solver: each framework builds once, on first use, one int per argument
+holding its own bit and, shifted up by n_args, the bits of the arguments
+it defeats; an extension is then one OR over its members' masks and two
+int tests. brute_force_stable is an independent cross-check for small
+frameworks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +77,16 @@ class DefeatConfig:
 class ArgumentationFramework:
     n_args: int
     defeats: frozenset[Defeat]
+
+    @functools.cached_property
+    def _verify_masks(self) -> list[int]:
+        """Per argument i: bit i, plus bit n_args + t for each t that i
+        defeats. Built on first use and kept with the framework."""
+        n = self.n_args
+        masks = [1 << i for i in range(n)]
+        for d in self.defeats:
+            masks[d.attacker] |= 1 << (n + d.target)
+        return masks
 
 
 def defeat_sort_key(d: Defeat):
@@ -288,13 +304,14 @@ def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
 
 
 def verify_extension(af: ArgumentationFramework, ext: frozenset[int]) -> bool:
-    """Direct check of the two stable conditions."""
-    inside = set(ext)
-    for d in af.defeats:
-        if d.attacker in inside and d.target in inside:
-            return False
-    attacked = {d.target for d in af.defeats if d.attacker in inside}
-    return all(i in attacked for i in range(af.n_args) if i not in inside)
+    """Direct check of the two stable conditions on a set of argument ids
+    of af: no member defeats a member, and every other argument is defeated
+    by a member. OR-ing the members' masks gives the members in the low
+    n_args bits and every argument they defeat in the high ones."""
+    masks, everyone = af._verify_masks, (1 << af.n_args) - 1
+    m = functools.reduce(operator.or_, map(masks.__getitem__, ext), 0)
+    members, hit = m & everyone, m >> af.n_args
+    return not members & hit and members | hit == everyone
 
 
 def brute_force_stable(af: ArgumentationFramework) -> list[frozenset[int]]:

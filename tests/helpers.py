@@ -1,16 +1,17 @@
 """Shared test utilities: fixture paths, a seeded random formula generator
-and conflict-biased formula pairs, random frameworks and their disjoint
-unions for solver fuzzing, grounded semantics from its definition, and a
-one-call pipeline runner."""
+and conflict-biased formula pairs, random theories built from them, random
+frameworks and their disjoint unions for solver fuzzing, grounded semantics
+from its definition, and a one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
 
 from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
                        Diamond, Implies, Know, Not, Oblig, Or, Perm, Power,
-                       Right, RuleAtom, Stit, And, compute_defeats,
-                       construct_arguments, instantiate_schemes,
-                       stable_extensions)
+                       Premise, Right, Rule, RuleAtom, RuleKind,
+                       SchemeRoundsExceeded, Schemes, Stit, Strength, Theory,
+                       And, compute_defeats, construct_arguments,
+                       instantiate_schemes, normalize, stable_extensions)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOCTOR = FIXTURES / "doctor.naf"
@@ -123,6 +124,53 @@ def grounded_by_definition(af):
         if nxt == s:
             return s
         s = nxt
+
+
+def random_theory(rng):
+    """A small theory whose rules chain: premises, antecedents and most
+    consequents are drawn from one shared pool of random formulas, two of
+    them a conflict_pair. It has ordinary and axiom premises, ~@r
+    conclusions, declared contraries with @rule atoms, random scheme
+    toggles and, a third of the time, weak mode. Formulas are normalized
+    as the loader does."""
+    weak = rng.random() < 1 / 3
+    pool = [random_formula(rng, depth=rng.randint(0, 2)) for _ in range(3)]
+    pool += conflict_pair(rng, depth=rng.randint(0, 2))
+    ids = ["r%d" % i for i in range(1, rng.randint(2, 5))]
+    premises = [Premise("p%d" % i, rng.choice(pool),
+                        rng.choice(list(Strength)))
+                for i in range(rng.randint(1, 5))]
+    rules = []
+    for rid in ids:
+        roll = rng.random()
+        if roll < 0.4:
+            consequent = rng.choice(pool)
+        elif roll < 0.7:
+            consequent = Not(rng.choice(pool))
+        elif roll < 0.85:
+            consequent = Not(RuleAtom(rng.choice(ids)))
+        else:
+            consequent = random_formula(rng, depth=2)
+        antecedents = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+        rules.append(Rule(rid, tuple(antecedents), consequent,
+                          rng.choice(list(RuleKind))))
+    contraries = [(rng.choice(pool), RuleAtom(rng.choice(ids))
+                   if rng.random() < 0.6 else rng.choice(pool))
+                  for _ in range(rng.randint(0, 2))]
+    norm = lambda f: normalize(f, weak)
+    theory = Theory(
+        agents=AGENTS,
+        premises=tuple(Premise(p.id, norm(p.formula), p.strength)
+                       for p in premises),
+        rules=tuple(Rule(r.id, tuple(map(norm, r.antecedents)),
+                         norm(r.consequent), r.kind) for r in rules),
+        contraries=tuple((norm(x), norm(y)) for x, y in contraries),
+        schemes=Schemes(*(rng.random() < 0.5 for _ in range(4))),
+        weak_mode=weak, max_depth=rng.randint(1, 3))
+    try:
+        return instantiate_schemes(theory)
+    except SchemeRoundsExceeded:
+        return theory
 
 
 def run_pipeline(theory, *, config=None):

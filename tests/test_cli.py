@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from normargue import ArgumentationFramework, Defeat, DefeatKind, load_theory
 from normargue import cli
 from normargue.cli import main
 
-from helpers import ABORTION, DOCTOR, KNIFE, run_pipeline
+from helpers import ABORTION, DOCTOR, KNIFE, random_theory, run_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -261,3 +262,82 @@ def test_byte_identical_output(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+# ----------------------------------------------------------- report writer
+
+def run_report(capsys, monkeypatch, *argv):
+    """Run `run --json`, check its stdout against json.dumps of the report
+    handed to the writer, and return that report."""
+    seen, write = [], cli._dump_report
+    monkeypatch.setattr(cli, "_dump_report",
+                        lambda report: seen.append(report) or write(report))
+    code, out, err = run_cli(capsys, "run", *argv, "--json")
+    assert (code, err, len(seen)) == (0, "", 1)
+    assert out == json.dumps(seen[0], indent=2) + "\n"
+    return seen[0]
+
+
+def test_report_writer_matches_json_on_fixtures(capsys, monkeypatch):
+    for path in (DOCTOR, ABORTION, KNIFE):
+        for flags in ((), ("--semantics", "grounded"), ("--undercut-gated",),
+                      ("--weak-mode", "--query", "P_c(K_c(customer) & "
+                       "handle)", "--query", "~p")):
+            run_report(capsys, monkeypatch, str(path), *flags)
+
+
+def test_report_writer_matches_json_on_random_theories(capsys, monkeypatch):
+    extensions = set()
+    for seed in range(200):
+        theory = random_theory(random.Random(seed))
+        monkeypatch.setattr(cli, "load_theory", lambda path, **kw: theory)
+        monkeypatch.setattr(cli, "instantiate_schemes", lambda t: t)
+        queries = [str(p.formula) for p in theory.premises[:seed % 4]]
+        flags = ("--semantics", "grounded") if seed % 5 == 0 else ()
+        report = run_report(capsys, monkeypatch, "random.naf", *flags,
+                            *(x for q in queries for x in ("--query", q)))
+        assert len(report["queries"]) == len(queries)
+        extensions.add(len(report["extensions"]))
+    assert {0, 1} < extensions  # none, one and several
+
+
+def test_report_writer_edge_cases(capsys, monkeypatch, tmp_path):
+    cycle = tmp_path / "cycle.naf"
+    cycle.write_text(
+        "AGENTS: a\n"
+        "PREMISE axiom p1: p\nPREMISE axiom q1: q\nPREMISE axiom r1: r\n"
+        "RULE defeasible d1: p |~ x1\nRULE defeasible d2: q |~ x2\n"
+        "RULE defeasible d3: r |~ x3\n"
+        "CONTRARY: x1 ~ @d2\nCONTRARY: x2 ~ @d3\nCONTRARY: x3 ~ @d1\n"
+        "SCHEME fcp off\nSCHEME owp off\n")
+    assert run_report(capsys, monkeypatch, str(cycle))["extensions"] == []
+    empty = tmp_path / "empty.naf"
+    empty.write_text("# nothing\n")
+    assert run_report(capsys, monkeypatch, str(empty))["extensions"] == [[]]
+    chain = tmp_path / "chain.naf"
+    chain.write_text("AGENTS: a\nPREMISE axiom p0: p\nRULE strict r1: p |- q\n"
+                     "RULE strict r2: q |- r\nSCHEME fcp off\nSCHEME owp off\n")
+    report = run_report(capsys, monkeypatch, str(chain), "--max-depth", "1",
+                        "--query", "q", "--query", "r", "--query", "p")
+    assert report["truncated"] is True and len(report["queries"]) == 3
+    report = run_report(capsys, monkeypatch, str(KNIFE), "--semantics",
+                        "grounded")
+    assert report["semantics"] == "grounded" and report["queries"] == []
+    # an empty extension beside non-empty ones, and a newline in a string
+    report = {"arguments": [{"conclusion": "a\nb"}] * 3,
+              "extensions": [[], [0, 2], [1]], "truncated": False}
+    assert cli._dump_report(report) == json.dumps(report, indent=2)
+
+
+def test_text_report_lists_every_extension(capsys, tmp_path):
+    f = tmp_path / "two.naf"
+    f.write_text("AGENTS: a\nPREMISE prem p1: p\nPREMISE prem n1: ~p\n"
+                 "PREMISE prem q1: q\nPREMISE prem m1: ~q\n"
+                 "SCHEME fcp off\nSCHEME owp off\n")
+    code, out, _ = run_cli(capsys, "run", str(f))
+    assert code == 0
+    assert out.split("stable extensions (4):\n")[1] == (
+        "  extension 1: {0, 2}\n    0: p\n    2: q\n"
+        "  extension 2: {0, 3}\n    0: p\n    3: ~q\n"
+        "  extension 3: {1, 2}\n    1: ~p\n    2: q\n"
+        "  extension 4: {1, 3}\n    1: ~p\n    3: ~q\n")

@@ -4,18 +4,17 @@ import random
 import pytest
 
 from normargue import (Argument, ArgumentationFramework, Defeat,
-                       DefeatConfig, DefeatKind, Not, Ordering, Premise, Rule,
-                       RuleAtom, RuleKind, SchemeRoundsExceeded, Schemes,
-                       Strength, Theory, TooLarge, acceptance,
-                       brute_force_stable, compute_defeats,
+                       DefeatConfig, DefeatKind, Ordering, TooLarge,
+                       acceptance, brute_force_stable, compute_defeats,
                        construct_arguments, grounded_extension,
-                       instantiate_schemes, load_theory, normalize, parse,
-                       parse_theory, stable_extensions, verify_extension)
+                       instantiate_schemes, load_theory, parse, parse_theory,
+                       stable_extensions, verify_extension)
 
-from helpers import (ABORTION, AGENTS, DOCTOR, KNIFE, conflict_pair,
-                     disjoint_union, grounded_by_definition, random_af,
-                     random_formula, run_pipeline)
+from helpers import (ABORTION, DOCTOR, KNIFE, disjoint_union,
+                     grounded_by_definition, random_af, random_theory,
+                     run_pipeline)
 from reference_defeats import reference_defeats
+from reference_verify import reference_verify
 
 # every DefeatConfig: rebut, undermine and undercut ordering
 CONFIGS = [DefeatConfig(r, u, c) for r, u, c in itertools.product(
@@ -126,53 +125,6 @@ def test_undercut_hits_superarguments():
     assert cuts == {(1, 2, "r1"), (1, 3, "r1")}
 
 
-def random_theory(rng):
-    """A small theory whose rules chain: premises, antecedents and most
-    consequents are drawn from one shared pool of random formulas, two of
-    them a conflict_pair. It has ordinary and axiom premises, ~@r
-    conclusions, declared contraries with @rule atoms, random scheme
-    toggles and, a third of the time, weak mode. Formulas are normalized
-    as the loader does."""
-    weak = rng.random() < 1 / 3
-    pool = [random_formula(rng, depth=rng.randint(0, 2)) for _ in range(3)]
-    pool += conflict_pair(rng, depth=rng.randint(0, 2))
-    ids = ["r%d" % i for i in range(1, rng.randint(2, 5))]
-    premises = [Premise("p%d" % i, rng.choice(pool),
-                        rng.choice(list(Strength)))
-                for i in range(rng.randint(1, 5))]
-    rules = []
-    for rid in ids:
-        roll = rng.random()
-        if roll < 0.4:
-            consequent = rng.choice(pool)
-        elif roll < 0.7:
-            consequent = Not(rng.choice(pool))
-        elif roll < 0.85:
-            consequent = Not(RuleAtom(rng.choice(ids)))
-        else:
-            consequent = random_formula(rng, depth=2)
-        antecedents = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
-        rules.append(Rule(rid, tuple(antecedents), consequent,
-                          rng.choice(list(RuleKind))))
-    contraries = [(rng.choice(pool), RuleAtom(rng.choice(ids))
-                   if rng.random() < 0.6 else rng.choice(pool))
-                  for _ in range(rng.randint(0, 2))]
-    norm = lambda f: normalize(f, weak)
-    theory = Theory(
-        agents=AGENTS,
-        premises=tuple(Premise(p.id, norm(p.formula), p.strength)
-                       for p in premises),
-        rules=tuple(Rule(r.id, tuple(map(norm, r.antecedents)),
-                         norm(r.consequent), r.kind) for r in rules),
-        contraries=tuple((norm(x), norm(y)) for x, y in contraries),
-        schemes=Schemes(*(rng.random() < 0.5 for _ in range(4))),
-        weak_mode=weak, max_depth=rng.randint(1, 3))
-    try:
-        return instantiate_schemes(theory)
-    except SchemeRoundsExceeded:
-        return theory
-
-
 def test_defeats_match_reference_on_fixtures():
     for path, weak in itertools.product((DOCTOR, ABORTION, KNIFE),
                                         (False, True)):
@@ -248,6 +200,37 @@ def test_verify_extension():
     assert not verify_extension(af, frozenset({0, 1}))   # conflict
     assert not verify_extension(af, frozenset({0}))      # 2 undefeated
     assert not verify_extension(af, frozenset())
+
+
+def test_verify_matches_reference_on_every_subset():
+    rng = random.Random(8642)
+    stable = 0
+    for k in range(300):
+        af = random_af(rng, max_n=10)
+        for size in range(af.n_args + 1):
+            for ext in map(frozenset,
+                           itertools.combinations(range(af.n_args), size)):
+                got = verify_extension(af, ext)
+                assert got == reference_verify(af, ext), (k, sorted(ext))
+                stable += got
+    assert stable > 100  # the subsets include many stable extensions
+
+
+def test_verify_edge_frameworks():
+    assert verify_extension(af_of(), frozenset())
+    # 0 attacks itself and 1; 2 attacks 0
+    loop = af_of((0, 0), (0, 1), (2, 0))
+    assert not verify_extension(loop, frozenset({0}))
+    assert not verify_extension(loop, frozenset({0, 2}))
+    assert verify_extension(loop, frozenset({1, 2}))
+    assert not verify_extension(af_of((0, 0)), frozenset())
+    # same size, opposite defeat: each keeps its own masks
+    forward, backward = af_of((0, 1)), af_of((1, 0))
+    for _ in range(2):
+        assert verify_extension(forward, frozenset({0}))
+        assert not verify_extension(backward, frozenset({0}))
+        assert verify_extension(backward, frozenset({1}))
+        assert not verify_extension(forward, frozenset({1}))
 
 
 def test_brute_force_matches_and_caps():
