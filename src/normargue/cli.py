@@ -2,16 +2,23 @@
 
     normargue run theory.naf [--json] [--query F ...] [--semantics S]
                              [--oracle] [--weak-mode] [--max-depth N]
-                             [--undercut-gated]
+                             [--max-args N] [--undercut-gated]
     normargue export theory.naf [--format dot|json] [shared flags]
     normargue check theory.naf [shared flags]
 
+Shared flags: --weak-mode, --max-depth N (argument and scheme depth,
+default 3), --max-args N (argument count, default 100000: construction
+keeps the first N arguments in id order), --undercut-gated. A report
+whose construction either cap cut short says truncated; the text note
+names the argument cap when the result holds exactly N arguments, and
+the depth otherwise.
+
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
-negative --max-depth, and --oracle with --semantics grounded: the oracle
-checks stable extensions only), 3 framework too large for the brute-force
-oracle. All output is deterministic; ANSI color is used only on a terminal
-and can be switched off with NORMARGUE_COLOR=0.
+negative --max-depth or --max-args, and --oracle with --semantics
+grounded: the oracle checks stable extensions only), 3 framework too
+large for the brute-force oracle. All output is deterministic; ANSI color
+is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.
 
 The --json report is exactly json.dumps(report, indent=2). _dump_report
 writes it: json encodes each top-level value except the extensions array,
@@ -43,10 +50,14 @@ def _paint(text: str, code: str) -> str:
     return text
 
 
+def _load(ns) -> Theory:
+    return instantiate_schemes(load_theory(
+        ns.theory, weak_mode=ns.weak_mode, max_depth=ns.max_depth,
+        max_args=ns.max_args))
+
+
 def _pipeline(ns):
-    theory = load_theory(ns.theory, weak_mode=ns.weak_mode,
-                         max_depth=ns.max_depth)
-    theory = instantiate_schemes(theory)
+    theory = _load(ns)
     args, truncated = construct_arguments(theory)
     cfg = DefeatConfig(
         undercut_ordering=Ordering.RULE_BASED if ns.undercut_gated else None)
@@ -79,16 +90,16 @@ def cmd_run(ns) -> int:
                          "used with --semantics grounded")
     theory, args, defeats, af, truncated = _pipeline(ns)
     if ns.semantics == "grounded":
-        extensions = [grounded_extension(af)]
+        extensions = [sorted(grounded_extension(af))]
     else:
-        extensions = stable_extensions(af)
+        extensions = stable_extensions(af, as_lists=True)
         if not all(verify_extension(af, ext) for ext in extensions):
             print("error: a solver extension fails the stable check",
                   file=sys.stderr)
             return 1
         if ns.oracle:
             expected = brute_force_stable(af)
-            if expected != extensions:
+            if expected != list(map(frozenset, extensions)):
                 print("oracle mismatch: solver found %d extensions, "
                       "brute force found %d" % (len(extensions),
                                                 len(expected)),
@@ -104,7 +115,6 @@ def cmd_run(ns) -> int:
         })
 
     sorted_defeats = sorted(defeats, key=defeat_sort_key)
-    members = [sorted(e) for e in extensions]
     if ns.json:
         report = {
             "schema": 1,
@@ -117,7 +127,7 @@ def cmd_run(ns) -> int:
             },
             "arguments": [_argument_dict(a) for a in args],
             "defeats": [_defeat_dict(d) for d in sorted_defeats],
-            "extensions": members,
+            "extensions": extensions,
             "queries": queries,
             "truncated": truncated,
         }
@@ -127,7 +137,10 @@ def cmd_run(ns) -> int:
     print(_paint("theory:", "1"), "%d agents, %d premises, %d rules, "
           "%d contraries" % (len(theory.agents), len(theory.premises),
                              len(theory.rules), len(theory.contraries)))
-    if truncated:
+    if truncated and len(args) == theory.max_args:
+        print("note: construction truncated at %d arguments (--max-args)"
+              % theory.max_args)
+    elif truncated:
         print("note: construction truncated at depth %d" % theory.max_depth)
     print(_paint("arguments (%d):" % len(args), "1"))
     for a in args:
@@ -141,14 +154,14 @@ def cmd_run(ns) -> int:
         print("  %s" % d)
     if ns.semantics == "grounded":
         print(_paint("grounded extension:", "1"))
-        for i in members[0]:
+        for i in extensions[0]:
             print("  %d: %s" % (i, args[i].conclusion))
     elif not extensions:
         print(_paint("no stable extension", "1"))
     else:
         print(_paint("stable extensions (%d):" % len(extensions), "1"))
         line = ["    %d: %s" % (a.id, a.conclusion) for a in args]
-        for k, ids in enumerate(members, 1):
+        for k, ids in enumerate(extensions, 1):
             print("\n".join(["  extension %d: {%s}" % (
                 k, ", ".join(map(str, ids)))] + [line[i] for i in ids]))
     for q in queries:
@@ -207,9 +220,7 @@ def cmd_export(ns) -> int:
 
 
 def cmd_check(ns) -> int:
-    theory = load_theory(ns.theory, weak_mode=ns.weak_mode,
-                         max_depth=ns.max_depth)
-    theory = instantiate_schemes(theory)
+    theory = _load(ns)
     for w in theory.warnings:
         print("warning: %s" % w)
     print("ok: %d agents, %d premises, %d rules, %d contraries"
@@ -225,6 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="normalize P_a f to ~O_a ~f")
     shared.add_argument("--max-depth", type=int, default=3, metavar="N",
                         help="argument and scheme depth cap (default 3)")
+    shared.add_argument("--max-args", type=int, default=100_000, metavar="N",
+                        help="argument count cap (default 100000)")
     shared.add_argument("--undercut-gated", action="store_true",
                         help="gate undercuts by the rule-based ordering")
 

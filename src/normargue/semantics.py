@@ -259,11 +259,13 @@ def _stable_labellings(part: list[int], attackers, victims,
             return found
 
 
-def stable_extensions(af: ArgumentationFramework) -> list[frozenset[int]]:
-    """All stable extensions, sorted by their sorted member tuples. Exact:
-    stable semantics factors over weakly connected components, so each
-    component is solved on its own and the extensions are the products of
-    one labelling per component."""
+def stable_extensions(af: ArgumentationFramework, *,
+                      as_lists: bool = False) -> list:
+    """All stable extensions as frozensets, sorted by their sorted member
+    lists; with as_lists, those ascending lists themselves, which the CLI
+    reports as they are. Exact: stable semantics factors over weakly
+    connected components, so each component is solved on its own and the
+    extensions are the products of one labelling per component."""
     attackers, victims = _attack_lists(af)
     label = [_UNDET] * af.n_args
     always: list[int] = []  # arguments without defeats, always IN
@@ -276,9 +278,9 @@ def stable_extensions(af: ArgumentationFramework) -> list[frozenset[int]]:
         if not found:
             return []
         choices.append(found)
-    members = sorted(tuple(sorted(itertools.chain(always, *pick)))
+    members = sorted(sorted(itertools.chain(always, *pick))
                      for pick in itertools.product(*choices))
-    return [frozenset(m) for m in members]
+    return members if as_lists else [frozenset(m) for m in members]
 
 
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
@@ -338,13 +340,14 @@ def brute_force_stable(af: ArgumentationFramework) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
-def acceptance(args: list[Argument], extensions: list[frozenset[int]],
-               conclusion: Formula, mode: str) -> bool:
-    """Credulous/skeptical acceptance of a conclusion. Skeptical acceptance
-    over zero extensions is False, not vacuously true."""
+def acceptance(args: list[Argument], extensions, conclusion: Formula,
+               mode: str) -> bool:
+    """Credulous/skeptical acceptance of a conclusion; each extension is
+    any collection of argument ids. Skeptical acceptance over zero
+    extensions is False, not vacuously true."""
     if mode not in ("credulous", "skeptical"):
         raise ValueError("mode must be credulous or skeptical")
     holders = {a.id for a in args if a.conclusion == conclusion}
     if mode == "credulous":
-        return any(ext & holders for ext in extensions)
-    return bool(extensions) and all(ext & holders for ext in extensions)
+        return not all(map(holders.isdisjoint, extensions))
+    return bool(extensions) and not any(map(holders.isdisjoint, extensions))

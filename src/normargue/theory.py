@@ -97,6 +97,7 @@ class Theory:
     schemes: Schemes = Schemes()
     weak_mode: bool = False
     max_depth: int = 3
+    max_args: int = 100_000
     warnings: tuple[str, ...] = ()
     # @scheme#k references seen at load time, resolved after instantiation
     pending_rule_refs: tuple[tuple[str, int], ...] = ()
@@ -123,19 +124,23 @@ def _parse_at(text: str, lineno: int) -> Formula:
         raise SyntaxError("line %d: %s" % (lineno, e)) from None
 
 
-def load_theory(path, *, weak_mode: bool = False,
-                max_depth: int = 3) -> Theory:
+def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
+                max_args: int = 100_000) -> Theory:
     """Read the theory file at path and parse it with parse_theory."""
     return parse_theory(Path(path).read_text(encoding="utf-8"),
-                        weak_mode=weak_mode, max_depth=max_depth)
+                        weak_mode=weak_mode, max_depth=max_depth,
+                        max_args=max_args)
 
 
-def parse_theory(text: str, *, weak_mode: bool = False,
-                 max_depth: int = 3) -> Theory:
+def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
+                 max_args: int = 100_000) -> Theory:
     """Parse and validate a theory from DSL text."""
     if max_depth < 0:
         raise ValidationError("max_depth (--max-depth) must be at least 0, "
                               "got %d" % max_depth)
+    if max_args < 0:
+        raise ValidationError("max_args (--max-args) must be at least 0, "
+                              "got %d" % max_args)
     agents: list[str] = []
     premises: list[Premise] = []
     rules: list[Rule] = []
@@ -302,6 +307,7 @@ def parse_theory(text: str, *, weak_mode: bool = False,
         schemes=Schemes(**toggles),
         weak_mode=weak_mode,
         max_depth=max_depth,
+        max_args=max_args,
         warnings=tuple(warnings),
         pending_rule_refs=tuple(pending),
     )

@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 
-from normargue import (Ordering, classify, construct_arguments, dispreferred,
-                       instantiate_schemes, load_theory, parse_theory)
+from normargue import (Ordering, SchemeRoundsExceeded, classify,
+                       construct_arguments, dispreferred, instantiate_schemes,
+                       load_theory, parse_theory)
 
-from helpers import ABORTION, DOCTOR, KNIFE, ids_concluding
+from helpers import ABORTION, DOCTOR, KNIFE, ids_concluding, random_theory
+from reference_construct import reference_construct
 
 
 def build(theory):
@@ -89,6 +92,145 @@ def test_premise_ids_union_invariant():
                 assert a.premise_ids == union
             for s in a.sub_args:
                 assert s < a.id
+
+
+def test_construction_matches_reference_on_fixtures():
+    checked = 0
+    for path in (DOCTOR, ABORTION, KNIFE):
+        for depth in range(5):
+            try:
+                theory = instantiate_schemes(load_theory(path,
+                                                         max_depth=depth))
+            except SchemeRoundsExceeded:
+                continue
+            assert construct_arguments(theory) == reference_construct(theory)
+            checked += 1
+    assert checked == 13  # knife needs two scheme rounds
+
+
+def _chain_text(rng, n):
+    """A chain c0 -> ... -> cn whose links take one or two earlier
+    conclusions, several premises per conclusion, and rules concluding a
+    link's negation, so that pools hold more than one argument."""
+    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off"]
+    for i in range(rng.randint(1, 3)):
+        lines.append("PREMISE %s c0_%d: c0" % (rng.choice(("axiom", "prem")),
+                                               i))
+    for i in range(1, n + 1):
+        ants = ["c%d" % rng.randrange(i) for _ in range(rng.randint(1, 2))]
+        sep = rng.choice(("|-", "|~"))
+        kind = "strict" if sep == "|-" else "defeasible"
+        lines.append("RULE %s r%d: %s %s c%d"
+                     % (kind, i, " ; ".join(ants), sep, i))
+        if rng.random() < 0.3:
+            lines.append("PREMISE prem q%d: c%d" % (i, rng.randrange(i)))
+        if rng.random() < 0.3:
+            lines.append("RULE defeasible n%d: c%d |~ ~c%d"
+                         % (i, rng.randrange(i), i))
+    return "\n".join(lines)
+
+
+def _conflicts_text(rng, k):
+    """k mutual rebuts over axioms s_j, some with a strict follow-up."""
+    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off"]
+    for j in range(k):
+        lines.append("PREMISE axiom s%d: s%d" % (j, j))
+        lines.append("RULE defeasible u%d: s%d |~ p%d" % (j, j, j))
+        lines.append("RULE defeasible v%d: s%d |~ ~p%d" % (j, j, j))
+        if rng.random() < 0.5:
+            lines.append("RULE strict w%d: p%d ; s%d |- t%d" % (j, j, j, j))
+    return "\n".join(lines)
+
+
+def test_construction_matches_reference_on_chains_and_conflicts():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        for text in (_chain_text(rng, n), _conflicts_text(rng, n)):
+            for depth in (0, 1, 2, n // 2, n + 1):
+                theory = parse_theory(text, max_depth=depth)
+                assert (construct_arguments(theory)
+                        == reference_construct(theory))
+
+
+def test_construction_matches_reference_on_random_theories():
+    rng = random.Random(23)
+    truncated = 0
+    for _ in range(1000):
+        theory = random_theory(rng)
+        for depth in range(4):
+            t = replace(theory, max_depth=depth)
+            expected = reference_construct(t)
+            assert construct_arguments(t) == expected
+            truncated += expected[1]
+    assert truncated > 100  # the depth cap is exercised, not only fixpoints
+
+
+REPEATED = ("AGENTS: a\nPREMISE prem p1: p\nPREMISE prem p2: p\n"
+            "PREMISE prem p3: p\nRULE strict r: p ; p |- p\n"
+            "SCHEME fcp off\nSCHEME owp off")
+
+
+def test_repeated_antecedent_rounds():
+    theory = parse_theory(REPEATED, max_depth=2)
+    assert construct_arguments(theory) == reference_construct(theory)
+    args, truncated = construct_arguments(parse_theory(REPEATED,
+                                                       max_depth=3))
+    assert len(args) == 1179 and truncated
+    assert [a.depth for a in args] == sorted(a.depth for a in args)
+    assert all(a.sub_args[0] <= a.sub_args[1] for a in args[3:])
+
+
+def test_max_args_keeps_first_arguments():
+    depth3, truncated = construct_arguments(parse_theory(REPEATED,
+                                                         max_depth=3))
+    assert truncated and len(depth3) == 1179
+    # uncapped, round 4 would add about 694k arguments
+    args, truncated = construct_arguments(
+        parse_theory(REPEATED, max_depth=4, max_args=1000))
+    assert args == depth3[:1000] and truncated
+    args, truncated = construct_arguments(
+        parse_theory(REPEATED, max_depth=4, max_args=1179 + 500))
+    assert args[:1179] == depth3 and truncated
+    assert len(args) == 1679 and {a.depth for a in args[1179:]} == {4}
+
+
+def test_max_args_matches_reference_prefix():
+    # capped at n: the first n arguments of the uncapped result, truncated
+    # if that was truncated or had more (n itself is not truncation)
+    rng = random.Random(31)
+    for _ in range(200):
+        theory = random_theory(rng)
+        args, truncated = reference_construct(theory)
+        n = len(args)
+        for cap in sorted({0, 1, n // 2, n - 1, n, n + 1}):
+            assert (construct_arguments(replace(theory, max_args=cap))
+                    == (args[:cap], truncated or n > cap))
+
+
+def test_rules_fired_in_one_round_keep_rule_order():
+    # round 1 reaches r2 through the first premise and r1 through the
+    # second, and still builds r1's argument first
+    text = ("AGENTS: a\nPREMISE axiom pa: a\nPREMISE axiom pb: b\n"
+            "RULE strict r1: b |- x\nRULE strict r2: a |- y\n"
+            "RULE strict r3: y ; x |- z\nRULE strict r4: x |- w\n"
+            "SCHEME fcp off\nSCHEME owp off")
+    theory = parse_theory(text)
+    args, truncated = construct_arguments(theory)
+    assert not truncated
+    assert [(a.top_rule, a.sub_args, a.depth) for a in args[2:]] == [
+        ("r1", (1,), 1), ("r2", (0,), 1), ("r3", (3, 2), 2), ("r4", (2,), 2)]
+    assert (args, truncated) == reference_construct(theory)
+
+
+def test_max_depth_zero_truncates_when_a_rule_fires():
+    fires = ("AGENTS: a\nPREMISE axiom p0: p\nRULE strict r1: p |- q\n"
+             "SCHEME fcp off\nSCHEME owp off")
+    args, truncated = construct_arguments(parse_theory(fires, max_depth=0))
+    assert [a.top_rule for a in args] == [None] and truncated
+    idle = fires.replace("p |- q", "s |- q")
+    args, truncated = construct_arguments(parse_theory(idle, max_depth=0))
+    assert len(args) == 1 and not truncated
 
 
 # ---------------------------------------------------------- classification

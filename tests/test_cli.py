@@ -135,6 +135,26 @@ def test_max_depth_flag(capsys, tmp_path):
     assert json.loads(out)["truncated"] is True
 
 
+
+def test_max_args_flag(capsys, tmp_path):
+    f = tmp_path / "chain.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom p0: p\nRULE strict r1: p |- q\n"
+                 "RULE strict r2: q |- r\nSCHEME fcp off\nSCHEME owp off\n")
+    code, out, _ = run_cli(capsys, "run", str(f), "--json", "--max-args", "2")
+    report = json.loads(out)
+    assert code == 0 and report["truncated"] is True
+    assert [a["conclusion"] for a in report["arguments"]] == ["p", "q"]
+    code, out, _ = run_cli(capsys, "run", str(f), "--max-args", "2")
+    assert "note: construction truncated at 2 arguments (--max-args)" in out
+    assert "at depth" not in out
+    code, out, _ = run_cli(capsys, "run", str(f), "--max-depth", "1")
+    assert "note: construction truncated at depth 1" in out
+    code, out, _ = run_cli(capsys, "run", str(f), "--json", "--max-args", "3")
+    assert json.loads(out)["truncated"] is False
+    code, out, _ = run_cli(capsys, "export", str(f), "--format", "json",
+                           "--max-args", "1")
+    assert code == 0 and json.loads(out)["n_args"] == 1
+
 # ------------------------------------------------------------------ export
 
 def test_export_dot(capsys):
@@ -202,6 +222,14 @@ def test_exit_2_on_scheme_rounds_beyond_max_depth(capsys, tmp_path):
     assert code == 0
 
 
+def test_exit_2_on_negative_max_args(capsys):
+    for command in ("run", "export", "check"):
+        code, out, err = run_cli(capsys, command, str(DOCTOR),
+                                 "--max-args", "-1")
+        assert code == 2 and not out
+        assert "error:" in err and "--max-args" in err
+
+
 def test_exit_2_on_negative_max_depth(capsys, tmp_path):
     # a rule-free theory has no depth for a negative cap to cut
     f = tmp_path / "flat.naf"
@@ -222,7 +250,7 @@ def test_exit_2_on_oracle_with_grounded(capsys):
 
 def test_exit_1_on_extension_failing_its_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stable_extensions",
-                        lambda af: [frozenset(range(af.n_args))])
+                        lambda af, as_lists: [list(range(af.n_args))])
     code, out, err = run_cli(capsys, "run", str(ABORTION))
     assert code == 1 and not out
     assert "stable check" in err

@@ -263,6 +263,15 @@ def test_negative_max_depth_rejected():
     assert parse_theory("AGENTS: a\n", max_depth=0).max_depth == 0
 
 
+def test_negative_max_args_rejected():
+    for load in (lambda: load_theory(KNIFE, max_args=-1),
+                 lambda: parse_theory("AGENTS: a\n", max_args=-1)):
+        with pytest.raises(ValidationError) as err:
+            load()
+        assert "--max-args" in str(err.value) and "-1" in str(err.value)
+    assert parse_theory("AGENTS: a\n", max_args=0).max_args == 0
+
+
 def test_weak_mode_scheme_consequents_normalized():
     t = instantiate_schemes(parse_theory(
         "AGENTS: a\nPREMISE axiom o: O_a ~q\nPREMISE axiom d: <>(q & r)\n",
