@@ -15,7 +15,8 @@ the depth otherwise.
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
-negative --max-depth or --max-args, and --oracle with --semantics
+formula nesting deeper than formula.MAX_NESTING levels, a negative
+--max-depth or --max-args, and --oracle with --semantics
 grounded: the oracle checks stable extensions only), 3 framework too
 large for the brute-force oracle. All output is deterministic; ANSI color
 is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.

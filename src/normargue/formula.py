@@ -14,6 +14,10 @@ Concrete syntax (plain-text mirror of the usual notation):
 
 Precedence: ~ and the modal prefixes bind tightest, then &, then |, then ->
 (right associative; & and | associate left). Whitespace is insignificant.
+A formula nests at most MAX_NESTING (100) levels: each prefix operator,
+pair of parentheses and binary connective puts its operands one level
+deeper, so `p0 & ... & p100` and 100 chained `~` are the deepest of their
+kind. parse rejects deeper input with a SyntaxError naming the offset.
 The bare identifiers O and P are reserved for the impersonal modalities and
 cannot be used as atom names; identifiers starting with K_, P_, O_, R_ or
 Power_ are likewise taken as modal prefixes.
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 
 class UnknownOperator(SyntaxError):
@@ -126,7 +132,25 @@ class RuleAtom(Formula):
 
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
-_BINARY_TYPES = (And, Or, Implies)
+
+# The binary connectives: symbol and binding strength. Prefix operators
+# and atoms bind tighter than all three (_TIGHT).
+_INFIX = {And: (" & ", 3), Or: (" | ", 2), Implies: (" -> ", 1)}
+_TIGHT = ("", 4)
+_BINARY_TYPES = tuple(_INFIX)
+_BY_SYMBOL = {symbol.strip(): (node, strength)
+              for node, (symbol, strength) in _INFIX.items()}
+
+# Prefix operators written without agents; the others are [a] and the
+# named heads below with an _a or _{a,b} suffix.
+_FIXED_HEAD = {Not: "~", Box: "[]", Diamond: "<>"}
+_FIXED_BY_TEXT = {head: node for node, head in _FIXED_HEAD.items()}
+_NAMED_HEAD = {Know: "K", Perm: "P", Oblig: "O", Right: "R", Power: "Power"}
+
+# Deepest nesting parse accepts. Normalization, _cform and scheme grounding
+# still recurse over formulas and may add a few levels, so the limit stays
+# well inside the default recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------- lexing
@@ -144,8 +168,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -194,96 +217,97 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def level(self, n: int, tok: _Token) -> int:
+        """n, the nesting level reached at tok, if within MAX_NESTING."""
+        if n > MAX_NESTING:
+            raise SyntaxError("offset %d: formula nests deeper than %d levels"
+                              % (tok.pos, MAX_NESTING))
+        return n
+
     def parse(self) -> Formula:
-        f = self.implies()
+        f, _ = self.binary(0)
         if self.peek() is not None:
             self.error({"end of input"})
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() and self.peek().kind == "arrow":
-            self.pos += 1
-            return Implies(left, self.implies())
-        return left
+    # Each method parses a formula whose top sits at nesting level depth
+    # and returns it with its reach, the deepest level inside it. A left
+    # operand turns out to sit one level deeper only once its connective
+    # is read, so reach is checked as each binary node is built.
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() and self.peek().kind == "|":
+    def binary(self, depth: int, least: int = 1):
+        """Operands joined by connectives binding at least as tightly as
+        least; & and | group to the left, -> to the right."""
+        f, reach = self.unary(depth)
+        while True:
+            tok = self.peek()
+            op = tok and _BY_SYMBOL.get(tok.text)
+            if not op or op[1] < least:
+                return f, reach
+            node, strength = op
             self.pos += 1
-            f = Or(f, self.conjunction())
-        return f
+            if node is Implies:
+                g, g_reach = self.binary(self.level(depth + 1, tok), strength)
+                reach = max(reach + 1, g_reach)
+            else:
+                g, g_reach = self.binary(depth, strength + 1)
+                reach = max(reach, g_reach) + 1
+            f, reach = node(f, g), self.level(reach, tok)
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek() and self.peek().kind == "&":
-            self.pos += 1
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
+    def unary(self, depth: int):
         tok = self.peek()
         if tok is None:
             self.error({"formula"})
-        if tok.kind == "~":
-            self.pos += 1
-            return Not(self.unary())
-        if tok.kind == "(":
-            self.pos += 1
-            f = self.implies()
-            self.take(")")
-            return f
-        if tok.kind == "box":
-            self.pos += 1
-            return Box(self.unary())
-        if tok.kind == "diamond":
-            self.pos += 1
-            return Diamond(self.unary())
-        if tok.kind == "[":  # STIT prefix [a]
-            self.pos += 1
-            agent = self.take("ident").text
-            self.take("]")
-            return Stit(agent, self.unary())
         if tok.kind == "ruleref":
             self.pos += 1
-            return RuleAtom(tok.text[1:])
-        if tok.kind == "ident":
-            return self.ident_form(tok)
-        self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
+            return RuleAtom(tok.text[1:]), depth
+        if tok.kind == "(":
+            self.pos += 1
+            f, reach = self.binary(self.level(depth + 1, tok))
+            self.take(")")
+            return f, reach
+        make = self.prefix(tok)
+        if make is None:
+            return self.atom(tok.text), depth
+        body, reach = self.unary(self.level(depth + 1, tok))
+        return make(body), reach
 
-    def ident_form(self, tok: _Token) -> Formula:
-        """Dispatch an identifier: modal prefix or plain atom."""
-        t = tok.text
+    def prefix(self, tok: _Token):
+        """Read the prefix operator at tok with its agents and return the
+        node constructor taking its body; None after reading an atom name."""
+        kind, t = tok.kind, tok.text
+        if kind not in ("~", "box", "diamond", "[", "ident"):
+            self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
         self.pos += 1
+        if t in _FIXED_BY_TEXT:
+            return _FIXED_BY_TEXT[t]
+        if kind == "[":  # STIT prefix [a]
+            agent = self.take("ident").text
+            self.take("]")
+            return partial(Stit, agent)
         if t == "O":
-            return Oblig(None, None, self.unary())
+            return partial(Oblig, None, None)
         if t == "P":
-            return Perm(None, self.unary())
+            return partial(Perm, None)
         if t == "O_":
-            agent, toward = self.braced_agents(tok, optional_second=True)
-            return Oblig(agent, toward, self.unary())
+            return partial(Oblig, *self.braced_agents(tok, True))
         if t == "Power_":
-            agent, toward = self.braced_agents(tok, optional_second=False)
-            return Power(agent, toward, self.unary())
+            return partial(Power, *self.braced_agents(tok, False))
         if t.startswith("Power_"):
             raise UnknownOperator(
                 "offset %d: power must be written Power_{a,b}" % tok.pos)
-        for prefix in ("K_", "P_", "O_", "R_"):
+        for prefix, node in (("K_", Know), ("P_", Perm), ("O_", Oblig),
+                             ("R_", Right)):
             if t.startswith(prefix):
                 agent = t[len(prefix):]
                 if not agent:
                     raise UnknownOperator(
                         "offset %d: modal prefix %r lacks an agent"
                         % (tok.pos, t))
-                body = self.unary()
-                if prefix == "K_":
-                    return Know(agent, body)
-                if prefix == "P_":
-                    return Perm(agent, body)
-                if prefix == "O_":
-                    return Oblig(agent, None, body)
-                return Right(agent, body)
-        return self.atom(t)
+                if node is Oblig:
+                    return partial(Oblig, agent, None)
+                return partial(node, agent)
+        return None
 
     def braced_agents(self, tok, optional_second):
         if self.peek() is None or self.peek().kind != "{":
@@ -317,75 +341,60 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST. Raises SyntaxError with the byte
-    offset and the expected-token set, or UnknownOperator for malformed
-    modal prefixes. The result is not normalized."""
+    offset and the expected-token set, or for a formula nesting deeper than
+    MAX_NESTING levels, or UnknownOperator for malformed modal prefixes.
+    The result is not normalized."""
     return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------- printing
 
-def _pr_prefix(head: str, child: Formula) -> str:
-    if isinstance(child, _PREFIX_TYPES):
-        return head + " " + print_formula(child)
-    return head + "(" + print_formula(child) + ")"
+def _head(f: Formula) -> str:
+    """The prefix operator of f as written before its body."""
+    t = type(f)
+    head = _FIXED_HEAD.get(t)
+    if head is not None:
+        return head
+    if t is Stit:
+        return "[" + f.agent + "]"
+    head = _NAMED_HEAD.get(t)
+    if head is None:
+        raise TypeError("not a formula: %r" % (f,))
+    if f.agent is None:
+        return head
+    toward = vars(f).get("toward")
+    if toward is None:
+        return head + "_" + f.agent
+    return "%s_{%s,%s}" % (head, f.agent, toward)
 
 
 def print_formula(f: Formula) -> str:
     """Deterministic concrete syntax; parenthesized only where precedence
-    requires. parse(print_formula(f)) == f for every AST."""
-    if isinstance(f, Atom):
+    requires. parse(print_formula(f)) == f for every AST whose printed
+    form nests within MAX_NESTING levels."""
+    t = type(f)
+    if t is Atom:
         return f.name + ("(" + ",".join(f.args) + ")" if f.args else "")
-    if isinstance(f, RuleAtom):
+    if t is RuleAtom:
         return "@" + f.rule_name
-    if isinstance(f, Not):
-        inner = print_formula(f.f)
-        if isinstance(f.f, _BINARY_TYPES):
-            inner = "(" + inner + ")"
-        return "~" + inner
-    if isinstance(f, And):
-        left = print_formula(f.left)
-        if isinstance(f.left, (Or, Implies)):
+    infix = _INFIX.get(t)
+    if infix is not None:
+        symbol, strength = infix
+        right_assoc = t is Implies
+        left, right = print_formula(f.left), print_formula(f.right)
+        # the operand on the side a connective does not group to must bind
+        # strictly tighter
+        if _INFIX.get(type(f.left), _TIGHT)[1] < strength + right_assoc:
             left = "(" + left + ")"
-        right = print_formula(f.right)
-        if isinstance(f.right, _BINARY_TYPES):
+        if _INFIX.get(type(f.right), _TIGHT)[1] <= strength - right_assoc:
             right = "(" + right + ")"
-        return left + " & " + right
-    if isinstance(f, Or):
-        left = print_formula(f.left)
-        if isinstance(f.left, Implies):
-            left = "(" + left + ")"
-        right = print_formula(f.right)
-        if isinstance(f.right, (Or, Implies)):
-            right = "(" + right + ")"
-        return left + " | " + right
-    if isinstance(f, Implies):
-        left = print_formula(f.left)
-        if isinstance(f.left, Implies):
-            left = "(" + left + ")"
-        return left + " -> " + print_formula(f.right)
-    if isinstance(f, Box):
-        return _pr_prefix("[]", f.f)
-    if isinstance(f, Diamond):
-        return _pr_prefix("<>", f.f)
-    if isinstance(f, Know):
-        return _pr_prefix("K_" + f.agent, f.f)
-    if isinstance(f, Perm):
-        return _pr_prefix("P" if f.agent is None else "P_" + f.agent, f.f)
-    if isinstance(f, Oblig):
-        if f.agent is None:
-            head = "O"
-        elif f.toward is None:
-            head = "O_" + f.agent
-        else:
-            head = "O_{%s,%s}" % (f.agent, f.toward)
-        return _pr_prefix(head, f.f)
-    if isinstance(f, Stit):
-        return _pr_prefix("[" + f.agent + "]", f.f)
-    if isinstance(f, Right):
-        return _pr_prefix("R_" + f.agent, f.f)
-    if isinstance(f, Power):
-        return _pr_prefix("Power_{%s,%s}" % (f.agent, f.toward), f.f)
-    raise TypeError("not a formula: %r" % (f,))
+        return left + symbol + right
+    head, body = _head(f), print_formula(f.f)
+    if t is Not:
+        return head + ("(" + body + ")" if type(f.f) in _INFIX else body)
+    if isinstance(f.f, _PREFIX_TYPES):
+        return head + " " + body
+    return head + "(" + body + ")"
 
 
 # ------------------------------------------------------------- normalizing
@@ -472,46 +481,25 @@ def contrary(f: Formula, g: Formula, theory=None) -> bool:
 
 def agents_in(f: Formula) -> set[str]:
     """All agent names mentioned by modal operators in f."""
-    found: set[str] = set()
-
-    def walk(x: Formula):
-        if isinstance(x, (Know, Stit, Right)):
-            found.add(x.agent)
-            walk(x.f)
-        elif isinstance(x, Perm):
-            if x.agent is not None:
-                found.add(x.agent)
-            walk(x.f)
-        elif isinstance(x, Oblig):
-            if x.agent is not None:
-                found.add(x.agent)
-            if x.toward is not None:
-                found.add(x.toward)
-            walk(x.f)
-        elif isinstance(x, Power):
-            found.add(x.agent)
-            found.add(x.toward)
-            walk(x.f)
-        elif isinstance(x, Not):
-            walk(x.f)
-        elif isinstance(x, (And, Or, Implies)):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, (Box, Diamond)):
-            walk(x.f)
-
-    walk(f)
+    found = set()
+    for x in subformulas(f):
+        fields = vars(x)
+        found.add(fields.get("agent"))
+        found.add(fields.get("toward"))
+    found.discard(None)
     return found
 
 
 def subformulas(f: Formula):
     """Yield f and all its subformulas in pre-order."""
-    yield f
-    if isinstance(f, (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)):
-        yield from subformulas(f.f)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    todo = [f]
+    while todo:
+        x = todo.pop()
+        yield x
+        if type(x) in _PREFIX_TYPES:
+            todo.append(x.f)
+        elif type(x) in _BINARY_TYPES:
+            todo += (x.right, x.left)
 
 
 def rule_atoms_in(f: Formula) -> set[str]:

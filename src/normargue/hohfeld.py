@@ -34,11 +34,6 @@ class PositionKind(Enum):
     DISABILITY = "disability"
 
 
-FIRST_SQUARE = (PositionKind.CLAIM_RIGHT, PositionKind.DUTY,
-                PositionKind.FREEDOM, PositionKind.NO_CLAIM)
-SECOND_SQUARE = (PositionKind.POWER, PositionKind.LIABILITY,
-                 PositionKind.IMMUNITY, PositionKind.DISABILITY)
-
 _CORRELATIVE = {
     PositionKind.CLAIM_RIGHT: PositionKind.DUTY,
     PositionKind.DUTY: PositionKind.CLAIM_RIGHT,

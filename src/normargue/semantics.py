@@ -15,6 +15,10 @@ sub-argument unless dispreferred to it; undercuts are ungated by default.
 Candidate attackers come from an index by conflict_class and declared
 contrary pairs, and contrary confirms each one.
 
+Each framework builds its defeat graph, the attackers and victims of
+every argument, once on first use; the solvers, the verification masks
+and brute force all read it.
+
 Extensions are stable (conflict-free, defeating every outsider). Stable
 semantics factors over the weakly connected components of the defeat
 graph, so stable_extensions solves each component on its own and returns
@@ -24,7 +28,7 @@ with an explicit stack, and a label change rechecks only that argument and
 its victims. grounded_extension counts each argument's attackers not yet
 rejected and accepts it when the count reaches zero, in O(n + E).
 verify_extension checks each extension directly and apart from the
-solver: each framework builds once, on first use, one int per argument
+solver: each framework builds once, from the graph, one int per argument
 holding its own bit and, shifted up by n_args, the bits of the arguments
 it defeats; an extension is then one OR over its members' masks and two
 int tests. brute_force_stable is an independent cross-check for small
@@ -79,14 +83,23 @@ class ArgumentationFramework:
     defeats: frozenset[Defeat]
 
     @functools.cached_property
+    def _graph(self) -> tuple[list[set[int]], list[set[int]]]:
+        """Attackers and victims of each argument, each listed once. Built
+        on first use and kept with the framework."""
+        attackers: list[set[int]] = [set() for _ in range(self.n_args)]
+        victims: list[set[int]] = [set() for _ in range(self.n_args)]
+        for d in self.defeats:
+            attackers[d.target].add(d.attacker)
+            victims[d.attacker].add(d.target)
+        return attackers, victims
+
+    @functools.cached_property
     def _verify_masks(self) -> list[int]:
         """Per argument i: bit i, plus bit n_args + t for each t that i
-        defeats. Built on first use and kept with the framework."""
+        defeats."""
         n = self.n_args
-        masks = [1 << i for i in range(n)]
-        for d in self.defeats:
-            masks[d.attacker] |= 1 << (n + d.target)
-        return masks
+        return [1 << i | sum(1 << (n + t) for t in v)
+                for i, v in enumerate(self._graph[1])]
 
 
 def defeat_sort_key(d: Defeat):
@@ -150,16 +163,6 @@ def compute_defeats(args: list[Argument], theory: Theory,
 # ------------------------------------------------------------ extensions
 
 _UNDET, _IN, _OUT = 0, 1, 2
-
-
-def _attack_lists(af: ArgumentationFramework):
-    """Attackers and victims of each argument, each listed once."""
-    attackers: list[set[int]] = [set() for _ in range(af.n_args)]
-    victims: list[set[int]] = [set() for _ in range(af.n_args)]
-    for d in af.defeats:
-        attackers[d.target].add(d.attacker)
-        victims[d.attacker].add(d.target)
-    return attackers, victims
 
 
 def _components(attackers, victims) -> list[list[int]]:
@@ -266,7 +269,7 @@ def stable_extensions(af: ArgumentationFramework, *,
     reports as they are. Exact: stable semantics factors over weakly
     connected components, so each component is solved on its own and the
     extensions are the products of one labelling per component."""
-    attackers, victims = _attack_lists(af)
+    attackers, victims = af._graph
     label = [_UNDET] * af.n_args
     always: list[int] = []  # arguments without defeats, always IN
     choices = []
@@ -286,7 +289,7 @@ def stable_extensions(af: ArgumentationFramework, *,
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
     """Least fixpoint, in O(n + E): accept an argument once every attacker
     is rejected, and reject whatever an accepted argument attacks."""
-    attackers, victims = _attack_lists(af)
+    attackers, victims = af._graph
     live = [len(a) for a in attackers]  # attackers not yet rejected
     rejected = [False] * af.n_args
     accepted: set[int] = set()
@@ -321,9 +324,7 @@ def brute_force_stable(af: ArgumentationFramework) -> list[frozenset[int]]:
     n = af.n_args
     if n > 20:
         raise TooLarge("brute force capped at 20 arguments, got %d" % n)
-    attack_mask = [0] * n
-    for d in af.defeats:
-        attack_mask[d.target] |= 1 << d.attacker
+    attack_mask = [sum(1 << a for a in s) for s in af._graph[0]]
     found = []
     for m in range(1 << n):
         ok = True

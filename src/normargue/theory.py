@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .formula import (And, Box, Formula, Implies, Know, Not, Oblig, Perm,
-                      Power, Right, Stit, agents_in, normalize, parse,
-                      rule_atoms_in, subformulas)
+from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
+                      Oblig, Perm, agents_in, normalize, parse, rule_atoms_in,
+                      subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -316,9 +316,15 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
 # ------------------------------------------------------- scheme grounding
 
 def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
+    """The operands of the & chain at f, with nested &s flattened."""
+    out, todo = [], [f]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, And):
+            todo += (x.right, x.left)
+        else:
+            out.append(x)
+    return out
 
 
 def _ordered_subformulas(theory: Theory, rules) -> list[Formula]:
@@ -342,10 +348,8 @@ def _modal_ands(pool: list[Formula]) -> list[Formula]:
     seen: set[Formula] = set()
     out: list[Formula] = []
     for f in pool:
-        if isinstance(f, (Box, Know, Oblig, Perm, Stit, Right, Power)):
-            for sub in subformulas(f):
-                if sub is f:
-                    continue
+        if isinstance(f, _PREFIX_TYPES) and not isinstance(f, Not):
+            for sub in subformulas(f.f):
                 if isinstance(sub, And) and sub not in seen:
                     seen.add(sub)
                     out.append(sub)
@@ -387,9 +391,11 @@ def instantiate_schemes(theory: Theory) -> Theory:
                             Perm(p.agent, b.f.left))
             # free choice over covered alternatives: a conjunction seen
             # under some modality that contains the permitted formula
+            ands = ([(n, _conjuncts(n)) for n in _modal_ands(pool)]
+                    if perms else [])
             for p in perms:
-                for n in _modal_ands(pool):
-                    if n != p.f and p.f in _conjuncts(n):
+                for n, conjuncts in ands:
+                    if n != p.f and p.f in conjuncts:
                         add("fcp", RuleKind.DEFEASIBLE, [p], Perm(p.agent, n))
         if s.owp:
             for p in perms:

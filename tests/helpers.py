@@ -1,7 +1,8 @@
 """Shared test utilities: fixture paths, a seeded random formula generator
-and conflict-biased formula pairs, random theories built from them, random
-frameworks and their disjoint unions for solver fuzzing, grounded semantics
-from its definition, and a one-call pipeline runner."""
+and conflict-biased formula pairs, random theories built from them,
+deeply nested formula texts, random frameworks and their disjoint unions
+for solver fuzzing, grounded semantics from its definition, and a
+one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -87,6 +88,18 @@ def conflict_pair(rng, depth=2):
         (f, g),
     ])
     return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def deep_shapes(n):
+    """The five shapes that nest n levels deep: chains of n & or ->,
+    n parentheses, and n chained ~ or []."""
+    return {
+        "and": " & ".join("p%d" % i for i in range(n + 1)),
+        "implies": " -> ".join("p%d" % i for i in range(n + 1)),
+        "parens": "(" * n + "p" + ")" * n,
+        "not": "~" * n + "p",
+        "box": "[] " * n + "p",
+    }
 
 
 def random_af(rng, max_n=12):

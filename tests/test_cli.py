@@ -7,7 +7,10 @@ from normargue import ArgumentationFramework, Defeat, DefeatKind, load_theory
 from normargue import cli
 from normargue.cli import main
 
-from helpers import ABORTION, DOCTOR, KNIFE, random_theory, run_pipeline
+from normargue.formula import MAX_NESTING
+
+from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
+                     run_pipeline)
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +262,69 @@ def test_exit_1_on_extension_failing_its_check(capsys, monkeypatch):
 def test_exit_2_on_bad_query(capsys):
     code, _, err = run_cli(capsys, "run", str(DOCTOR), "--query", "p &")
     assert code == 2 and "offset" in err
+
+
+def deep_theory(f):
+    """A premise, a rule antecedent and a rule consequent written as f."""
+    return ("AGENTS: a\nPREMISE prem a1: %s\nRULE defeasible r1: %s |~ q\n"
+            "RULE strict r2: q |- %s\nCONTRARY: ~q ~ @r1\n" % (f, f, f))
+
+
+def assert_one_error_line(err, *parts):
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in err, (part, err)
+
+
+def test_nesting_limit_shapes(capsys, tmp_path):
+    # every shape at the limit runs through the whole pipeline; one level
+    # more is a parse error naming its line, not a RecursionError
+    for name, text in deep_shapes(MAX_NESTING).items():
+        f = tmp_path / ("%s.naf" % name)
+        f.write_text(deep_theory(text))
+        for flags in ((), ("--weak-mode",), ("--json", "--query", text),
+                      ("--weak-mode", "--query", text)):
+            code, out, err = run_cli(capsys, "run", str(f), *flags)
+            assert code == 0 and not err, (name, flags, err)
+        deeper = deep_shapes(MAX_NESTING + 1)[name]
+        for lineno in (2, 3, 4):
+            lines = deep_theory(text).splitlines()
+            lines[lineno - 1] = deep_theory(deeper).splitlines()[lineno - 1]
+            f.write_text("\n".join(lines) + "\n")
+            code, out, err = run_cli(capsys, "run", str(f))
+            assert code == 2 and not out, (name, lineno)
+            assert_one_error_line(err, "line %d: offset" % lineno,
+                                  "nests deeper than %d" % MAX_NESTING)
+        code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", deeper)
+        assert code == 2 and not out
+        assert_one_error_line(err, "offset", "nests deeper")
+
+
+def test_recursion_crash_sizes_exit_2(capsys, tmp_path):
+    # p0 & ... & p499, a 500-atom -> chain, 300 parentheses and 3000
+    # chained ~ or [] once overflowed the stack
+    sizes = {"and": 499, "implies": 499, "parens": 300, "not": 3000,
+             "box": 3000}
+    f = tmp_path / "crash.naf"
+    for name, n in sizes.items():
+        f.write_text("AGENTS: a\nRULE strict r1: q |- q\nPREMISE prem a1: %s\n"
+                     % deep_shapes(n)[name])
+        code, out, err = run_cli(capsys, "run", str(f))
+        assert code == 2 and not out, name
+        assert_one_error_line(err, "line 3: offset", "nests deeper")
+
+
+def test_too_deep_contrary_body(capsys, tmp_path):
+    # CONTRARY tries each ~ as the separator and skips the splits that do
+    # not parse, so a too-deep side leaves no split to take
+    f = tmp_path / "contrary.naf"
+    for n, code_wanted in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        f.write_text("AGENTS: a\nRULE defeasible r1: p |~ q\n"
+                     "CONTRARY: q ~ %s\n" % ("~" * n + "p"))
+        code, out, err = run_cli(capsys, "run", str(f))
+        assert code == code_wanted
+    assert_one_error_line(err, "line 3: CONTRARY needs two formulas")
 
 
 def test_exit_3_on_oracle_too_large(capsys, tmp_path):

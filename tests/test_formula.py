@@ -5,9 +5,11 @@ import pytest
 from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
                        UnknownOperator, agents_in, conflict_class, contrary,
-                       normalize, parse, subformulas)
+                       normalize, parse, print_formula, subformulas)
+from normargue.formula import MAX_NESTING, rule_atoms_in
 
-from helpers import conflict_pair, random_formula
+import reference_formula as ref
+from helpers import conflict_pair, deep_shapes, random_formula
 
 
 # ---------------------------------------------------------------- parsing
@@ -71,6 +73,36 @@ def test_unknown_operator():
     assert parse("X_a(p)") == Atom("X_a", ("p",))
 
 
+def test_parse_nesting_limit():
+    for name, text in deep_shapes(MAX_NESTING).items():
+        f = parse(text)
+        assert len(list(subformulas(f))) == (
+            MAX_NESTING + 1 if name in ("not", "box") else
+            1 if name == "parens" else 2 * MAX_NESTING + 1), name
+        with pytest.raises(SyntaxError, match=r"offset \d+: formula nests "
+                           "deeper than %d levels" % MAX_NESTING):
+            parse(deep_shapes(MAX_NESTING + 1)[name])
+
+
+def test_parse_nesting_counts_every_level():
+    # prefixes, parentheses and connectives add up; a left operand is
+    # counted at the depth its connective puts it
+    at = MAX_NESTING - 2
+    for text in ("~(" + "~" * at + "p)", "K_a(" + deep_shapes(at)["and"] + ")",
+                 "(" + "~" * at + "p) & q",
+                 "~" * (MAX_NESTING - 1) + "p -> q"):
+        parse(text)
+        with pytest.raises(SyntaxError, match="nests deeper"):
+            parse("~" + text)
+    with pytest.raises(SyntaxError, match="nests deeper"):
+        parse("(" * 5000 + "p" + ")" * 5000)
+    # the offset names the connective that goes past the limit
+    text = "p &" + " q &" * MAX_NESTING + " r"
+    with pytest.raises(SyntaxError, match="offset %d: formula nests deeper"
+                       % text.rindex("&")):
+        parse(text)
+
+
 def test_oblig_toward_requires_agent():
     with pytest.raises(ValueError):
         Oblig(None, "b", Atom("p"))
@@ -99,6 +131,43 @@ CANONICAL = [
 def test_print_canonical_strings():
     for text in CANONICAL:
         assert str(parse(text)) == text
+
+
+def test_printer_and_walkers_match_reference():
+    # the precedence table, the head function and the single pre-order
+    # walker against the per-type ladders they replaced
+    rng = random.Random(2024)
+    seen = set()
+    for i in range(20000):
+        f = random_formula(rng, depth=i % 6)
+        for x in subformulas(f):
+            seen.add((type(x), getattr(x, "toward", None) is not None,
+                      getattr(x, "agent", 0) is None,
+                      bool(getattr(x, "args", 0))))
+        text = print_formula(f)
+        assert text == ref.print_formula(f)
+        assert list(subformulas(f)) == list(ref.subformulas(f))
+        assert agents_in(f) == ref.agents_in(f)
+        assert rule_atoms_in(f) == ref.rule_atoms_in(f)
+        assert parse(text) == f
+    for case in ((Diamond, False, False, False),
+                 (RuleAtom, False, False, False), (Atom, False, False, True), (Oblig, False, True, False),
+                 (Oblig, False, False, False), (Oblig, True, False, False),
+                 (Perm, False, True, False), (Power, True, False, False)):
+        assert case in seen, case
+    with pytest.raises(TypeError):
+        print_formula("p")
+
+
+def test_walkers_do_not_recurse():
+    # formulas built directly are not bound by the parser's nesting limit
+    deep = Atom("p")
+    for i in range(5000):
+        deep = (Know("a", deep) if i % 2
+                else And(RuleAtom("r"), Oblig("b", "c", deep)))
+    assert sum(1 for _ in subformulas(deep)) == 3 * 2500 + 2500 + 1
+    assert agents_in(deep) == {"a", "b", "c"}
+    assert rule_atoms_in(deep) == {"r"}
 
 
 def test_print_parse_round_trip_random():

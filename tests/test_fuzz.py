@@ -1,0 +1,103 @@
+"""Whole-pipeline fuzzing: seeded mutations of the fixtures run through
+cli.main with random flags. Every run must end with a documented exit code,
+a failing one with exactly one error line, and a report's formulas must
+survive a print/parse round trip."""
+
+import json
+import random
+import re
+
+from normargue import cli, parse, print_formula
+from normargue.formula import MAX_NESTING
+
+from helpers import ABORTION, DOCTOR, KNIFE, deep_shapes
+
+# identifiers (with @refs and scheme ids), two-character operators, single
+# punctuation, and whitespace kept so that lines stay lines
+_TOKEN = re.compile(r"[@\w#]+|->|\|-|\|~|<>|\[\]|[^\s\w]|\s+")
+_STRAY = ("#", "|-", "~", "@", "O_", "Power_")
+
+
+def mutate(rng, text):
+    tokens = _TOKEN.findall(text)
+    for _ in range(rng.choice((0, 1, 1, 1, 2))):
+        spots = [i for i, t in enumerate(tokens) if not t.isspace()]
+        i = rng.choice(spots)
+        roll = rng.random()
+        if roll < 0.2:
+            del tokens[i]
+        elif roll < 0.35:
+            tokens.insert(i, tokens[i])
+        elif roll < 0.5:
+            j = spots[(spots.index(i) + 1) % len(spots)]
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif roll < 0.8:
+            tokens.insert(i, " %s " % rng.choice(_STRAY))
+        else:
+            # a formula past the nesting limit in place of one token; the
+            # long ones overflow the stack of an unbounded recursive parser
+            shape = rng.choice(list(deep_shapes(1)))
+            depth = MAX_NESTING + rng.choice((rng.randint(1, 40), 400))
+            deep = deep_shapes(depth)[shape]
+            tokens[i] = "(%s)" % deep if rng.random() < 0.5 else deep
+    return "".join(tokens)
+
+
+def random_flags(rng, text):
+    flags = []
+    if rng.random() < 0.3:
+        flags.append("--weak-mode")
+    if rng.random() < 0.3:
+        flags += ["--max-depth", str(rng.randint(-1, 4))]
+    if rng.random() < 0.2:
+        flags += ["--max-args", str(rng.randint(-1, 30))]
+    if rng.random() < 0.2:
+        flags.append("--undercut-gated")
+    command = rng.choice(("run", "run", "run", "run", "export", "check"))
+    if command == "export":
+        flags += ["--format", rng.choice(("dot", "json"))]
+    if command != "run":
+        return command, flags
+    if rng.random() < 0.6:
+        flags.append("--json")
+    if rng.random() < 0.2:
+        flags += ["--semantics", "grounded"]
+    if rng.random() < 0.1:
+        flags.append("--oracle")
+    formulas = re.findall(r":\s*([^:#]+?)\s*(?:\||$)", text, re.M)
+    for _ in range(rng.randint(0, 2)):
+        if formulas:
+            flags += ["--query", rng.choice(formulas)]
+    return command, flags
+
+
+def test_fuzz_pipeline_exits_cleanly(capsys, tmp_path):
+    rng = random.Random(6151)
+    texts = [p.read_text() for p in (DOCTOR, ABORTION, KNIFE)]
+    path = tmp_path / "mutant.naf"
+    codes = []
+    for case in range(700):
+        text = mutate(rng, rng.choice(texts))
+        command, flags = random_flags(rng, text)
+        path.write_text(text)
+        argv = [command, str(path)] + flags
+        try:
+            code = cli.main(argv)
+        except Exception as e:  # any escape is a failure; name the case
+            raise AssertionError("case %d %r on:\n%s"
+                                 % (case, argv, text)) from e
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (case, argv, text)
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, \
+                (case, argv, err)
+            assert not out
+            continue
+        codes.append(command)
+        if command == "run" and "--json" in flags:
+            report = json.loads(out)
+            for text in ([a["conclusion"] for a in report["arguments"]]
+                         + [q["formula"] for q in report["queries"]]):
+                assert print_formula(parse(text)) == text, (case, text)
+    # the mutations leave enough theories intact to reach every command
+    assert len(codes) > 150 and set(codes) == {"run", "export", "check"}

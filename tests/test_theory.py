@@ -1,11 +1,19 @@
+import itertools
+import random
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
-from normargue import (DanglingRuleAtom, DuplicateId, Oblig, RuleKind,
-                       SchemeRoundsExceeded, Strength, UnknownAgent,
-                       ValidationError, instantiate_schemes, load_theory,
-                       normalize, parse, parse_theory)
+from normargue import (And, Atom, Box, DanglingRuleAtom, Diamond,
+                       DuplicateId, Implies, Know, Not, Oblig, Perm, Premise,
+                       Rule, RuleKind, SchemeRoundsExceeded, Schemes, Stit,
+                       Strength, Theory, UnknownAgent, ValidationError,
+                       instantiate_schemes, load_theory, normalize, parse,
+                       parse_theory)
 
-from helpers import ABORTION, DOCTOR, KNIFE
+from helpers import ABORTION, DOCTOR, KNIFE, random_formula
+from reference_schemes import reference_instantiate_schemes
 
 
 # ----------------------------------------------------------------- loading
@@ -173,6 +181,81 @@ def test_knife_scheme_table():
         assert r.kind is kind, rid
         assert [str(a) for a in r.antecedents] == ants, rid
         assert str(r.consequent) == consequent, rid
+
+
+def grounding_outcome(ground, theory):
+    try:
+        return ground(theory).rules
+    except SchemeRoundsExceeded as e:
+        return str(e)
+
+
+def scheme_theory(rng, schemes):
+    """A theory dense in what the schemes match: permissions, boxed
+    implications, obligations with negated bodies, possible and known
+    conjunctions over a few shared atoms, conjunctions under no modality,
+    and some random formulas."""
+    atoms = [Atom("q"), Atom("r"), Atom("q"), Atom("r"), Atom("s"),
+             random_formula(rng, 1)]
+    x = lambda: rng.choice(atoms)
+    agent = lambda: rng.choice((None, "a", "a", "b"))
+    conj = lambda: (And(x(), x()) if rng.random() < 0.6
+                    else rng.choice((And(And(x(), x()), x()),
+                                     And(x(), And(x(), x())))))
+    body = lambda: x() if rng.random() < 0.6 else conj()
+    forms = (lambda: Perm(agent(), body()),
+             lambda: Box(Implies(body(), body())),
+             lambda: Oblig(agent(), None, Not(body())),
+             lambda: Oblig(agent(), None, body()),
+             lambda: Diamond(conj()),
+             lambda: Know(rng.choice("ab"), body()),
+             lambda: Stit("a", conj()),
+             lambda: Not(conj()),
+             lambda: random_formula(rng, 2))
+    pool = [rng.choice(forms)() for _ in range(rng.randint(3, 8))]
+    weak = rng.random() < 0.3
+    norm = lambda f: normalize(f, weak)
+    premises = [Premise("p%d" % i, norm(f), Strength.AXIOM)
+                for i, f in enumerate(pool[:rng.randint(1, len(pool))])]
+    rules = [Rule("r%d" % i, tuple(norm(rng.choice(pool))
+                                   for _ in range(rng.randint(1, 2))),
+                  norm(rng.choice(pool)), rng.choice(list(RuleKind)))
+             for i in range(rng.randint(0, 3))]
+    return Theory(agents=("a", "b"), premises=tuple(premises),
+                  rules=tuple(rules), contraries=(), schemes=schemes,
+                  weak_mode=weak, max_depth=rng.randint(0, 4))
+
+
+def test_grounding_matches_reference_on_fixtures():
+    # each fixture with its own toggles and with all 16 combinations
+    toggles = [None] + [Schemes(*c) for c in itertools.product((False, True),
+                                                               repeat=4)]
+    for path, weak, depth, schemes in itertools.product(
+            (DOCTOR, ABORTION, KNIFE), (False, True), range(5), toggles):
+        t = load_theory(path, weak_mode=weak, max_depth=depth)
+        if schemes is not None:
+            t = replace(t, schemes=schemes)
+        assert grounding_outcome(instantiate_schemes, t) == \
+            grounding_outcome(reference_instantiate_schemes, t), \
+            (path, weak, depth, schemes)
+
+
+def test_grounding_matches_reference_on_scheme_theories():
+    # rule tuples in the same order, with the same ids, and the same
+    # SchemeRoundsExceeded outcomes, under every toggle combination
+    rng = random.Random(77)
+    generated, raised = Counter(), 0
+    for i in range(1280):
+        schemes = Schemes(*(bool(i >> k & 1) for k in range(4)))
+        t = scheme_theory(rng, schemes)
+        got = grounding_outcome(instantiate_schemes, t)
+        assert got == grounding_outcome(reference_instantiate_schemes, t), t
+        if isinstance(got, str):
+            raised += 1
+        else:
+            generated.update(r.id.split("#")[0] for r in got[len(t.rules):])
+    assert raised > 50 and len(generated) == 4
+    assert min(generated.values()) > 15
 
 
 def test_schemes_off_is_identity():
