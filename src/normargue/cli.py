@@ -21,14 +21,20 @@ grounded: the oracle checks stable extensions only), 3 framework too
 large for the brute-force oracle. All output is deterministic; ANSI color
 is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.
 
-The --json report is exactly json.dumps(report, indent=2). _dump_report
-writes it: json encodes each top-level value except the extensions array,
-which is joined from one token per argument id.
+The --json report is exactly json.dumps(report, indent=2), and export
+--format json exactly json.dumps(payload, indent=2), but neither object
+is built: _dump_report joins top-level fields handed in already encoded.
+Argument and defeat rows fill fixed templates, with strings encoded by
+json's C encode_basestring_ascii, and the extensions array is joined from
+one token per argument id; only the theory summary and the queries go
+through json.dumps. Each argument's conclusion is printed once, for the
+JSON rows, the text report and the DOT labels alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,22 +73,77 @@ def _pipeline(ns):
     return theory, args, defeats, af, truncated
 
 
-def _argument_dict(a: Argument) -> dict:
-    return {
-        "id": a.id,
-        "conclusion": str(a.conclusion),
-        "premises": sorted(a.premise_ids),
-        "sub_args": list(a.sub_args),
-        "top_rule": a.top_rule,
-        "defeasible": a.defeasible,
-        "plausible": a.plausible,
-        "depth": a.depth,
-    }
+_encode = json.encoder.encode_basestring_ascii
+_BOOL = ("false", "true")
+
+# Rows of a top-level array in json.dumps(..., indent=2) layout: the object
+# opens at 4 spaces, its fields sit at 6 and the items of a list field at 8.
+_ARGUMENT_ROW = ('{\n      "id": %d,\n      "conclusion": %s,\n'
+                 '      "premises": %s,\n      "sub_args": %s,\n'
+                 '      "top_rule": %s,\n      "defeasible": %s,\n'
+                 '      "plausible": %s,\n      "depth": %d\n    }')
+_DEFEAT_ROW = ('{\n      "attacker": %d,\n      "target": %d,\n'
+               '      "kind": "%s",\n      "locus": %s\n    }')
 
 
-def _defeat_dict(d: Defeat) -> dict:
-    return {"attacker": d.attacker, "target": d.target,
-            "kind": d.kind.value, "locus": d.locus}
+def _json(v) -> str:
+    """v as json encodes it for a field of the top-level object (encoded
+    JSON holds no raw newline inside a string)."""
+    return json.dumps(v, indent=2).replace("\n", "\n  ")
+
+
+def _list(items: list[str]) -> str:
+    """A list field of a row, from its encoded items."""
+    return "[\n        %s\n      ]" % ",\n        ".join(items) if items \
+        else "[]"
+
+
+def _array(rows: list[str]) -> str:
+    """An array field of the top-level object, from a new list of its
+    encoded items. The brackets go onto the first and last item, so that
+    the items are copied by one join."""
+    if not rows:
+        return "[]"
+    rows[0] = "[\n    " + rows[0]
+    rows[-1] += "\n  ]"
+    return ",\n    ".join(rows)
+
+
+def _argument_rows(args: list[Argument], texts: list[str]) -> list[str]:
+    return [_ARGUMENT_ROW % (
+        a.id, _encode(text),
+        _list([_encode(p) for p in sorted(a.premise_ids)]),
+        _list(list(map(str, a.sub_args))),
+        "null" if a.top_rule is None else _encode(a.top_rule),
+        _BOOL[a.defeasible], _BOOL[a.plausible], a.depth)
+        for a, text in zip(args, texts)]
+
+
+def _defeat_rows(defeats: list[Defeat]) -> list[str]:
+    return [_DEFEAT_ROW % (d.attacker, d.target, d.kind.value,
+                           _encode(d.locus) if isinstance(d.locus, str)
+                           else "%d" % d.locus)
+            for d in defeats]
+
+
+def _extension_rows(extensions: list[list[int]], n_args: int) -> list[str]:
+    """One row per extension, one member per line, joined from one
+    precomputed token per argument id."""
+    token = [",\n      %d" % i for i in range(n_args)]
+    return ["[%s\n    ]" % "".join(map(token.__getitem__, ids))[1:]
+            if ids else "[]" for ids in extensions]
+
+
+def _dump_report(fields: dict[str, str]) -> str:
+    """A top-level object in json.dumps(..., indent=2) layout, from its
+    fields' values already encoded at that depth. One join, so that the
+    values, the extensions array among them, are copied once."""
+    parts = []
+    for key, value in fields.items():
+        parts += (',\n  "', key, '": ', value)
+    parts[0] = '{\n  "'
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def cmd_run(ns) -> int:
@@ -115,24 +176,24 @@ def cmd_run(ns) -> int:
             "skeptical": acceptance(args, extensions, f, "skeptical"),
         })
 
+    texts = [str(a.conclusion) for a in args]
     sorted_defeats = sorted(defeats, key=defeat_sort_key)
     if ns.json:
-        report = {
-            "schema": 1,
-            "semantics": ns.semantics,
-            "theory": {
+        print(_dump_report({
+            "schema": "1",
+            "semantics": _encode(ns.semantics),
+            "theory": _json({
                 "agents": list(theory.agents),
                 "premises": len(theory.premises),
                 "rules": len(theory.rules),
                 "contraries": len(theory.contraries),
-            },
-            "arguments": [_argument_dict(a) for a in args],
-            "defeats": [_defeat_dict(d) for d in sorted_defeats],
-            "extensions": extensions,
-            "queries": queries,
-            "truncated": truncated,
-        }
-        print(_dump_report(report))
+            }),
+            "arguments": _array(_argument_rows(args, texts)),
+            "defeats": _array(_defeat_rows(sorted_defeats)),
+            "extensions": _array(_extension_rows(extensions, len(args))),
+            "queries": _json(queries),
+            "truncated": _BOOL[truncated],
+        }))
         return 0
 
     print(_paint("theory:", "1"), "%d agents, %d premises, %d rules, "
@@ -144,24 +205,24 @@ def cmd_run(ns) -> int:
     elif truncated:
         print("note: construction truncated at depth %d" % theory.max_depth)
     print(_paint("arguments (%d):" % len(args), "1"))
-    for a in args:
+    for a, text in zip(args, texts):
         kind, firmness = classify(a)
         star = "*" if a.top_rule is None else ""
         via = "" if a.top_rule is None else " via %s" % a.top_rule
-        print("  %d%s: %s [%s, %s]%s" % (a.id, star, a.conclusion, kind,
-                                         firmness, via))
+        print("  %d%s: %s [%s, %s]%s" % (a.id, star, text, kind, firmness,
+                                         via))
     print(_paint("defeats (%d):" % len(sorted_defeats), "1"))
     for d in sorted_defeats:
         print("  %s" % d)
     if ns.semantics == "grounded":
         print(_paint("grounded extension:", "1"))
         for i in extensions[0]:
-            print("  %d: %s" % (i, args[i].conclusion))
+            print("  %d: %s" % (i, texts[i]))
     elif not extensions:
         print(_paint("no stable extension", "1"))
     else:
         print(_paint("stable extensions (%d):" % len(extensions), "1"))
-        line = ["    %d: %s" % (a.id, a.conclusion) for a in args]
+        line = ["    %d: %s" % (a.id, text) for a, text in zip(args, texts)]
         for k, ids in enumerate(extensions, 1):
             print("\n".join(["  extension %d: {%s}" % (
                 k, ", ".join(map(str, ids)))] + [line[i] for i in ids]))
@@ -173,30 +234,11 @@ def cmd_run(ns) -> int:
     return 0
 
 
-def _dump_report(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte, for the report cmd_run
-    builds. Each top-level value is encoded by json and shifted one level
-    in (encoded JSON holds no raw newline inside a string); the extensions
-    array, one line per member of every extension, is joined from one
-    precomputed token per argument id instead."""
-    token = [",\n      %d" % i for i in range(len(report["arguments"]))]
-
-    def value(key, v):
-        if key == "extensions" and v:
-            return "[\n    %s\n  ]" % ",\n    ".join(
-                "[%s\n    ]" % "".join(map(token.__getitem__, ids))[1:]
-                if ids else "[]" for ids in v)
-        return json.dumps(v, indent=2).replace("\n", "\n  ")
-
-    return "{\n  %s\n}" % ",\n  ".join(
-        "%s: %s" % (json.dumps(k), value(k, v)) for k, v in report.items())
-
-
-def render_dot(args: list[Argument], defeats) -> str:
+def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
     lines = ["digraph arguments {", "  rankdir=LR;"]
-    for a in args:
+    for a, text in zip(args, texts):
         star = "*" if a.top_rule is None else ""
-        label = ("%d%s: %s" % (a.id, star, a.conclusion)).replace('"', '\\"')
+        label = ("%d%s: %s" % (a.id, star, text)).replace('"', '\\"')
         lines.append('  n%d [label="%s"];' % (a.id, label))
     for d in sorted(defeats, key=defeat_sort_key):
         lines.append("  n%d -> n%d [style=%s];"
@@ -208,15 +250,15 @@ def render_dot(args: list[Argument], defeats) -> str:
 def cmd_export(ns) -> int:
     theory, args, defeats, af, truncated = _pipeline(ns)
     if ns.format == "json":
-        payload = {
-            "schema": 1,
-            "n_args": af.n_args,
-            "defeats": [_defeat_dict(d)
-                        for d in sorted(defeats, key=defeat_sort_key)],
-        }
-        print(json.dumps(payload, indent=2))
+        print(_dump_report({
+            "schema": "1",
+            "n_args": "%d" % af.n_args,
+            "defeats": _array(_defeat_rows(
+                sorted(defeats, key=defeat_sort_key))),
+        }))
     else:
-        sys.stdout.write(render_dot(args, defeats))
+        sys.stdout.write(render_dot(
+            args, [str(a.conclusion) for a in args], defeats))
     return 0
 
 
@@ -230,7 +272,11 @@ def cmd_check(ns) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the
+    process: parse_args leaves it as it was and fills a new namespace on
+    every call."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("theory", help="theory file to load")
     shared.add_argument("--weak-mode", action="store_true",
@@ -272,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (SyntaxError, ValidationError, ValueError, OSError) as e:

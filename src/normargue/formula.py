@@ -146,6 +146,10 @@ _BY_SYMBOL = {symbol.strip(): (node, strength)
 _FIXED_HEAD = {Not: "~", Box: "[]", Diamond: "<>"}
 _FIXED_BY_TEXT = {head: node for node, head in _FIXED_HEAD.items()}
 _NAMED_HEAD = {Know: "K", Perm: "P", Oblig: "O", Right: "R", Power: "Power"}
+# Identifiers the parser reads as modal prefixes: the two impersonal
+# modalities and every name starting with a named head and "_".
+_IMPERSONAL = ("O", "P")
+_PREFIX_STARTS = tuple(head + "_" for head in _NAMED_HEAD.values())
 
 # Deepest nesting parse accepts. Normalization, _cform and scheme grounding
 # still recurse over formulas and may add a few levels, so the limit stays
@@ -195,9 +199,9 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[_Token] | None = None):
         self.text = text
-        self.tokens = _lex(text)
+        self.tokens = _lex(text) if tokens is None else tokens
         self.pos = 0
 
     def peek(self) -> _Token | None:
@@ -345,6 +349,31 @@ def parse(text: str) -> Formula:
     MAX_NESTING levels, or UnknownOperator for malformed modal prefixes.
     The result is not normalized."""
     return _Parser(text).parse()
+
+
+def _ends_operand(tok: _Token) -> bool:
+    """Whether tok can end a formula: a rule atom, a closing parenthesis
+    or an atom name (an identifier that prefix does not read as a modal
+    operator). No formula has a ~ right after such a token."""
+    return tok.kind in ("ruleref", ")") or (
+        tok.kind == "ident" and tok.text not in _IMPERSONAL
+        and not tok.text.startswith(_PREFIX_STARTS))
+
+
+def parse_contrary(text: str) -> tuple[Formula, Formula]:
+    """The formulas f and g of a contrary declaration `f ~ g`, split at the
+    first ~ at which both sides parse. Each side ends at the end of an
+    operand and has no ~ right after one, so only the first ~ that follows
+    the end of an operand can separate them: a later one would leave that
+    one inside a side. The text is lexed once and one split is parsed.
+    Raises SyntaxError when it does not parse."""
+    tokens = _lex(text)
+    i = next((i for i in range(1, len(tokens))
+              if tokens[i].kind == "~" and _ends_operand(tokens[i - 1])), 0)
+    if not i:
+        raise SyntaxError("no ~ after the end of a formula")
+    return (_Parser(text, tokens[:i]).parse(),
+            _Parser(text, tokens[i + 1:]).parse())
 
 
 # ---------------------------------------------------------------- printing

@@ -30,8 +30,8 @@ from enum import Enum
 from pathlib import Path
 
 from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
-                      Oblig, Perm, agents_in, normalize, parse, rule_atoms_in,
-                      subformulas)
+                      Oblig, Perm, agents_in, normalize, parse, parse_contrary,
+                      rule_atoms_in, subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -217,23 +217,12 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             rest = line.split(":", 1)
             if len(rest) != 2:
                 raise SyntaxError("line %d: CONTRARY needs a colon" % lineno)
-            body = rest[1]
-            pair = None
-            for i, ch in enumerate(body):
-                if ch != "~":
-                    continue
-                left, right = body[:i], body[i + 1:]
-                if not left.strip() or not right.strip():
-                    continue
-                try:
-                    pair = (parse(left), parse(right))
-                    break
-                except SyntaxError:
-                    continue
-            if pair is None:
+            try:
+                pair = parse_contrary(rest[1])
+            except SyntaxError:
                 raise SyntaxError(
                     "line %d: CONTRARY needs two formulas separated by ~"
-                    % lineno)
+                    % lineno) from None
             for f in pair:
                 formula_lines.append((f, lineno))
             contraries.append(pair)

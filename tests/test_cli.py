@@ -1,16 +1,23 @@
 import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
-from normargue import ArgumentationFramework, Defeat, DefeatKind, load_theory
+from normargue import (ArgumentationFramework, Atom, Defeat, DefeatKind, Not,
+                       Premise, Rule, RuleAtom, RuleKind, Strength, Theory,
+                       load_theory)
 from normargue import cli
 from normargue.cli import main
 
 from normargue.formula import MAX_NESTING
 
+import reference_report
 from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
                      run_pipeline)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +334,21 @@ def test_too_deep_contrary_body(capsys, tmp_path):
     assert_one_error_line(err, "line 3: CONTRARY needs two formulas")
 
 
+def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
+    # the body is lexed once and split at most once, so thousands of ~
+    # cost no more than thousands of any other token
+    f = tmp_path / "tildes.naf"
+    f.write_text("AGENTS: a\nCONTRARY: q ~ %s p\n" % ("~" * 3000))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", str(f))
+        best = min(best, time.perf_counter() - start)
+        assert code == 2 and not out
+        assert_one_error_line(err, "line 2: CONTRARY needs two formulas")
+    assert best < 0.1, best
+
+
 def test_exit_3_on_oracle_too_large(capsys, tmp_path):
     f = tmp_path / "big.naf"
     lines = ["AGENTS: a"] + ["PREMISE axiom p%d: p%d" % (i, i)
@@ -358,18 +380,90 @@ def test_byte_identical_output(capsys):
         assert first == second
 
 
+def test_text_and_dot_match_golden_output(capsys):
+    # run's text report and export's DOT graph on the fixtures, byte for
+    # byte as tests/golden holds them
+    for path in (DOCTOR, ABORTION, KNIFE):
+        for flags in ((), ("--weak-mode",), ("--undercut-gated",)):
+            name = path.stem + "".join("-" + f[2:] for f in flags)
+            for command, suffix in (("run", ".txt"), ("export", ".dot")):
+                code, out, err = run_cli(capsys, command, str(path), *flags)
+                assert (code, err) == (0, "")
+                assert out == (GOLDEN / (name + suffix)).read_text(), \
+                    (name, command)
+
+
+# ------------------------------------------------------------ parser reuse
+
+def test_parser_reused_across_calls_keeps_no_state(capsys, monkeypatch):
+    # main builds its parser once per process; no flag of one call may
+    # reach the next, in any order
+    argvs = [
+        ["run", str(KNIFE), "--json", "--query", "O_c(~misuse)",
+         "--query", "p"],
+        ["run", str(KNIFE), "--json"],
+        ["run", str(DOCTOR), "--json", "--semantics", "grounded",
+         "--weak-mode"],
+        ["run", str(DOCTOR), "--json", "--max-depth", "1",
+         "--undercut-gated", "--query", "q"],
+        ["run", str(DOCTOR)],
+        ["run", str(ABORTION), "--oracle", "--max-args", "9"],
+        ["export", str(ABORTION), "--format", "json", "--max-args", "3"],
+        ["export", str(ABORTION), "--weak-mode"],
+        ["check", str(DOCTOR)],
+    ]
+    build = cli._parser.__wrapped__
+    assert cli._parser() is cli._parser()
+    fresh = {}
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build)
+        for argv in argvs:
+            fresh[tuple(argv)] = run_cli(capsys, *argv)
+    rng = random.Random(11)
+    for _ in range(3):
+        for argv in rng.sample(argvs, len(argvs)):
+            assert vars(cli._parser().parse_args(argv)) == \
+                vars(build().parse_args(argv))
+            assert run_cli(capsys, *argv) == fresh[tuple(argv)], argv
+    run_parser = cli._parser()._subparsers._group_actions[0].choices["run"]
+    assert run_parser.get_default("query") == []
+    assert cli._parser().parse_args(["run", "x"]).query == []
+
+
 # ----------------------------------------------------------- report writer
 
-def run_report(capsys, monkeypatch, *argv):
-    """Run `run --json`, check its stdout against json.dumps of the report
-    handed to the writer, and return that report."""
-    seen, write = [], cli._dump_report
-    monkeypatch.setattr(cli, "_dump_report",
-                        lambda report: seen.append(report) or write(report))
-    code, out, err = run_cli(capsys, "run", *argv, "--json")
-    assert (code, err, len(seen)) == (0, "", 1)
-    assert out == json.dumps(seen[0], indent=2) + "\n"
+def pipeline_of(monkeypatch, *argv):
+    """Run the CLI once with argv and return its namespace and the objects
+    its pipeline built, seen through a wrapper of cli._pipeline."""
+    seen, pipeline = [], cli._pipeline
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_pipeline",
+                  lambda ns: seen.append((ns, pipeline(ns))) or seen[-1][1])
+        code = main(list(argv))
+    assert (code, len(seen)) == (0, 1)
     return seen[0]
+
+
+def run_report(capsys, monkeypatch, *argv):
+    """Run `run --json` and `export --format json`, check each stdout
+    against json.dumps of the reference report or payload built from the
+    pipeline's objects, and return the report."""
+    ns, (theory, args, defeats, af, truncated) = pipeline_of(
+        monkeypatch, "run", *argv, "--json")
+    out, err = capsys.readouterr()
+    report = reference_report.report(theory, args, defeats, af, truncated,
+                                     ns.semantics, ns.query)
+    assert err == "" and out == json.dumps(report, indent=2) + "\n"
+    shared = ["--max-depth", str(ns.max_depth),
+              "--max-args", str(ns.max_args)]
+    shared += ["--weak-mode"] * ns.weak_mode
+    shared += ["--undercut-gated"] * ns.undercut_gated
+    _, (_, _, defeats, af, _) = pipeline_of(
+        monkeypatch, "export", ns.theory, "--format", "json", *shared)
+    out, err = capsys.readouterr()
+    payload = reference_report.export_payload(af, defeats)
+    assert err == "" and out == json.dumps(payload, indent=2) + "\n"
+    return report
 
 
 def test_report_writer_matches_json_on_fixtures(capsys, monkeypatch):
@@ -407,20 +501,41 @@ def test_report_writer_edge_cases(capsys, monkeypatch, tmp_path):
     assert run_report(capsys, monkeypatch, str(cycle))["extensions"] == []
     empty = tmp_path / "empty.naf"
     empty.write_text("# nothing\n")
-    assert run_report(capsys, monkeypatch, str(empty))["extensions"] == [[]]
+    report = run_report(capsys, monkeypatch, str(empty))
+    assert report["arguments"] == [] and report["defeats"] == []
+    assert report["extensions"] == [[]]
     chain = tmp_path / "chain.naf"
     chain.write_text("AGENTS: a\nPREMISE axiom p0: p\nRULE strict r1: p |- q\n"
                      "RULE strict r2: q |- r\nSCHEME fcp off\nSCHEME owp off\n")
     report = run_report(capsys, monkeypatch, str(chain), "--max-depth", "1",
                         "--query", "q", "--query", "r", "--query", "p")
     assert report["truncated"] is True and len(report["queries"]) == 3
+    assert report["defeats"] == [] and len(report["arguments"]) == 2
     report = run_report(capsys, monkeypatch, str(KNIFE), "--semantics",
                         "grounded")
     assert report["semantics"] == "grounded" and report["queries"] == []
-    # an empty extension beside non-empty ones, and a newline in a string
-    report = {"arguments": [{"conclusion": "a\nb"}] * 3,
-              "extensions": [[], [0, 2], [1]], "truncated": False}
-    assert cli._dump_report(report) == json.dumps(report, indent=2)
+
+
+def test_report_writer_escapes_strings(capsys, monkeypatch):
+    # ids, atoms and so loci holding a quote, a backslash, a newline and
+    # non-ASCII text, which only a theory built in code can carry
+    rule, premise = 'r"\\\u00fc', 'p\\"\n\u2603'
+    theory = Theory(
+        agents=("a",),
+        premises=(Premise(premise, Atom('x"\u00e9'), Strength.ORDINARY),
+                  Premise("n", Not(Atom('x"\u00e9')), Strength.ORDINARY),
+                  Premise("s", Atom("s"), Strength.AXIOM)),
+        rules=(Rule(rule, (Atom("s"),), Atom("t"), RuleKind.DEFEASIBLE),
+               Rule("u\\", (Atom("s"),), Not(RuleAtom(rule)),
+                    RuleKind.STRICT)),
+        contraries=())
+    monkeypatch.setattr(cli, "load_theory", lambda path, **kw: theory)
+    monkeypatch.setattr(cli, "instantiate_schemes", lambda t: t)
+    report = run_report(capsys, monkeypatch, "escapes.naf", "--query",
+                        "s")
+    loci = {d["locus"] for d in report["defeats"]}
+    assert {premise, rule} <= loci
+    assert rule in {a["top_rule"] for a in report["arguments"]}
 
 
 def test_text_report_lists_every_extension(capsys, tmp_path):

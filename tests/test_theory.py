@@ -10,9 +10,11 @@ from normargue import (And, Atom, Box, DanglingRuleAtom, Diamond,
                        Rule, RuleKind, SchemeRoundsExceeded, Schemes, Stit,
                        Strength, Theory, UnknownAgent, ValidationError,
                        instantiate_schemes, load_theory, normalize, parse,
-                       parse_theory)
+                       parse_theory, print_formula)
+from normargue.formula import parse_contrary
 
 from helpers import ABORTION, DOCTOR, KNIFE, random_formula
+from reference_contrary import reference_contrary
 from reference_schemes import reference_instantiate_schemes
 
 
@@ -129,6 +131,54 @@ def test_syntax_errors_name_the_line():
         with pytest.raises(SyntaxError) as err:
             parse_theory("AGENTS: a, b\n" + text)
         assert "line 2" in str(err.value), text
+
+
+def random_contrary_body(rng):
+    """Printed random formulas joined by runs of ~, now and then with a
+    run of ~ at either end, a character dropped or a stray one added."""
+    tildes = lambda: "~" * rng.choice((1, 1, 1, 2, 3))
+    space = lambda: " " * rng.randint(0, 1)
+    body = print_formula(random_formula(rng, rng.randint(0, 3)))
+    for _ in range(rng.choice((0, 1, 1, 1, 2))):
+        body += space() + tildes() + space() + print_formula(
+            random_formula(rng, rng.randint(0, 3)))
+    if rng.random() < 0.2:
+        body = tildes() + space() + body
+    if rng.random() < 0.2:
+        body += space() + tildes()
+    if body and rng.random() < 0.2:
+        i = rng.randrange(len(body))
+        body = body[:i] + body[i + 1:]
+    if rng.random() < 0.1:
+        i = rng.randint(0, len(body))
+        body = body[:i] + rng.choice("()~&| @x$") + body[i:]
+    return body
+
+
+def test_contrary_split_matches_reference():
+    bodies = [line.split(":", 1)[1]
+              for path in (DOCTOR, ABORTION, KNIFE)
+              for line in path.read_text().splitlines()
+              if line.startswith("CONTRARY")]
+    assert bodies
+    bodies += ["p ~ q", "p~q", "~p ~ ~q", "p ~~ q", "p ~ q ~ r", "p ~",
+               "~ p", "~", "", "p q", "O ~ p", "P ~p ~ q", "K_a ~p ~ q",
+               "K ~ p", "Kx ~ ~p", "K_ ~ p", "Power_x ~ p",
+               "O_{a,b} ~p ~ [a] ~q", "p(x,y) ~ q(z)", "(p) ~ ~(q)",
+               "@r1 ~ @fcp#2", "p $ ~ q", "p -~ q", "p & ~q ~ r | ~s",
+               "p -> ~q ~ ~r", "[] ~ p ~ <> ~q",
+               "~right_to_life(foetus) ~ @rc2"]
+    rng = random.Random(2024)
+    bodies += [random_contrary_body(rng) for _ in range(2000)]
+    outcomes = Counter()
+    for body in bodies:
+        try:
+            got = parse_contrary(body)
+        except SyntaxError:
+            got = None
+        assert got == reference_contrary(body), body
+        outcomes[got is None] += 1
+    assert min(outcomes[True], outcomes[False]) > 600, outcomes
 
 
 def test_dangling_rule_atom():
