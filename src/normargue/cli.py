@@ -154,14 +154,14 @@ def cmd_run(ns) -> int:
     if ns.semantics == "grounded":
         extensions = [sorted(grounded_extension(af))]
     else:
-        extensions = stable_extensions(af, as_lists=True)
+        extensions = stable_extensions(af)
         if not all(verify_extension(af, ext) for ext in extensions):
             print("error: a solver extension fails the stable check",
                   file=sys.stderr)
             return 1
         if ns.oracle:
             expected = brute_force_stable(af)
-            if expected != list(map(frozenset, extensions)):
+            if expected != extensions:
                 print("oracle mismatch: solver found %d extensions, "
                       "brute force found %d" % (len(extensions),
                                                 len(expected)),

@@ -491,19 +491,14 @@ def contrary(f: Formula, g: Formula, theory=None) -> bool:
     weak = bool(theory is not None and theory.weak_mode)
     f = normalize(f, weak)
     g = normalize(g, weak)
-    if _negation_linked(f, g):
-        return True
     if (isinstance(f, Oblig) and isinstance(g, Oblig)
             and f.agent == g.agent and f.toward == g.toward
             and _negation_linked(f.f, g.f)):
         return True
+    # exact negation included: _cform(~x) is the complement of _cform(x)
     if _negation_linked(_cform(f), _cform(g)):
         return True
-    if theory is not None:
-        for a, b in theory.contraries:
-            if (f == a and g == b) or (f == b and g == a):
-                return True
-    return False
+    return theory is not None and (f, g) in theory.declared_pairs
 
 
 # ---------------------------------------------------------------- helpers

@@ -13,7 +13,9 @@ its ordering and the sub-argument it sits on. An attacker whose conclusion
 is contrary to the formula defeats every argument containing that
 sub-argument unless dispreferred to it; undercuts are ungated by default.
 Candidate attackers come from an index by conflict_class and declared
-contrary pairs, and contrary confirms each one.
+contrary pairs, and contrary confirms each one. Conclusions are normal
+forms (see Theory), so they are indexed as they are, and each distinct
+conclusion's class is computed once.
 
 Each framework builds its defeat graph, the attackers and victims of
 every argument, once on first use; the solvers, the verification masks
@@ -22,7 +24,8 @@ and brute force all read it.
 Extensions are stable (conflict-free, defeating every outsider). Stable
 semantics factors over the weakly connected components of the defeat
 graph, so stable_extensions solves each component on its own and returns
-the sorted products of their labellings; an argument without defeats is
+the products of their labellings, a sorted list of ascending member
+lists as brute_force_stable returns; an argument without defeats is
 always IN. Each component is searched depth-first over in/out decisions
 with an explicit stack, and a label change rechecks only that argument and
 its victims. grounded_extension counts each argument's attackers not yet
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arguments import Argument, Ordering, dispreferred
-from .formula import Formula, RuleAtom, conflict_class, contrary, normalize
+from .formula import Formula, RuleAtom, conflict_class, contrary
 from .theory import RuleKind, Strength, Theory
 
 
@@ -134,24 +137,24 @@ def compute_defeats(args: list[Argument], theory: Theory,
             loci.append((DefeatKind.UNDERCUT, s.top_rule, RuleAtom(s.top_rule),
                          cfg.undercut_ordering, s))
 
-    # contrary looks only at normal forms: group the attackers by theirs,
-    # and file each normal form under its conflict class and, if it is
-    # declared contrary to some formula, under that formula's class too
+    # group the attackers by conclusion, and file each conclusion under its
+    # conflict class and, if declared contrary to x, under x's class too
     holders: dict[Formula, list[Argument]] = {}
     for a in args:
-        holders.setdefault(normalize(a.conclusion, weak), []).append(a)
+        holders.setdefault(a.conclusion, []).append(a)
+    classes = {c: conflict_class(c, weak) for c in holders}
     by_class: dict[Formula, set[Formula]] = {}
-    for c in holders:
-        by_class.setdefault(conflict_class(c, weak), set()).add(c)
-    for pair in theory.contraries:
-        for x, y in (pair, pair[::-1]):
-            if y in holders:
-                by_class.setdefault(conflict_class(x, weak), set()).add(y)
+    for c, k in classes.items():
+        by_class.setdefault(k, set()).add(c)
+    for x, y in theory.declared_pairs:
+        if y in holders:
+            by_class.setdefault(conflict_class(x, weak), set()).add(y)
 
-    # per locus sub-argument: (attacker, kind, locus) of its defeats
+    # per locus sub-argument: (attacker, kind, locus) of its defeats; every
+    # locus formula is a conclusion except @rule, which is its own class
     local: list[list[tuple]] = [[] for _ in args]
     for kind, locus, f, ordering, s in loci:
-        for c in by_class.get(conflict_class(f, weak), ()):
+        for c in by_class.get(classes.get(f, f), ()):
             if contrary(c, f, theory):
                 local[s.id].extend((a.id, kind, locus) for a in holders[c]
                                    if not dispreferred(a, s, ordering))
@@ -262,13 +265,11 @@ def _stable_labellings(part: list[int], attackers, victims,
             return found
 
 
-def stable_extensions(af: ArgumentationFramework, *,
-                      as_lists: bool = False) -> list:
-    """All stable extensions as frozensets, sorted by their sorted member
-    lists; with as_lists, those ascending lists themselves, which the CLI
-    reports as they are. Exact: stable semantics factors over weakly
-    connected components, so each component is solved on its own and the
-    extensions are the products of one labelling per component."""
+def stable_extensions(af: ArgumentationFramework) -> list[list[int]]:
+    """All stable extensions, each as its ascending member list, in sorted
+    order. Exact: stable semantics factors over weakly connected
+    components, so each component is solved on its own and the extensions
+    are the products of one labelling per component."""
     attackers, victims = af._graph
     label = [_UNDET] * af.n_args
     always: list[int] = []  # arguments without defeats, always IN
@@ -281,9 +282,8 @@ def stable_extensions(af: ArgumentationFramework, *,
         if not found:
             return []
         choices.append(found)
-    members = sorted(sorted(itertools.chain(always, *pick))
-                     for pick in itertools.product(*choices))
-    return members if as_lists else [frozenset(m) for m in members]
+    return sorted(sorted(itertools.chain(always, *pick))
+                  for pick in itertools.product(*choices))
 
 
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
@@ -319,8 +319,9 @@ def verify_extension(af: ArgumentationFramework, ext: frozenset[int]) -> bool:
     return not members & hit and members | hit == everyone
 
 
-def brute_force_stable(af: ArgumentationFramework) -> list[frozenset[int]]:
-    """Check every subset; only for cross-checking small frameworks."""
+def brute_force_stable(af: ArgumentationFramework) -> list[list[int]]:
+    """Check every subset; only for cross-checking small frameworks. The
+    result has the form stable_extensions returns."""
     n = af.n_args
     if n > 20:
         raise TooLarge("brute force capped at 20 arguments, got %d" % n)
@@ -337,8 +338,8 @@ def brute_force_stable(af: ArgumentationFramework) -> list[frozenset[int]]:
                 ok = False
                 break
         if ok:
-            found.append(frozenset(i for i in range(n) if (m >> i) & 1))
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+            found.append([i for i in range(n) if (m >> i) & 1])
+    return sorted(found)
 
 
 def acceptance(args: list[Argument], extensions, conclusion: Formula,

@@ -1,9 +1,10 @@
 """Knowledge base and theory-file DSL.
 
 A theory holds premises (axiom or ordinary), named strict/defeasible rules,
-declared contrary pairs, and scheme toggles. The loader validates the file,
-normalizes every formula, and translates declared normative positions into
-premises. instantiate_schemes grounds the deontic rule schemes against the
+declared contrary pairs, and scheme toggles, every formula in normal form.
+The loader validates the file, normalizes each formula as its line is
+read, and translates declared normative positions into premises.
+instantiate_schemes grounds the deontic rule schemes against the
 subformulas already in play.
 
 DSL, one directive per line, `#` (at start of line or after whitespace)
@@ -18,12 +19,16 @@ starts a comment:
     SCHEME fcp on
     POSITION claim_right(patient, doctor): [doctor](K_patient(result)) [prem]
 
+A POSITION ends in at most one strength tag, [axiom] (the default) or
+[prem].
+
 Rule separators `|-` (strict) and `|~` (defeasible) must be surrounded by
 whitespace so they cannot collide with `|` and `~` inside formulas.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -90,6 +95,11 @@ class Schemes:
 
 @dataclass(frozen=True)
 class Theory:
+    """Every formula of a theory is in normal form, normalize(f, weak_mode):
+    parse_theory and load_theory return normal forms, and a theory built in
+    code must normalize its formulas likewise, since compute_defeats and
+    contrary match conclusions and declared pairs as they are."""
+
     agents: tuple[str, ...]
     premises: tuple[Premise, ...]
     rules: tuple[Rule, ...]
@@ -102,6 +112,12 @@ class Theory:
     # @scheme#k references seen at load time, resolved after instantiation
     pending_rule_refs: tuple[tuple[str, int], ...] = ()
 
+    @functools.cached_property
+    def declared_pairs(self) -> frozenset[tuple[Formula, Formula]]:
+        """The declared contrary pairs in both orders, built once."""
+        return frozenset(self.contraries).union(
+            (g, f) for f, g in self.contraries)
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _PREMISE_RE = re.compile(r"PREMISE\s+(axiom|prem)\s+([A-Za-z_]\w*)\s*:\s*(.+)$")
@@ -109,19 +125,18 @@ _RULE_RE = re.compile(r"RULE\s+(strict|defeasible)\s+([A-Za-z_]\w*)\s*:\s*(.+)$"
 _SCHEME_RE = re.compile(r"SCHEME\s+(\w+)\s+(on|off)\s*$")
 _POSITION_RE = re.compile(
     r"POSITION\s+(\w+)\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\)\s*:\s*(.+)$")
+# a POSITION body and its one optional strength tag
+_POSITION_BODY_RE = re.compile(r"(.*?)\s*(?:\[(axiom|prem)\])?$")
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
+_STRENGTHS = {"axiom": Strength.AXIOM, "prem": Strength.ORDINARY}
+# each rule kind's separator, and a pattern of it between whitespace
+_SEPARATORS = {RuleKind.STRICT: ("|-", re.compile(r"\s\|-\s")),
+               RuleKind.DEFEASIBLE: ("|~", re.compile(r"\s\|~\s"))}
 
 
 def _strip_comment(line: str) -> str:
     m = _COMMENT_RE.search(line)
     return line[:m.start()] if m else line
-
-
-def _parse_at(text: str, lineno: int) -> Formula:
-    try:
-        return parse(text)
-    except SyntaxError as e:
-        raise SyntaxError("line %d: %s" % (lineno, e)) from None
 
 
 def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
@@ -134,7 +149,8 @@ def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
 
 def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                  max_args: int = 100_000) -> Theory:
-    """Parse and validate a theory from DSL text."""
+    """Parse and validate a theory from DSL text. Every formula is
+    normalized as its line is read. An error names its line."""
     if max_depth < 0:
         raise ValidationError("max_depth (--max-depth) must be at least 0, "
                               "got %d" % max_depth)
@@ -153,119 +169,108 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
 
     def declare_id(ident: str, lineno: int):
         if ident in id_lines:
-            raise DuplicateId("line %d: id %r already declared on line %d"
-                              % (lineno, ident, id_lines[ident]))
+            raise DuplicateId("id %r already declared on line %d"
+                              % (ident, id_lines[ident]))
         id_lines[ident] = lineno
+
+    def normal(f: Formula, lineno: int) -> Formula:
+        f = normalize(f, weak_mode)
+        formula_lines.append((f, lineno))
+        return f
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         head = line.split(None, 1)[0].rstrip(":")
+        try:
+            if head == "AGENTS":
+                rest = line.split(":", 1)
+                if len(rest) != 2:
+                    raise SyntaxError("AGENTS needs a colon")
+                for name in rest[1].split(","):
+                    name = name.strip()
+                    if not _IDENT_RE.match(name):
+                        raise SyntaxError("bad agent name %r" % name)
+                    if name in agents:
+                        raise DuplicateId("duplicate agent %r" % name)
+                    agents.append(name)
 
-        if head == "AGENTS":
-            rest = line.split(":", 1)
-            if len(rest) != 2:
-                raise SyntaxError("line %d: AGENTS needs a colon" % lineno)
-            for name in rest[1].split(","):
-                name = name.strip()
-                if not _IDENT_RE.match(name):
-                    raise SyntaxError("line %d: bad agent name %r"
-                                      % (lineno, name))
-                if name in agents:
-                    raise DuplicateId("line %d: duplicate agent %r"
-                                      % (lineno, name))
-                agents.append(name)
+            elif head == "PREMISE":
+                m = _PREMISE_RE.match(line)
+                if not m:
+                    raise SyntaxError(
+                        "expected PREMISE axiom|prem <id>: <formula>")
+                declare_id(m.group(2), lineno)
+                premises.append(Premise(m.group(2),
+                                        normal(parse(m.group(3)), lineno),
+                                        _STRENGTHS[m.group(1)]))
 
-        elif head == "PREMISE":
-            m = _PREMISE_RE.match(line)
-            if not m:
-                raise SyntaxError(
-                    "line %d: expected PREMISE axiom|prem <id>: <formula>"
-                    % lineno)
-            strength = Strength.AXIOM if m.group(1) == "axiom" else Strength.ORDINARY
-            declare_id(m.group(2), lineno)
-            f = _parse_at(m.group(3), lineno)
-            formula_lines.append((f, lineno))
-            premises.append(Premise(m.group(2), f, strength))
+            elif head == "RULE":
+                m = _RULE_RE.match(line)
+                if not m:
+                    raise SyntaxError("expected RULE strict|defeasible <id>: "
+                                      "<f>; ... |- <g>")
+                kind = RuleKind(m.group(1))
+                declare_id(m.group(2), lineno)
+                sep, sep_re = _SEPARATORS[kind]
+                parts = sep_re.split(m.group(3))
+                if len(parts) != 2:
+                    raise SyntaxError(
+                        "%s rule needs exactly one ' %s ' separator"
+                        % (m.group(1), sep))
+                ants = parts[0].split(";")
+                if not any(a.strip() for a in ants):
+                    raise SyntaxError("rule needs at least one antecedent")
+                antecedents = tuple(normal(parse(a), lineno) for a in ants)
+                rules.append(Rule(m.group(2), antecedents,
+                                  normal(parse(parts[1]), lineno), kind))
 
-        elif head == "RULE":
-            m = _RULE_RE.match(line)
-            if not m:
-                raise SyntaxError(
-                    "line %d: expected RULE strict|defeasible <id>: "
-                    "<f>; ... |- <g>" % lineno)
-            kind = RuleKind.STRICT if m.group(1) == "strict" else RuleKind.DEFEASIBLE
-            declare_id(m.group(2), lineno)
-            sep = "|-" if kind is RuleKind.STRICT else "|~"
-            parts = re.split(r"\s" + re.escape(sep) + r"\s", m.group(3))
-            if len(parts) != 2:
-                raise SyntaxError(
-                    "line %d: %s rule needs exactly one ' %s ' separator"
-                    % (lineno, m.group(1), sep))
-            ants = [a for a in parts[0].split(";")]
-            if not ants or not any(a.strip() for a in ants):
-                raise SyntaxError("line %d: rule needs at least one antecedent"
-                                  % lineno)
-            antecedents = tuple(_parse_at(a, lineno) for a in ants)
-            consequent = _parse_at(parts[1], lineno)
-            for f in antecedents + (consequent,):
-                formula_lines.append((f, lineno))
-            rules.append(Rule(m.group(2), antecedents, consequent, kind))
+            elif head == "CONTRARY":
+                rest = line.split(":", 1)
+                if len(rest) != 2:
+                    raise SyntaxError("CONTRARY needs a colon")
+                try:
+                    f, g = parse_contrary(rest[1])
+                except SyntaxError:
+                    raise SyntaxError(
+                        "CONTRARY needs two formulas separated by ~") from None
+                contraries.append((normal(f, lineno), normal(g, lineno)))
 
-        elif head == "CONTRARY":
-            rest = line.split(":", 1)
-            if len(rest) != 2:
-                raise SyntaxError("line %d: CONTRARY needs a colon" % lineno)
-            try:
-                pair = parse_contrary(rest[1])
-            except SyntaxError:
-                raise SyntaxError(
-                    "line %d: CONTRARY needs two formulas separated by ~"
-                    % lineno) from None
-            for f in pair:
-                formula_lines.append((f, lineno))
-            contraries.append(pair)
+            elif head == "SCHEME":
+                m = _SCHEME_RE.match(line)
+                if not m or m.group(1) not in toggles:
+                    raise SyntaxError(
+                        "expected SCHEME fcp|owp|weak_closure|k_truth on|off")
+                toggles[m.group(1)] = m.group(2) == "on"
 
-        elif head == "SCHEME":
-            m = _SCHEME_RE.match(line)
-            if not m or m.group(1) not in toggles:
-                raise SyntaxError(
-                    "line %d: expected SCHEME fcp|owp|weak_closure|k_truth "
-                    "on|off" % lineno)
-            toggles[m.group(1)] = m.group(2) == "on"
+            elif head == "POSITION":
+                m = _POSITION_RE.match(line)
+                if not m:
+                    raise SyntaxError(
+                        "expected POSITION <kind>(<holder>, <counterparty>): "
+                        "<formula> [axiom|prem]")
+                try:
+                    kind = PositionKind(m.group(1))
+                except ValueError:
+                    raise SyntaxError("unknown position kind %r"
+                                      % m.group(1)) from None
+                body, tag = _POSITION_BODY_RE.match(m.group(4)).groups()
+                pos = NormativePosition(kind, m.group(2), m.group(3),
+                                        parse(body))
+                warnings.extend("line %d: %s" % (lineno, w)
+                                for w in position_warnings(pos))
+                n_positions += 1
+                pid = "pos#%d" % n_positions
+                declare_id(pid, lineno)
+                premises.append(Premise(
+                    pid, normal(to_formula(pos), lineno),
+                    _STRENGTHS.get(tag, Strength.AXIOM)))
 
-        elif head == "POSITION":
-            m = _POSITION_RE.match(line)
-            if not m:
-                raise SyntaxError(
-                    "line %d: expected POSITION <kind>(<holder>, "
-                    "<counterparty>): <formula> [axiom|prem]" % lineno)
-            try:
-                kind = PositionKind(m.group(1))
-            except ValueError:
-                raise SyntaxError("line %d: unknown position kind %r"
-                                  % (lineno, m.group(1))) from None
-            body = m.group(4).rstrip()
-            strength = Strength.AXIOM
-            for tag, s in (("[axiom]", Strength.AXIOM),
-                           ("[prem]", Strength.ORDINARY)):
-                if body.endswith(tag):
-                    body = body[:-len(tag)].rstrip()
-                    strength = s
-            content = _parse_at(body, lineno)
-            pos = NormativePosition(kind, m.group(2), m.group(3), content)
-            warnings.extend("line %d: %s" % (lineno, w)
-                            for w in position_warnings(pos))
-            n_positions += 1
-            pid = "pos#%d" % n_positions
-            declare_id(pid, lineno)
-            f = to_formula(pos)
-            formula_lines.append((f, lineno))
-            premises.append(Premise(pid, f, strength))
-
-        else:
-            raise SyntaxError("line %d: unknown directive %r" % (lineno, head))
+            else:
+                raise SyntaxError("unknown directive %r" % head)
+        except (SyntaxError, ValidationError) as e:
+            raise type(e)("line %d: %s" % (lineno, e)) from None
 
     declared = set(agents)
     for f, lineno in formula_lines:
@@ -285,14 +290,11 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                     "line %d: @%s does not name a defeasible rule"
                     % (lineno, name))
 
-    norm = lambda f: normalize(f, weak_mode)
     return Theory(
         agents=tuple(agents),
-        premises=tuple(Premise(p.id, norm(p.formula), p.strength)
-                       for p in premises),
-        rules=tuple(Rule(r.id, tuple(norm(a) for a in r.antecedents),
-                         norm(r.consequent), r.kind) for r in rules),
-        contraries=tuple((norm(a), norm(b)) for a, b in contraries),
+        premises=tuple(premises),
+        rules=tuple(rules),
+        contraries=tuple(contraries),
         schemes=Schemes(**toggles),
         weak_mode=weak_mode,
         max_depth=max_depth,

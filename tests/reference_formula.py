@@ -2,10 +2,15 @@
 that print_formula, subformulas, agents_in and rule_atoms_in replaced. Each
 node type is written out on its own, so they are long but independent of
 the precedence table, the head function and the single pre-order walker.
-They gate the new versions on seeded random formulas."""
+They gate the new versions on seeded random formulas.
+
+contrary is the conflict test as it was before declared pairs became a set
+lookup: it tests exact negation on normal forms as a case of its own and
+scans every declared pair on each call."""
 
 from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig, Or,
-                       Perm, Power, Right, RuleAtom, Stit)
+                       Perm, Power, Right, RuleAtom, Stit, normalize)
+from normargue.formula import _cform
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
@@ -117,3 +122,26 @@ def subformulas(f):
 
 def rule_atoms_in(f):
     return {x.rule_name for x in subformulas(f) if isinstance(x, RuleAtom)}
+
+
+def _negation_linked(f, g):
+    return (isinstance(f, Not) and f.f == g) or (isinstance(g, Not) and g.f == f)
+
+
+def contrary(f, g, theory=None):
+    weak = bool(theory is not None and theory.weak_mode)
+    f = normalize(f, weak)
+    g = normalize(g, weak)
+    if _negation_linked(f, g):
+        return True
+    if (isinstance(f, Oblig) and isinstance(g, Oblig)
+            and f.agent == g.agent and f.toward == g.toward
+            and _negation_linked(f.f, g.f)):
+        return True
+    if _negation_linked(_cform(f), _cform(g)):
+        return True
+    if theory is not None:
+        for a, b in theory.contraries:
+            if (f == a and g == b) or (f == b and g == a):
+                return True
+    return False

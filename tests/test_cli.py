@@ -260,7 +260,7 @@ def test_exit_2_on_oracle_with_grounded(capsys):
 
 def test_exit_1_on_extension_failing_its_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stable_extensions",
-                        lambda af, as_lists: [list(range(af.n_args))])
+                        lambda af: [list(range(af.n_args))])
     code, out, err = run_cli(capsys, "run", str(ABORTION))
     assert code == 1 and not out
     assert "stable check" in err
@@ -391,6 +391,20 @@ def test_text_and_dot_match_golden_output(capsys):
                 assert (code, err) == (0, "")
                 assert out == (GOLDEN / (name + suffix)).read_text(), \
                     (name, command)
+
+
+def test_run_json_matches_golden_output(capsys):
+    # run --json on the fixtures under both semantics, byte for byte as
+    # tests/golden holds them
+    for path in (DOCTOR, ABORTION, KNIFE):
+        for flags in ((), ("--weak-mode",), ("--undercut-gated",)):
+            for semantics in ("stable", "grounded"):
+                name = path.stem + "".join("-" + f[2:] for f in flags) + (
+                    "-grounded" if semantics == "grounded" else "")
+                code, out, err = run_cli(capsys, "run", str(path), "--json",
+                                         "--semantics", semantics, *flags)
+                assert (code, err) == (0, "")
+                assert out == (GOLDEN / (name + ".json")).read_text(), name
 
 
 # ------------------------------------------------------------ parser reuse

@@ -296,6 +296,37 @@ def test_conflict_class_covers_contrary():
     assert shared > 1000 and declared_only > 50
 
 
+def test_contrary_matches_reference():
+    # 20,000 seeded pairs, half of them biased towards conflict, each in a
+    # random mode, with no theory or with a theory declaring no pairs, an
+    # unrelated pair, or that one and the pair itself in either order
+    rng = random.Random(4242)
+    hits = declared = 0
+    for k in range(20000):
+        depth = rng.randint(0, 3)
+        f, g = (conflict_pair(rng, depth) if k % 2 else
+                (random_formula(rng, depth), random_formula(rng, depth)))
+        weak = rng.random() < 0.5
+        roll = rng.random()
+        if roll < 0.1:
+            assert contrary(f, g) == ref.contrary(f, g), (f, g)
+            continue
+        pairs = []
+        if roll > 0.4:
+            pairs.append((normalize(random_formula(rng, 1), weak),
+                          normalize(random_formula(rng, 1), weak)))
+        if roll > 0.7:
+            pair = (normalize(f, weak), normalize(g, weak))
+            pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+        t = Theory(agents=("a", "b"), premises=(), rules=(),
+                   contraries=tuple(pairs), weak_mode=weak)
+        got = contrary(f, g, t)
+        assert got == ref.contrary(f, g, t), (f, g, weak, pairs)
+        hits += got
+        declared += roll > 0.7
+    assert hits > 8000 and declared > 5000
+
+
 def test_conflict_class_examples():
     assert conflict_class(parse("~p")) == conflict_class(parse("p"))
     assert conflict_class(parse("O_a ~p")) == parse("O_a p")

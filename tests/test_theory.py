@@ -8,9 +8,11 @@ import pytest
 from normargue import (And, Atom, Box, DanglingRuleAtom, Diamond,
                        DuplicateId, Implies, Know, Not, Oblig, Perm, Premise,
                        Rule, RuleKind, SchemeRoundsExceeded, Schemes, Stit,
-                       Strength, Theory, UnknownAgent, ValidationError,
+                       Strength, Theory, UnknownAgent, UnknownOperator,
+                       ValidationError,
                        instantiate_schemes, load_theory, normalize, parse,
                        parse_theory, print_formula)
+from normargue.cli import main
 from normargue.formula import parse_contrary
 
 from helpers import ABORTION, DOCTOR, KNIFE, random_formula
@@ -87,6 +89,48 @@ def test_premises_normalized_at_load():
     t = parse_theory("AGENTS: a\nPREMISE axiom p1: P_a p", weak_mode=True)
     assert t.premises[0].formula == parse("~O_a ~p")
     assert t.weak_mode
+
+
+def test_position_strength_tag():
+    # at most one trailing tag; [axiom] is the default
+    for tail, strength in (("", Strength.AXIOM), (" [axiom]", Strength.AXIOM),
+                           (" [prem]", Strength.ORDINARY),
+                           ("[prem]", Strength.ORDINARY)):
+        t = parse_theory("AGENTS: a, b\nPOSITION duty(a, b): p" + tail)
+        assert t.premises[0].strength is strength, tail
+        assert t.premises[0].formula == parse("O_{a,b} p")
+
+
+def test_position_with_two_tags_is_an_error(capsys, tmp_path):
+    for tail in (" [prem] [axiom]", " [axiom] [prem]"):
+        text = "AGENTS: a, b\nPOSITION duty(a, b): p" + tail
+        with pytest.raises(SyntaxError) as err:
+            parse_theory(text)
+        assert str(err.value) == ("line 2: offset 2: expected one of "
+                                  "{end of input}, found '['"), tail
+        f = tmp_path / "tags.naf"
+        f.write_text(text)
+        assert main(["check", str(f)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % err.value
+
+
+def test_position_warnings_read_the_content_as_written():
+    # ~~[a] p is not the holder's own action until it is normalized
+    t = parse_theory("AGENTS: a, b\nPOSITION claim_right(a, b): ~~[a] p")
+    assert t.warnings == ()
+    assert t.premises[0].formula == parse("O_{b,a} [a] p")
+    t = parse_theory("AGENTS: a, b\nPOSITION claim_right(a, b): [a] p")
+    assert len(t.warnings) == 1 and t.warnings[0].startswith("line 2: ")
+
+
+def test_loader_errors_keep_their_type():
+    with pytest.raises(UnknownOperator) as err:
+        parse_theory("AGENTS: a\nPREMISE axiom p1: K_ p")
+    assert str(err.value) == \
+        "line 2: offset 0: modal prefix 'K_' lacks an agent"
+    with pytest.raises(DuplicateId) as err:
+        parse_theory("AGENTS: a\nPREMISE axiom x: p\nPREMISE prem x: q")
+    assert str(err.value) == "line 3: id 'x' already declared on line 2"
 
 
 def test_crlf_input():
