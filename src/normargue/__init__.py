@@ -18,7 +18,7 @@ from .arguments import (Argument, Ordering, classify, construct_arguments,
                         dispreferred)
 from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
                         DefeatKind, TooLarge, acceptance, brute_force_stable,
-                        compute_defeats, grounded_extension,
+                        compute_defeats, grounded_extension, members,
                         stable_extensions, verify_extension)
 
 __version__ = "0.1.0"

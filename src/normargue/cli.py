@@ -21,14 +21,23 @@ grounded: the oracle checks stable extensions only), 3 framework too
 large for the brute-force oracle. All output is deterministic; ANSI color
 is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.
 
+Extensions travel as member masks (bit i set for argument i, see
+semantics) from the solver to the report. Before anything is printed,
+every stable extension is checked by verify_extension: two int tests on
+that mask against the members' victims, computed from the mask and the
+defeat graph alone. The same masks are what the rows are written from
+and what the queries test.
+
 The --json report is exactly json.dumps(report, indent=2), and export
 --format json exactly json.dumps(payload, indent=2), but neither object
 is built: _dump_report joins top-level fields handed in already encoded.
 Argument and defeat rows fill fixed templates, with strings encoded by
-json's C encode_basestring_ascii, and the extensions array is joined from
-one token per argument id; only the theory summary and the queries go
-through json.dumps. Each argument's conclusion is printed once, for the
-JSON rows, the text report and the DOT labels alike.
+json's C encode_basestring_ascii, and each extension row is joined from
+one token string per byte of its mask, made on first use (semantics.
+per_byte); only the theory summary and the queries go through
+json.dumps. The text report decodes each mask into its ids and is
+printed by one join of its lines. Each argument's conclusion is printed
+once, for the JSON rows, the text report and the DOT labels alike.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -44,7 +54,8 @@ from .formula import normalize, parse
 from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
                         DefeatKind, TooLarge, acceptance, brute_force_stable,
                         compute_defeats, defeat_sort_key, grounded_extension,
-                        stable_extensions, verify_extension)
+                        members, per_byte, stable_extensions,
+                        verify_extension)
 from .theory import Theory, ValidationError, instantiate_schemes, load_theory
 
 _EDGE_STYLE = {DefeatKind.REBUT: "solid", DefeatKind.UNDERMINE: "dashed",
@@ -126,12 +137,14 @@ def _defeat_rows(defeats: list[Defeat]) -> list[str]:
             for d in defeats]
 
 
-def _extension_rows(extensions: list[list[int]], n_args: int) -> list[str]:
-    """One row per extension, one member per line, joined from one
-    precomputed token per argument id."""
-    token = [",\n      %d" % i for i in range(n_args)]
-    return ["[%s\n    ]" % "".join(map(token.__getitem__, ids))[1:]
-            if ids else "[]" for ids in extensions]
+def _extension_rows(extensions: list[int], n_args: int) -> list[str]:
+    """One row per extension mask, one member per line, joined from one
+    token string per byte of the mask (see semantics.per_byte)."""
+    tables = per_byte([",\n      %d" % i for i in range(n_args)], "".join)
+    n_bytes = len(tables)
+    return ["[" + "".join(map(operator.getitem, tables, m.to_bytes(
+        n_bytes, "little")))[1:] + "\n    ]" if m else "[]"
+        for m in extensions]
 
 
 def _dump_report(fields: dict[str, str]) -> str:
@@ -152,10 +165,10 @@ def cmd_run(ns) -> int:
                          "used with --semantics grounded")
     theory, args, defeats, af, truncated = _pipeline(ns)
     if ns.semantics == "grounded":
-        extensions = [sorted(grounded_extension(af))]
+        extensions = [sum(1 << i for i in grounded_extension(af))]
     else:
         extensions = stable_extensions(af)
-        if not all(verify_extension(af, ext) for ext in extensions):
+        if not all(map(functools.partial(verify_extension, af), extensions)):
             print("error: a solver extension fails the stable check",
                   file=sys.stderr)
             return 1
@@ -196,41 +209,41 @@ def cmd_run(ns) -> int:
         }))
         return 0
 
-    print(_paint("theory:", "1"), "%d agents, %d premises, %d rules, "
-          "%d contraries" % (len(theory.agents), len(theory.premises),
-                             len(theory.rules), len(theory.contraries)))
+    lines = [_paint("theory:", "1") + " %d agents, %d premises, %d rules, "
+             "%d contraries" % (len(theory.agents), len(theory.premises),
+                                len(theory.rules), len(theory.contraries))]
     if truncated and len(args) == theory.max_args:
-        print("note: construction truncated at %d arguments (--max-args)"
-              % theory.max_args)
+        lines.append("note: construction truncated at %d arguments "
+                     "(--max-args)" % theory.max_args)
     elif truncated:
-        print("note: construction truncated at depth %d" % theory.max_depth)
-    print(_paint("arguments (%d):" % len(args), "1"))
+        lines.append("note: construction truncated at depth %d"
+                     % theory.max_depth)
+    lines.append(_paint("arguments (%d):" % len(args), "1"))
     for a, text in zip(args, texts):
         kind, firmness = classify(a)
         star = "*" if a.top_rule is None else ""
         via = "" if a.top_rule is None else " via %s" % a.top_rule
-        print("  %d%s: %s [%s, %s]%s" % (a.id, star, text, kind, firmness,
-                                         via))
-    print(_paint("defeats (%d):" % len(sorted_defeats), "1"))
-    for d in sorted_defeats:
-        print("  %s" % d)
+        lines.append("  %d%s: %s [%s, %s]%s" % (a.id, star, text, kind,
+                                                firmness, via))
+    lines.append(_paint("defeats (%d):" % len(sorted_defeats), "1"))
+    lines += ["  %s" % d for d in sorted_defeats]
     if ns.semantics == "grounded":
-        print(_paint("grounded extension:", "1"))
-        for i in extensions[0]:
-            print("  %d: %s" % (i, texts[i]))
+        lines.append(_paint("grounded extension:", "1"))
+        lines += ["  %d: %s" % (i, texts[i]) for i in members(extensions[0])]
     elif not extensions:
-        print(_paint("no stable extension", "1"))
+        lines.append(_paint("no stable extension", "1"))
     else:
-        print(_paint("stable extensions (%d):" % len(extensions), "1"))
+        lines.append(_paint("stable extensions (%d):" % len(extensions), "1"))
         line = ["    %d: %s" % (a.id, text) for a, text in zip(args, texts)]
-        for k, ids in enumerate(extensions, 1):
-            print("\n".join(["  extension %d: {%s}" % (
-                k, ", ".join(map(str, ids)))] + [line[i] for i in ids]))
-    for q in queries:
-        print("query %s: credulous=%s skeptical=%s" % (
-            q["formula"],
-            "yes" if q["credulous"] else "no",
-            "yes" if q["skeptical"] else "no"))
+        for k, m in enumerate(extensions, 1):
+            ids = members(m)
+            lines.append("  extension %d: {%s}"
+                         % (k, ", ".join(map(str, ids))))
+            lines += map(line.__getitem__, ids)
+    lines += ["query %s: credulous=%s skeptical=%s" % (
+        q["formula"], "yes" if q["credulous"] else "no",
+        "yes" if q["skeptical"] else "no") for q in queries]
+    print("\n".join(lines))
     return 0
 
 

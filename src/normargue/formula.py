@@ -25,6 +25,7 @@ Power_ are likewise taken as modal prefixes.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -428,26 +429,34 @@ def print_formula(f: Formula) -> str:
 
 # ------------------------------------------------------------- normalizing
 
-def _complement(f: Formula) -> Formula:
-    """Not(f) with double negation collapsed."""
-    return f.f if isinstance(f, Not) else Not(f)
+def _complement(f: Formula, node: Not | None = None) -> Formula:
+    """Not(f) with double negation collapsed; node itself when it is that
+    negation already."""
+    if isinstance(f, Not):
+        return f.f
+    return node if node is not None and node.f is f else Not(f)
 
 
 def _map(f: Formula, g) -> Formula:
-    """f rebuilt with g applied to each direct subformula. Formula nodes
-    are dataclasses, so vars(f) holds their fields in declaration order."""
+    """f with g applied to each direct subformula: f itself when g returns
+    every one of them unchanged, else a new node. Formula nodes are
+    dataclasses, so vars(f) holds their fields in declaration order."""
     if not isinstance(f, Formula):
         raise TypeError("not a formula: %r" % (f,))
-    return type(f)(*[g(v) if isinstance(v, Formula) else v
-                     for v in vars(f).values()])
+    fields = vars(f).values()
+    new = [g(v) if isinstance(v, Formula) else v for v in fields]
+    if all(map(operator.is_, new, fields)):
+        return f
+    return type(f)(*new)
 
 
 def normalize(f: Formula, weak: bool = False) -> Formula:
     """Eliminate double negation and rewrite Diamond g as ~[]~g. With the
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
-    implication is left untouched."""
+    implication is left untouched. A normal form is returned as itself,
+    walked but not rebuilt."""
     if isinstance(f, Not):
-        return _complement(normalize(f.f, weak))
+        return _complement(normalize(f.f, weak), f)
     if isinstance(f, Diamond):
         return Not(Box(_complement(normalize(f.f, weak))))
     if weak and isinstance(f, Perm):
@@ -460,9 +469,10 @@ def normalize(f: Formula, weak: bool = False) -> Formula:
 def _cform(f: Formula) -> Formula:
     """Rewrite every implication a -> b of a normalized formula into
     ~(a & ~b), collapsing double negations, so that necessity/possibility
-    duals collide syntactically."""
+    duals collide syntactically. An implication-free formula is returned
+    as itself."""
     if isinstance(f, Not):
-        return _complement(_cform(f.f))
+        return _complement(_cform(f.f), f)
     if isinstance(f, Implies):
         return Not(And(_cform(f.left), _complement(_cform(f.right))))
     return _map(f, _cform)
@@ -503,15 +513,24 @@ def contrary(f: Formula, g: Formula, theory=None) -> bool:
 
 # ---------------------------------------------------------------- helpers
 
+def names_in(f: Formula) -> tuple[set[str], set[str]]:
+    """The agent names mentioned by modal operators in f and the rule
+    names of its rule atoms, from one walk."""
+    agents, rules = set(), set()
+    for x in subformulas(f):
+        if type(x) is RuleAtom:
+            rules.add(x.rule_name)
+        else:
+            fields = vars(x)
+            agents.add(fields.get("agent"))
+            agents.add(fields.get("toward"))
+    agents.discard(None)
+    return agents, rules
+
+
 def agents_in(f: Formula) -> set[str]:
     """All agent names mentioned by modal operators in f."""
-    found = set()
-    for x in subformulas(f):
-        fields = vars(x)
-        found.add(fields.get("agent"))
-        found.add(fields.get("toward"))
-    found.discard(None)
-    return found
+    return names_in(f)[0]
 
 
 def subformulas(f: Formula):
@@ -527,4 +546,5 @@ def subformulas(f: Formula):
 
 
 def rule_atoms_in(f: Formula) -> set[str]:
-    return {x.rule_name for x in subformulas(f) if isinstance(x, RuleAtom)}
+    """The rule names of the rule atoms in f."""
+    return names_in(f)[1]

@@ -18,24 +18,33 @@ forms (see Theory), so they are indexed as they are, and each distinct
 conclusion's class is computed once.
 
 Each framework builds its defeat graph, the attackers and victims of
-every argument, once on first use; the solvers, the verification masks
+every argument, once on first use; the solvers, the verification tables
 and brute force all read it.
 
-Extensions are stable (conflict-free, defeating every outsider). Stable
-semantics factors over the weakly connected components of the defeat
-graph, so stable_extensions solves each component on its own and returns
-the products of their labellings, a sorted list of ascending member
-lists as brute_force_stable returns; an argument without defeats is
-always IN. Each component is searched depth-first over in/out decisions
-with an explicit stack, and a label change rechecks only that argument and
-its victims. grounded_extension counts each argument's attackers not yet
-rejected and accepts it when the count reaches zero, in O(n + E).
-verify_extension checks each extension directly and apart from the
-solver: each framework builds once, from the graph, one int per argument
-holding its own bit and, shifted up by n_args, the bits of the arguments
-it defeats; an extension is then one OR over its members' masks and two
-int tests. brute_force_stable is an independent cross-check for small
-frameworks.
+Extensions are stable (conflict-free, defeating every outsider). Each
+extension is carried as one int, its member mask: bit i is set when
+argument i is a member. Stable semantics factors over the weakly
+connected components of the defeat graph, so stable_extensions solves
+each component on its own, ORs each labelling's members into one mask and
+returns the products of one labelling per component as masks, ordered as
+their ascending member lists sort, which is the form brute_force_stable
+returns; an argument without defeats is always IN. The product is built
+on ints, each mask carrying its bit-reversed copy above its members, so
+that one sort of ints puts it in that order (see _keyed). Each component is
+searched depth-first over in/out decisions with an explicit stack, and a
+label change rechecks only that argument and its victims.
+grounded_extension counts each argument's attackers not yet rejected and
+accepts it when the count reaches zero, in O(n + E). members lists the ids
+of a mask, for the readers that need them.
+
+verify_extension checks a member mask directly and apart from the
+solver: whom the members defeat is computed from the mask and the defeat
+graph alone, by one lookup per byte of the mask in per-byte tables of the
+OR of the victims' masks, which each framework fills on demand (see
+per_byte); then the two stable conditions are two int tests.
+acceptance builds the holders of a conclusion as one mask and tests it
+against each extension. brute_force_stable is an independent cross-check
+for small frameworks.
 """
 
 from __future__ import annotations
@@ -97,12 +106,40 @@ class ArgumentationFramework:
         return attackers, victims
 
     @functools.cached_property
-    def _verify_masks(self) -> list[int]:
-        """Per argument i: bit i, plus bit n_args + t for each t that i
-        defeats."""
-        n = self.n_args
-        return [1 << i | sum(1 << (n + t) for t in v)
-                for i, v in enumerate(self._graph[1])]
+    def _hit_tables(self) -> list[PerByte]:
+        """Per byte of a member mask, byte value -> the mask of every
+        argument that the members in that byte defeat."""
+        return per_byte([sum(1 << t for t in v) for v in self._graph[1]],
+                        lambda hits: functools.reduce(operator.or_, hits, 0))
+
+
+class PerByte(dict):
+    """A lookup table for one byte of a member mask: byte value v maps to
+    fold of the items of v's set bits, in ascending order. Entries are
+    made on first lookup, so a table costs what its lookups touch."""
+
+    __slots__ = ("items", "fold")
+
+    def __init__(self, items, fold):
+        super().__init__()
+        self.items, self.fold = items, fold
+
+    def __missing__(self, v: int):
+        r = self[v] = self.fold(itertools.compress(
+            self.items, [v >> j & 1 for j in range(8)]))
+        return r
+
+
+def per_byte(items: list, fold) -> list[PerByte]:
+    """Tables for every byte of a mask over len(items) arguments: item i
+    belongs to argument i. A mask m is looked up byte by byte, as in
+    map(operator.getitem, tables, m.to_bytes(len(tables), "little"))."""
+    return [PerByte(items[k:k + 8], fold) for k in range(0, len(items), 8)]
+
+
+def members(mask: int) -> list[int]:
+    """The argument ids of a member mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def defeat_sort_key(d: Defeat):
@@ -190,9 +227,9 @@ def _components(attackers, victims) -> list[list[int]]:
 
 
 def _stable_labellings(part: list[int], attackers, victims,
-                       label: list[int]) -> list[tuple[int, ...]]:
-    """The IN sets of every stable labelling of one component, as sorted
-    tuples. Depth-first over decisions with an explicit stack of frames
+                       label: list[int]) -> list[int]:
+    """The IN sets of every stable labelling of one component, as member
+    masks. Depth-first over decisions with an explicit stack of frames
     (trail mark, position of the decided argument, its value); after every
     decision only the changed arguments and their victims are rechecked.
     label must be _UNDET on part; other components' labels are never read."""
@@ -251,7 +288,7 @@ def _stable_labellings(part: list[int], attackers, victims,
                 stack.append((len(trail), pos, _IN))
                 ok = decide(part[pos], _IN)
                 continue
-            found.append(tuple(i for i in part if label[i] == _IN))
+            found.append(sum(1 << i for i in part if label[i] == _IN))
         # backtrack to the latest decision that still has OUT to try
         while stack:
             mark, pos, v = stack.pop()
@@ -265,25 +302,45 @@ def _stable_labellings(part: list[int], attackers, victims,
             return found
 
 
-def stable_extensions(af: ArgumentationFramework) -> list[list[int]]:
-    """All stable extensions, each as its ascending member list, in sorted
-    order. Exact: stable semantics factors over weakly connected
-    components, so each component is solved on its own and the extensions
-    are the products of one labelling per component."""
+def _keyed(mask: int, n: int) -> int:
+    """A mask over n arguments with its bits reversed put above bit n.
+    Keyed masks of distinct stable extensions, sorted descending, are in
+    the order of the extensions' ascending member lists. Exact because
+    distinct stable extensions are incomparable under inclusion: neither
+    member list is a prefix of the other, so the lists first differ at the
+    least argument that only one of them holds, and the list holding it
+    sorts first; reversed, that argument is the highest bit in which the
+    two differ. Keys of disjoint masks OR into the key of their union."""
+    return int(format(mask, "0%db" % n)[::-1], 2) << n | mask
+
+
+def _by_member_lists(keyed: list[int], n: int, always: int = 0) -> list[int]:
+    """The masks of keyed masks over n arguments, in member list order,
+    each with the arguments of always added."""
+    everyone = (1 << n) - 1
+    return [k & everyone | always for k in sorted(keyed, reverse=True)]
+
+
+def stable_extensions(af: ArgumentationFramework) -> list[int]:
+    """All stable extensions as member masks, ordered as their ascending
+    member lists sort. Exact: stable semantics factors over weakly
+    connected components, so each component is solved on its own and the
+    extensions are the products of one labelling per component."""
     attackers, victims = af._graph
-    label = [_UNDET] * af.n_args
-    always: list[int] = []  # arguments without defeats, always IN
-    choices = []
+    n = af.n_args
+    label = [_UNDET] * n
+    always = 0  # arguments without defeats, IN in every extension
+    exts = [0]  # keyed masks of the product so far
     for part in _components(attackers, victims):
         if len(part) == 1 and not attackers[part[0]] and not victims[part[0]]:
-            always.append(part[0])
+            always |= 1 << part[0]
             continue
         found = _stable_labellings(part, attackers, victims, label)
         if not found:
             return []
-        choices.append(found)
-    return sorted(sorted(itertools.chain(always, *pick))
-                  for pick in itertools.product(*choices))
+        picks = [_keyed(m, n) for m in found]
+        exts = [e | m for e in exts for m in picks]
+    return _by_member_lists(exts, n, always)
 
 
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
@@ -308,18 +365,21 @@ def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
     return frozenset(accepted)
 
 
-def verify_extension(af: ArgumentationFramework, ext: frozenset[int]) -> bool:
-    """Direct check of the two stable conditions on a set of argument ids
-    of af: no member defeats a member, and every other argument is defeated
-    by a member. OR-ing the members' masks gives the members in the low
-    n_args bits and every argument they defeat in the high ones."""
-    masks, everyone = af._verify_masks, (1 << af.n_args) - 1
-    m = functools.reduce(operator.or_, map(masks.__getitem__, ext), 0)
-    members, hit = m & everyone, m >> af.n_args
-    return not members & hit and members | hit == everyone
+def verify_extension(af: ArgumentationFramework, ext: int) -> bool:
+    """Direct check of the two stable conditions on a member mask of af:
+    no member defeats a member, and every other argument is defeated by a
+    member. Whom the members defeat is read from the mask and the defeat
+    graph alone, one table lookup per byte of the mask."""
+    n = af.n_args
+    if ext >> n:  # a negative mask, or one holding bits past n_args
+        return False
+    tables = af._hit_tables
+    hit = functools.reduce(operator.or_, map(
+        operator.getitem, tables, ext.to_bytes(len(tables), "little")), 0)
+    return not ext & hit and ext | hit == (1 << n) - 1
 
 
-def brute_force_stable(af: ArgumentationFramework) -> list[list[int]]:
+def brute_force_stable(af: ArgumentationFramework) -> list[int]:
     """Check every subset; only for cross-checking small frameworks. The
     result has the form stable_extensions returns."""
     n = af.n_args
@@ -338,18 +398,18 @@ def brute_force_stable(af: ArgumentationFramework) -> list[list[int]]:
                 ok = False
                 break
         if ok:
-            found.append([i for i in range(n) if (m >> i) & 1])
-    return sorted(found)
+            found.append(_keyed(m, n))
+    return _by_member_lists(found, n)
 
 
-def acceptance(args: list[Argument], extensions, conclusion: Formula,
-               mode: str) -> bool:
-    """Credulous/skeptical acceptance of a conclusion; each extension is
-    any collection of argument ids. Skeptical acceptance over zero
-    extensions is False, not vacuously true."""
+def acceptance(args: list[Argument], extensions: list[int],
+               conclusion: Formula, mode: str) -> bool:
+    """Credulous/skeptical acceptance of a conclusion; each extension is a
+    member mask. Skeptical acceptance over zero extensions is False, not
+    vacuously true."""
     if mode not in ("credulous", "skeptical"):
         raise ValueError("mode must be credulous or skeptical")
-    holders = {a.id for a in args if a.conclusion == conclusion}
+    holders = sum(1 << a.id for a in args if a.conclusion == conclusion)
     if mode == "credulous":
-        return not all(map(holders.isdisjoint, extensions))
-    return bool(extensions) and not any(map(holders.isdisjoint, extensions))
+        return any(map(holders.__and__, extensions))
+    return bool(extensions) and all(map(holders.__and__, extensions))

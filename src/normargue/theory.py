@@ -35,8 +35,8 @@ from enum import Enum
 from pathlib import Path
 
 from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
-                      Oblig, Perm, agents_in, normalize, parse, parse_contrary,
-                      rule_atoms_in, subformulas)
+                      Oblig, Perm, names_in, normalize, parse, parse_contrary,
+                      subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -272,23 +272,27 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         except (SyntaxError, ValidationError) as e:
             raise type(e)("line %d: %s" % (lineno, e)) from None
 
+    # one walk per formula; every unknown agent is reported before any
+    # dangling rule atom, so the first of those waits for the loop's end
     declared = set(agents)
+    defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
+    pending: list[tuple[str, int]] = []
+    dangling = None
     for f, lineno in formula_lines:
-        undeclared = agents_in(f) - declared
+        names, refs = names_in(f)
+        undeclared = names - declared
         if undeclared:
             raise UnknownAgent("line %d: undeclared agent %r"
                                % (lineno, sorted(undeclared)[0]))
-
-    defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
-    pending: list[tuple[str, int]] = []
-    for f, lineno in formula_lines:
-        for name in sorted(rule_atoms_in(f)):
+        for name in sorted(refs):
             if "#" in name:
                 pending.append((name, lineno))
-            elif name not in defeasible_ids:
-                raise DanglingRuleAtom(
+            elif name not in defeasible_ids and dangling is None:
+                dangling = DanglingRuleAtom(
                     "line %d: @%s does not name a defeasible rule"
                     % (lineno, name))
+    if dangling is not None:
+        raise dangling
 
     return Theory(
         agents=tuple(agents),

@@ -198,5 +198,10 @@ def run_pipeline(theory, *, config=None):
                            truncated=truncated)
 
 
+def mask_of(ids):
+    """The member mask of a collection of argument ids."""
+    return sum(1 << i for i in set(ids))
+
+
 def ids_concluding(args, text):
     return {a.id for a in args if str(a.conclusion) == text}

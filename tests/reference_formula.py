@@ -4,13 +4,15 @@ node type is written out on its own, so they are long but independent of
 the precedence table, the head function and the single pre-order walker.
 They gate the new versions on seeded random formulas.
 
-contrary is the conflict test as it was before declared pairs became a set
-lookup: it tests exact negation on normal forms as a case of its own and
-scans every declared pair on each call."""
+normalize and cform are normalization and the implication-free form as
+they were before a formula with nothing to rewrite was returned as itself:
+they rebuild every node. contrary is the conflict test as it was before
+declared pairs became a set lookup: it tests exact negation on normal
+forms as a case of its own and scans every declared pair on each call; it
+reads the rebuilding normal forms."""
 
-from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig, Or,
-                       Perm, Power, Right, RuleAtom, Stit, normalize)
-from normargue.formula import _cform
+from normargue import (And, Atom, Box, Diamond, Formula, Implies, Know, Not,
+                       Oblig, Or, Perm, Power, Right, RuleAtom, Stit)
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
@@ -124,6 +126,33 @@ def rule_atoms_in(f):
     return {x.rule_name for x in subformulas(f) if isinstance(x, RuleAtom)}
 
 
+def _complement(f):
+    return f.f if isinstance(f, Not) else Not(f)
+
+
+def _map(f, g):
+    return type(f)(*[g(v) if isinstance(v, Formula) else v
+                     for v in vars(f).values()])
+
+
+def normalize(f, weak=False):
+    if isinstance(f, Not):
+        return _complement(normalize(f.f, weak))
+    if isinstance(f, Diamond):
+        return Not(Box(_complement(normalize(f.f, weak))))
+    if weak and isinstance(f, Perm):
+        return Not(Oblig(f.agent, None, _complement(normalize(f.f, weak))))
+    return _map(f, lambda x: normalize(x, weak))
+
+
+def cform(f):
+    if isinstance(f, Not):
+        return _complement(cform(f.f))
+    if isinstance(f, Implies):
+        return Not(And(cform(f.left), _complement(cform(f.right))))
+    return _map(f, cform)
+
+
 def _negation_linked(f, g):
     return (isinstance(f, Not) and f.f == g) or (isinstance(g, Not) and g.f == f)
 
@@ -138,7 +167,7 @@ def contrary(f, g, theory=None):
             and f.agent == g.agent and f.toward == g.toward
             and _negation_linked(f.f, g.f)):
         return True
-    if _negation_linked(_cform(f), _cform(g)):
+    if _negation_linked(cform(f), cform(g)):
         return True
     if theory is not None:
         for a, b in theory.contraries:

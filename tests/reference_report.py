@@ -4,7 +4,7 @@ rows from templates, made here from the pipeline's objects with no code of
 the writer. The CLI's output must be json.dumps(..., indent=2) of these,
 byte for byte."""
 
-from normargue import (acceptance, grounded_extension, normalize, parse,
+from normargue import (grounded_extension, normalize, parse,
                        stable_extensions)
 from normargue.semantics import defeat_sort_key
 
@@ -33,14 +33,17 @@ def report(theory, args, defeats, af, truncated, semantics, query_texts):
     if semantics == "grounded":
         extensions = [sorted(grounded_extension(af))]
     else:
-        extensions = [sorted(e) for e in stable_extensions(af)]
+        extensions = [[i for i in range(af.n_args) if e >> i & 1]
+                      for e in stable_extensions(af)]
     queries = []
     for text in query_texts:
         f = normalize(parse(text), theory.weak_mode)
+        holders = {a.id for a in args if a.conclusion == f}
+        held = [not holders.isdisjoint(e) for e in extensions]
         queries.append({
             "formula": str(f),
-            "credulous": acceptance(args, extensions, f, "credulous"),
-            "skeptical": acceptance(args, extensions, f, "skeptical"),
+            "credulous": any(held),
+            "skeptical": bool(held) and all(held),
         })
     return {
         "schema": 1,

@@ -18,6 +18,7 @@ from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
                      run_pipeline)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+THEORIES = Path(__file__).resolve().parent / "theories"
 
 
 def run_cli(capsys, *argv):
@@ -260,10 +261,30 @@ def test_exit_2_on_oracle_with_grounded(capsys):
 
 def test_exit_1_on_extension_failing_its_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stable_extensions",
-                        lambda af: [list(range(af.n_args))])
+                        lambda af: [(1 << af.n_args) - 1])
     code, out, err = run_cli(capsys, "run", str(ABORTION))
     assert code == 1 and not out
     assert "stable check" in err
+
+
+def test_exit_1_on_solver_extension_with_one_bit_flipped(capsys,
+                                                         monkeypatch):
+    # each extension the solver returns is checked from its own mask: a
+    # mask with one member added or removed, anywhere in the list, fails
+    solve = cli.stable_extensions
+    path = THEORIES / "many.naf"
+    n_args, n_exts = 23, 288
+    for k, bit in ((0, 0), (n_exts - 1, n_args - 1), (137, 8), (200, 15)):
+        def flipped(af):
+            exts = solve(af)
+            assert (af.n_args, len(exts)) == (n_args, n_exts)
+            exts[k] ^= 1 << bit
+            return exts
+        monkeypatch.setattr(cli, "stable_extensions", flipped)
+        for flags in ((), ("--json",)):
+            code, out, err = run_cli(capsys, "run", str(path), *flags)
+            assert code == 1 and not out, (k, bit)
+            assert "stable check" in err
 
 
 def test_exit_2_on_bad_query(capsys):
@@ -405,6 +426,33 @@ def test_run_json_matches_golden_output(capsys):
                                          "--semantics", semantics, *flags)
                 assert (code, err) == (0, "")
                 assert out == (GOLDEN / (name + ".json")).read_text(), name
+
+
+# query flags of the multi-extension theories in tests/theories
+THEORY_QUERIES = {
+    "interleaved": ("p0", "t2"),
+    "three_way": ("x", "e2", "s"),
+    "many": ("p0", "t3", "x1"),
+    "wide": ("q", "f", "z40"),
+    "empty": ("p",),
+    "none": ("m",),
+}
+
+
+def test_multi_extension_theories_match_golden_output(capsys):
+    # run --json and the text report with queries on theories whose
+    # components interleave, have three labellings, give 288 extensions or
+    # none, or hold 71 arguments or none, byte for byte as tests/golden
+    # holds them
+    for name, queries in THEORY_QUERIES.items():
+        flags = [x for q in queries for x in ("--query", q)]
+        for json_flag, suffix in ((("--json",), ".json"), ((), ".txt")):
+            code, out, err = run_cli(capsys, "run",
+                                     str(THEORIES / (name + ".naf")),
+                                     *json_flag, *flags)
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / (name + suffix)).read_text(), \
+                (name, suffix)
 
 
 # ------------------------------------------------------------ parser reuse

@@ -6,7 +6,7 @@ from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
                        UnknownOperator, agents_in, conflict_class, contrary,
                        normalize, parse, print_formula, subformulas)
-from normargue.formula import MAX_NESTING, rule_atoms_in
+from normargue.formula import MAX_NESTING, _cform, names_in, rule_atoms_in
 
 import reference_formula as ref
 from helpers import conflict_pair, deep_shapes, random_formula
@@ -218,6 +218,36 @@ def test_normalize_idempotent_and_preserving():
             assert normalize(n1, weak) == n1
             assert agents_in(n1) == agents_in(f)
             assert atom_names(n1) == atom_names(f)
+
+
+def test_normal_forms_are_walked_not_rebuilt():
+    # normalize and _cform equal the rebuilding reference, return a formula
+    # with nothing to rewrite as itself and keep every unchanged subtree
+    rng = random.Random(4711)
+    for weak in (False, True):
+        for _ in range(3000):
+            f = random_formula(rng, depth=rng.randint(0, 5))
+            n = normalize(f, weak)
+            c = _cform(n)
+            assert n == ref.normalize(f, weak) and c == ref.cform(n)
+            assert normalize(n, weak) is n and _cform(c) is c
+            assert normalize(c, weak) is c
+    p = parse("K_a(p & [](q -> r)) | O_b ~s")
+    for f in (p, Not(p)):
+        assert normalize(f) is f and normalize(f, True) is f
+    for f, g in ((And(p, Not(Not(Atom("t")))), And(p, Atom("t"))),
+                 (Diamond(p), Not(Box(Not(p)))),
+                 (Not(Not(Not(p))), Not(p))):
+        assert normalize(f) == g
+        assert p in [x for x in subformulas(normalize(f)) if x is p]
+    k = parse("K_a(p & []q) | O_b ~s")  # implication-free
+    assert _cform(k) is k and _cform(Implies(k, k)).f.left is k
+
+
+def test_names_in_one_walk():
+    f = parse("K_a(@r1 & O_{b,c} @fcp#2) | Power_{d,a} q")
+    assert names_in(f) == ({"a", "b", "c", "d"}, {"r1", "fcp#2"})
+    assert names_in(parse("p")) == (set(), set())
 
 
 # --------------------------------------------------------------- contrary

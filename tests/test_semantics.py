@@ -8,13 +8,14 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        DefeatConfig, DefeatKind, Ordering, TooLarge,
                        acceptance, brute_force_stable, compute_defeats,
                        construct_arguments, grounded_extension,
-                       instantiate_schemes, load_theory, parse, parse_theory,
-                       stable_extensions, verify_extension)
+                       instantiate_schemes, load_theory, members, parse,
+                       parse_theory, stable_extensions, verify_extension)
 
 from helpers import (ABORTION, DOCTOR, KNIFE, disjoint_union,
-                     grounded_by_definition, random_af, random_theory,
-                     run_pipeline)
+                     grounded_by_definition, mask_of, random_af,
+                     random_theory, run_pipeline)
 from reference_defeats import reference_defeats
+from reference_solver import reference_stable
 from reference_verify import reference_verify
 
 # every DefeatConfig: rebut, undermine and undercut ordering
@@ -185,14 +186,14 @@ def test_defeats_scale_with_declared_pairs():
 
 def test_fixture_extensions():
     def extensions(path):
-        return run_pipeline(load_theory(path)).extensions
+        return list(map(members, run_pipeline(load_theory(path)).extensions))
     assert extensions(DOCTOR) == [[0, 1, 2, 3, 4, 5, 7]]
     assert extensions(ABORTION) == [[0, 1, 2, 3, 5, 6]]
     assert extensions(KNIFE) == [[0, 1, 2, 3, 5, 7, 9]]
 
 
 def test_empty_framework():
-    assert stable_extensions(af_of()) == [[]]
+    assert stable_extensions(af_of()) == [0]
     assert grounded_extension(af_of()) == frozenset()
 
 
@@ -205,18 +206,18 @@ def test_odd_cycle_has_no_stable_extension():
 
 
 def test_even_cycle_has_two():
-    assert stable_extensions(af_of((0, 1), (1, 0))) == [[0], [1]]
+    assert stable_extensions(af_of((0, 1), (1, 0))) == [0b01, 0b10]
 
 
 def test_chain():
     af = af_of((0, 1), (1, 2))
-    assert stable_extensions(af) == [[0, 2]]
+    assert stable_extensions(af) == [0b101]
     assert grounded_extension(af) == frozenset({0, 2})
 
 
 def test_isolated_nodes_always_in():
     af = af_of((0, 1), n=4)
-    assert stable_extensions(af) == [[0, 2, 3]]
+    assert stable_extensions(af) == [mask_of([0, 2, 3])]
 
 
 def test_grounded_is_cautious():
@@ -224,15 +225,15 @@ def test_grounded_is_cautious():
     assert grounded_extension(nixon) == frozenset({2})
     exts = stable_extensions(nixon)
     for e in exts:
-        assert grounded_extension(nixon) <= set(e)
+        assert grounded_extension(nixon) <= set(members(e))
 
 
 def test_verify_extension():
     af = af_of((0, 1), (1, 2))
-    assert verify_extension(af, frozenset({0, 2}))
-    assert not verify_extension(af, frozenset({0, 1}))   # conflict
-    assert not verify_extension(af, frozenset({0}))      # 2 undefeated
-    assert not verify_extension(af, frozenset())
+    assert verify_extension(af, 0b101)
+    assert not verify_extension(af, 0b011)   # conflict
+    assert not verify_extension(af, 0b001)   # 2 undefeated
+    assert not verify_extension(af, 0)
 
 
 def test_verify_matches_reference_on_every_subset():
@@ -243,27 +244,27 @@ def test_verify_matches_reference_on_every_subset():
         for size in range(af.n_args + 1):
             for ext in map(frozenset,
                            itertools.combinations(range(af.n_args), size)):
-                got = verify_extension(af, ext)
+                got = verify_extension(af, mask_of(ext))
                 assert got == reference_verify(af, ext), (k, sorted(ext))
                 stable += got
     assert stable > 100  # the subsets include many stable extensions
 
 
 def test_verify_edge_frameworks():
-    assert verify_extension(af_of(), frozenset())
+    assert verify_extension(af_of(), 0)
     # 0 attacks itself and 1; 2 attacks 0
     loop = af_of((0, 0), (0, 1), (2, 0))
-    assert not verify_extension(loop, frozenset({0}))
-    assert not verify_extension(loop, frozenset({0, 2}))
-    assert verify_extension(loop, frozenset({1, 2}))
-    assert not verify_extension(af_of((0, 0)), frozenset())
-    # same size, opposite defeat: each keeps its own masks
+    assert not verify_extension(loop, 0b001)
+    assert not verify_extension(loop, 0b101)
+    assert verify_extension(loop, 0b110)
+    assert not verify_extension(af_of((0, 0)), 0)
+    # same size, opposite defeat: each keeps its own tables
     forward, backward = af_of((0, 1)), af_of((1, 0))
     for _ in range(2):
-        assert verify_extension(forward, frozenset({0}))
-        assert not verify_extension(backward, frozenset({0}))
-        assert verify_extension(backward, frozenset({1}))
-        assert not verify_extension(forward, frozenset({1}))
+        assert verify_extension(forward, 0b01)
+        assert not verify_extension(backward, 0b01)
+        assert verify_extension(backward, 0b10)
+        assert not verify_extension(forward, 0b10)
 
 
 def test_brute_force_matches_and_caps():
@@ -304,12 +305,56 @@ def test_solver_against_brute_force_on_disjoint_unions():
             assert verify_extension(af, e), (k, e)
 
 
+def with_extensions(rng, max_n=12):
+    """A random framework with at least one stable extension."""
+    while True:
+        af = random_af(rng, max_n)
+        if stable_extensions(af):
+            return af
+
+
+def test_solver_matches_reference_product():
+    # the product and order built on ints against the per-component list
+    # product and sort; the unions reach past 64 arguments, so masks span
+    # several bytes and machine words
+    rng = random.Random(5150)
+    for k in range(300):
+        af = random_af(rng)
+        assert list(map(members, stable_extensions(af))) == \
+            reference_stable(af), k
+    sizes, several = [], 0
+    for k in range(200):
+        af = disjoint_union(*(with_extensions(rng)
+                              for _ in range(rng.randint(2, 14))))
+        got = stable_extensions(af)
+        assert list(map(members, got)) == reference_stable(af), k
+        assert all(verify_extension(af, m) for m in got), k
+        sizes.append(af.n_args)
+        several += len(got) > 1
+    assert max(sizes) > 64 and several > 50
+
+
+def test_members_and_masks():
+    assert members(0) == []
+    assert members(0b1011) == [0, 1, 3]
+    ids = [0, 7, 8, 63, 64, 65, 200]
+    assert members(mask_of(ids)) == ids
+
+
+def test_verify_rejects_masks_outside_the_framework():
+    af = af_of((0, 1), (1, 0), n=3)
+    assert verify_extension(af, 0b101)
+    assert not verify_extension(af, 0b101 | 1 << 3)  # a fourth argument
+    assert not verify_extension(af, -1)
+    assert not verify_extension(af, ~0b010)
+
+
 def test_extensions_sorted_across_components():
     # components {0, 3, 5, 6} and {1, 4}, 2 isolated: the product of the
     # per-component lists, {0,3}|{0,5} by {1}|{4}, would put {0,2,3,4}
     # before {0,1,2,5}
     af = af_of((0, 6), (5, 6), (3, 5), (5, 3), (1, 4), (4, 1))
-    assert stable_extensions(af) == [
+    assert list(map(members, stable_extensions(af))) == [
         [0, 1, 2, 3], [0, 1, 2, 5], [0, 2, 3, 4], [0, 2, 4, 5]]
 
 
@@ -325,8 +370,8 @@ def test_deep_ladder_solves_without_recursion():
     af = af_of(*edges)
     exts = stable_extensions(af)
     assert len(exts) == n + 1
-    assert exts[0] == list(range(0, 2 * n, 2))
-    assert exts[-1] == list(range(1, 2 * n, 2))
+    assert members(exts[0]) == list(range(0, 2 * n, 2))
+    assert members(exts[-1]) == list(range(1, 2 * n, 2))
     for e in exts[::100]:
         assert verify_extension(af, e)
 
@@ -355,7 +400,7 @@ def test_acceptance_modes():
 def test_acceptance_splits_on_multiple_extensions():
     prem = Argument(0, frozenset({"p1"}), (), None, parse("p"), False, True, 0)
     other = Argument(1, frozenset({"p2"}), (), None, parse("q"), False, True, 0)
-    exts = [frozenset({0}), frozenset({1})]
+    exts = [0b01, 0b10]
     assert acceptance([prem, other], exts, parse("p"), "credulous")
     assert not acceptance([prem, other], exts, parse("p"), "skeptical")
 

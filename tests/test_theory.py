@@ -235,6 +235,22 @@ def test_dangling_rule_atom():
                     "RULE strict r1: p |- q\nCONTRARY: p ~ @r1")
 
 
+def test_unknown_agent_reported_before_dangling_rule_atom():
+    # one walk per formula finds both kinds; an unknown agent on any line
+    # wins over a dangling rule atom on an earlier one, and among dangling
+    # atoms the first line wins
+    text = ("AGENTS: a\nPREMISE axiom p1: p\nCONTRARY: p ~ @nope\n"
+            "CONTRARY: q ~ @gone\nRULE strict r1: p |- K_b(q)\n"
+            "PREMISE axiom p2: O_c(@nope)\n")
+    with pytest.raises(UnknownAgent) as err:
+        parse_theory(text)
+    assert str(err.value) == "line 5: undeclared agent 'b'"
+    without_agents = "\n".join(text.splitlines()[:4])
+    with pytest.raises(DanglingRuleAtom) as err:
+        parse_theory(without_agents)
+    assert str(err.value) == "line 3: @nope does not name a defeasible rule"
+
+
 def test_dangling_generated_ref_caught_at_instantiation():
     text = ("AGENTS: c\nPREMISE axiom px: x\nPREMISE axiom pb: P_c(q)\n"
             "CONTRARY: x ~ @fcp#9\n")
