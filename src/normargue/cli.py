@@ -23,29 +23,30 @@ is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.
 
 Extensions travel as member masks (bit i set for argument i, see
 semantics) from the solver to the report. Before anything is printed,
-every stable extension is checked by verify_extension: two int tests on
-that mask against the members' victims, computed from the mask and the
-defeat graph alone. The same masks are what the rows are written from
-and what the queries test.
+every stable extension is checked by verify_extension, from its own mask
+and the defeat graph alone; one call checks them all. The same masks are
+what the rows are written from and what the queries test.
 
 The --json report is exactly json.dumps(report, indent=2), and export
 --format json exactly json.dumps(payload, indent=2), but neither object
 is built: _dump_report joins top-level fields handed in already encoded.
 Argument and defeat rows fill fixed templates, with strings encoded by
-json's C encode_basestring_ascii, and each extension row is joined from
-one token string per byte of its mask, made on first use (semantics.
-per_byte); only the theory summary and the queries go through
-json.dumps. The text report decodes each mask into its ids and is
-printed by one join of its lines. Each argument's conclusion is printed
-once, for the JSON rows, the text report and the DOT labels alike.
+json's C encode_basestring_ascii. Extension rows are written column by
+column: each byte column of the masks (semantics.byte_columns) maps
+through a table of token strings, one per byte value, made on first use,
+and each row joins its entries from every column; only the theory
+summary and the queries go through json.dumps. The text report decodes
+each mask into its ids and is printed by one join of its lines. Each
+argument's conclusion is printed once, for the JSON rows, the text report
+and the DOT labels alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
-import operator
 import os
 import sys
 
@@ -53,8 +54,8 @@ from .arguments import Argument, Ordering, classify, construct_arguments
 from .formula import normalize, parse
 from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
                         DefeatKind, TooLarge, acceptance, brute_force_stable,
-                        compute_defeats, defeat_sort_key, grounded_extension,
-                        members, per_byte, stable_extensions,
+                        byte_columns, compute_defeats, defeat_sort_key,
+                        grounded_extension, members, stable_extensions,
                         verify_extension)
 from .theory import Theory, ValidationError, instantiate_schemes, load_theory
 
@@ -137,14 +138,35 @@ def _defeat_rows(defeats: list[Defeat]) -> list[str]:
             for d in defeats]
 
 
+class _Tokens(dict):
+    """Row tokens for one byte of extension masks: byte value v maps to
+    the tokens of v's set bits joined in ascending order. Entries are made
+    on first lookup, so a table costs what its lookups touch."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: list[str]):
+        super().__init__()
+        self.tokens = tokens
+
+    def __missing__(self, v: int) -> str:
+        r = self[v] = "".join(itertools.compress(
+            self.tokens, [v >> j & 1 for j in range(8)]))
+        return r
+
+
 def _extension_rows(extensions: list[int], n_args: int) -> list[str]:
-    """One row per extension mask, one member per line, joined from one
-    token string per byte of the mask (see semantics.per_byte)."""
-    tables = per_byte([",\n      %d" % i for i in range(n_args)], "".join)
-    n_bytes = len(tables)
-    return ["[" + "".join(map(operator.getitem, tables, m.to_bytes(
-        n_bytes, "little")))[1:] + "\n    ]" if m else "[]"
-        for m in extensions]
+    """One row per extension mask, one member per line, written column by
+    column: each byte column of the masks (see semantics.byte_columns)
+    maps through a table of its arguments' tokens, and each row joins its
+    mask's entries from every column."""
+    if not n_args:  # no byte columns, and every mask is empty
+        return ["[]"] * len(extensions)
+    tokens = [",\n      %d" % i for i in range(n_args)]
+    columns = [map(_Tokens(tokens[8 * k:8 * k + 8]).__getitem__, column)
+               for k, column in enumerate(byte_columns(extensions, n_args))]
+    return ["[" + row[1:] + "\n    ]" if row else "[]"
+            for row in map("".join, zip(*columns))]
 
 
 def _dump_report(fields: dict[str, str]) -> str:
@@ -168,7 +190,7 @@ def cmd_run(ns) -> int:
         extensions = [sum(1 << i for i in grounded_extension(af))]
     else:
         extensions = stable_extensions(af)
-        if not all(map(functools.partial(verify_extension, af), extensions)):
+        if not verify_extension(af, *extensions):
             print("error: a solver extension fails the stable check",
                   file=sys.stderr)
             return 1

@@ -427,6 +427,16 @@ def print_formula(f: Formula) -> str:
     return head + "(" + body + ")"
 
 
+def parses_back(f: Formula) -> bool:
+    """Whether print_formula(f) nests within MAX_NESTING levels, so that
+    parse reads it back."""
+    try:
+        parse(print_formula(f))
+    except SyntaxError:
+        return False
+    return True
+
+
 # ------------------------------------------------------------- normalizing
 
 def _complement(f: Formula, node: Not | None = None) -> Formula:
@@ -454,7 +464,18 @@ def normalize(f: Formula, weak: bool = False) -> Formula:
     """Eliminate double negation and rewrite Diamond g as ~[]~g. With the
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
     implication is left untouched. A normal form is returned as itself,
-    walked but not rebuilt."""
+    walked but not rebuilt.
+
+    Printed, the normal form of a formula that can be written n levels
+    deep nests at most 2n + 1 levels, and at most 2n when it does not
+    start with ~. By induction over f: ~ g cancels the leading ~ of g's
+    normal form or adds one level over it (two around a connective, whose
+    parentheses any text of f has too); <> g and weak P_a g print as ~[]
+    over that normal form with its leading ~ cancelled, or as ~[]~ over
+    one without, printed at most 2n - 2 deep; any other operator adds one
+    level, or two where the printer parenthesizes an atom or connective
+    under it. So only a formula written more than (MAX_NESTING - 1) // 2
+    levels deep can print too deep to parse."""
     if isinstance(f, Not):
         return _complement(normalize(f.f, weak), f)
     if isinstance(f, Diamond):

@@ -18,8 +18,8 @@ forms (see Theory), so they are indexed as they are, and each distinct
 conclusion's class is computed once.
 
 Each framework builds its defeat graph, the attackers and victims of
-every argument, once on first use; the solvers, the verification tables
-and brute force all read it.
+every argument, once on first use; the solvers, verification and brute
+force all read it.
 
 Extensions are stable (conflict-free, defeating every outsider). Each
 extension is carried as one int, its member mask: bit i is set when
@@ -37,11 +37,12 @@ grounded_extension counts each argument's attackers not yet rejected and
 accepts it when the count reaches zero, in O(n + E). members lists the ids
 of a mask, for the readers that need them.
 
-verify_extension checks a member mask directly and apart from the
-solver: whom the members defeat is computed from the mask and the defeat
-graph alone, by one lookup per byte of the mask in per-byte tables of the
-OR of the victims' masks, which each framework fills on demand (see
-per_byte); then the two stable conditions are two int tests.
+verify_extension checks member masks directly and apart from the
+solver, from the masks and the defeat graph alone: an argument is a
+member exactly when none of its attackers is. It checks any number of
+masks in one bit-sliced pass. byte_columns lays byte k of every mask side
+by side, each argument's bit becomes one int holding a 0/1 byte per mask,
+and the condition is one xor and an OR over the attackers per argument.
 acceptance builds the holders of a conclusion as one mask and tests it
 against each extension. brute_force_stable is an independent cross-check
 for small frameworks.
@@ -105,36 +106,15 @@ class ArgumentationFramework:
             victims[d.attacker].add(d.target)
         return attackers, victims
 
-    @functools.cached_property
-    def _hit_tables(self) -> list[PerByte]:
-        """Per byte of a member mask, byte value -> the mask of every
-        argument that the members in that byte defeat."""
-        return per_byte([sum(1 << t for t in v) for v in self._graph[1]],
-                        lambda hits: functools.reduce(operator.or_, hits, 0))
 
-
-class PerByte(dict):
-    """A lookup table for one byte of a member mask: byte value v maps to
-    fold of the items of v's set bits, in ascending order. Entries are
-    made on first lookup, so a table costs what its lookups touch."""
-
-    __slots__ = ("items", "fold")
-
-    def __init__(self, items, fold):
-        super().__init__()
-        self.items, self.fold = items, fold
-
-    def __missing__(self, v: int):
-        r = self[v] = self.fold(itertools.compress(
-            self.items, [v >> j & 1 for j in range(8)]))
-        return r
-
-
-def per_byte(items: list, fold) -> list[PerByte]:
-    """Tables for every byte of a mask over len(items) arguments: item i
-    belongs to argument i. A mask m is looked up byte by byte, as in
-    map(operator.getitem, tables, m.to_bytes(len(tables), "little"))."""
-    return [PerByte(items[k:k + 8], fold) for k in range(0, len(items), 8)]
+def byte_columns(masks: tuple[int, ...] | list[int], n: int) -> list[bytes]:
+    """The masks over n arguments (each 0 <= m < 2**n) sliced by byte:
+    column k holds byte k of every mask, in the order of the masks, so
+    bit j of its e-th byte says whether argument 8k + j is in mask e."""
+    nb = (n + 7) // 8
+    blob = b"".join(map(int.to_bytes, masks, itertools.repeat(nb),
+                        itertools.repeat("little")))
+    return [blob[k::nb] for k in range(nb)]
 
 
 def members(mask: int) -> list[int]:
@@ -365,18 +345,30 @@ def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
     return frozenset(accepted)
 
 
-def verify_extension(af: ArgumentationFramework, ext: int) -> bool:
-    """Direct check of the two stable conditions on a member mask of af:
-    no member defeats a member, and every other argument is defeated by a
-    member. Whom the members defeat is read from the mask and the defeat
-    graph alone, one table lookup per byte of the mask."""
+# _BIT[j] maps each byte value to bit j of it, as the byte 0 or 1
+_BIT = [bytes(v >> j & 1 for v in range(256)) for j in range(8)]
+
+
+def verify_extension(af: ArgumentationFramework, *masks: int) -> bool:
+    """Direct check of the stable conditions on any number of member masks
+    of af: True when every one of them is a stable extension. Read from
+    the masks and the defeat graph alone, per argument (Dung 1995): i is a
+    member exactly when no attacker of i is, which is conflict-freedom and
+    every outsider defeated at once. All masks are checked together,
+    bit-sliced: held[i] holds one byte per mask, 1 where i is a member, so
+    the test is held[i] ^ OR(held[a] for a attacking i) == one 1 per mask,
+    in O(n + E) operations on ints of len(masks) bytes."""
+    if not masks:
+        return True
     n = af.n_args
-    if ext >> n:  # a negative mask, or one holding bits past n_args
+    if min(masks) < 0 or max(masks) >> n:  # bits outside the framework
         return False
-    tables = af._hit_tables
-    hit = functools.reduce(operator.or_, map(
-        operator.getitem, tables, ext.to_bytes(len(tables), "little")), 0)
-    return not ext & hit and ext | hit == (1 << n) - 1
+    columns = byte_columns(masks, n)
+    held = [int.from_bytes(columns[i >> 3].translate(_BIT[i & 7]), "little")
+            for i in range(n)]
+    everyone = int.from_bytes(b"\x01" * len(masks), "little")
+    return all(h ^ functools.reduce(operator.or_, map(held.__getitem__, a), 0)
+               == everyone for h, a in zip(held, af._graph[0]))
 
 
 def brute_force_stable(af: ArgumentationFramework) -> list[int]:

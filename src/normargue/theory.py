@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
-                      Oblig, Perm, names_in, normalize, parse, parse_contrary,
-                      subformulas)
+from .formula import (_PREFIX_TYPES, MAX_NESTING, And, Box, Formula, Implies,
+                      Know, Not, Oblig, Perm, names_in, normalize, parse,
+                      parse_contrary, parses_back, subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -173,10 +173,24 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                               % (ident, id_lines[ident]))
         id_lines[ident] = lineno
 
-    def normal(f: Formula, lineno: int) -> Formula:
-        f = normalize(f, weak_mode)
-        formula_lines.append((f, lineno))
-        return f
+    def normal(f: Formula, lineno: int, written: int,
+               verbatim: bool = True) -> Formula:
+        """f in normal form, checked to print within MAX_NESTING levels
+        unless it is as the line wrote it (verbatim, and normalization
+        left it alone), which parse has checked. A text of f nests at most
+        written levels, so f can print too deep only when written exceeds
+        (MAX_NESTING - 1) // 2 (see normalize), and is printed only then.
+        A text nests at most as many levels as it has characters."""
+        g = normalize(f, weak_mode)
+        if (g is not f or not verbatim) and 2 * written + 1 > MAX_NESTING \
+                and not parses_back(g):
+            raise SyntaxError("formula nests deeper than %d levels once "
+                              "normalized" % MAX_NESTING)
+        formula_lines.append((g, lineno))
+        return g
+
+    def read(text: str, lineno: int) -> Formula:
+        return normal(parse(text), lineno, len(text))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -202,8 +216,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                     raise SyntaxError(
                         "expected PREMISE axiom|prem <id>: <formula>")
                 declare_id(m.group(2), lineno)
-                premises.append(Premise(m.group(2),
-                                        normal(parse(m.group(3)), lineno),
+                premises.append(Premise(m.group(2), read(m.group(3), lineno),
                                         _STRENGTHS[m.group(1)]))
 
             elif head == "RULE":
@@ -222,9 +235,9 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 ants = parts[0].split(";")
                 if not any(a.strip() for a in ants):
                     raise SyntaxError("rule needs at least one antecedent")
-                antecedents = tuple(normal(parse(a), lineno) for a in ants)
+                antecedents = tuple(read(a, lineno) for a in ants)
                 rules.append(Rule(m.group(2), antecedents,
-                                  normal(parse(parts[1]), lineno), kind))
+                                  read(parts[1], lineno), kind))
 
             elif head == "CONTRARY":
                 rest = line.split(":", 1)
@@ -235,7 +248,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 except SyntaxError:
                     raise SyntaxError(
                         "CONTRARY needs two formulas separated by ~") from None
-                contraries.append((normal(f, lineno), normal(g, lineno)))
+                contraries.append((normal(f, lineno, len(rest[1])),
+                                   normal(g, lineno, len(rest[1]))))
 
             elif head == "SCHEME":
                 m = _SCHEME_RE.match(line)
@@ -263,8 +277,11 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 n_positions += 1
                 pid = "pos#%d" % n_positions
                 declare_id(pid, lineno)
+                # to_formula puts at most ~, O or Power and ~ over the
+                # body, and parentheses around it
                 premises.append(Premise(
-                    pid, normal(to_formula(pos), lineno),
+                    pid, normal(to_formula(pos), lineno, len(body) + 4,
+                                verbatim=False),
                     _STRENGTHS.get(tag, Strength.AXIOM)))
 
             else:

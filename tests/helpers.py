@@ -186,6 +186,25 @@ def random_theory(rng):
         return theory
 
 
+def theory_text(theory):
+    """Theory-file text that loads back as theory before grounding: its
+    agents, premises, contraries and scheme toggles, and its rules other
+    than those that scheme grounding generated (ids with #)."""
+    strengths = {Strength.AXIOM: "axiom", Strength.ORDINARY: "prem"}
+    separators = {RuleKind.STRICT: "|-", RuleKind.DEFEASIBLE: "|~"}
+    lines = ["AGENTS: " + ", ".join(theory.agents)]
+    lines += ["PREMISE %s %s: %s" % (strengths[p.strength], p.id, p.formula)
+              for p in theory.premises]
+    lines += ["RULE %s %s: %s %s %s" % (
+        r.kind.value, r.id, "; ".join(map(str, r.antecedents)),
+        separators[r.kind], r.consequent)
+        for r in theory.rules if "#" not in r.id]
+    lines += ["CONTRARY: %s ~ %s" % pair for pair in theory.contraries]
+    lines += ["SCHEME %s %s" % (name, ("off", "on")[on])
+              for name, on in vars(theory.schemes).items()]
+    return "\n".join(lines) + "\n"
+
+
 def run_pipeline(theory, *, config=None):
     """Ground, build, defeat and solve a theory from load_theory or
     parse_theory."""

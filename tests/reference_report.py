@@ -27,14 +27,19 @@ def defeat_dict(d):
             "kind": d.kind.value, "locus": d.locus}
 
 
+def extension_lists(masks, n_args):
+    """The member lists of extension masks over n_args arguments, read bit
+    by bit."""
+    return [[i for i in range(n_args) if e >> i & 1] for e in masks]
+
+
 def report(theory, args, defeats, af, truncated, semantics, query_texts):
     """The report of `run --json` for a pipeline's theory, arguments,
     defeats, framework and truncation flag."""
     if semantics == "grounded":
         extensions = [sorted(grounded_extension(af))]
     else:
-        extensions = [[i for i in range(af.n_args) if e >> i & 1]
-                      for e in stable_extensions(af)]
+        extensions = extension_lists(stable_extensions(af), af.n_args)
     queries = []
     for text in query_texts:
         f = normalize(parse(text), theory.weak_mode)

@@ -7,7 +7,7 @@ import pytest
 
 from normargue import (ArgumentationFramework, Atom, Defeat, DefeatKind, Not,
                        Premise, Rule, RuleAtom, RuleKind, Strength, Theory,
-                       load_theory)
+                       load_theory, parse)
 from normargue import cli
 from normargue.cli import main
 
@@ -329,6 +329,49 @@ def test_nesting_limit_shapes(capsys, tmp_path):
         assert_one_error_line(err, "offset", "nests deeper")
 
 
+def test_normal_form_too_deep_to_print_exits_2(capsys, tmp_path):
+    # <> K_a, <> [] and weak P_a K_a pairs nest two levels as written and
+    # four once normalized, plus the printer's parentheses around p: the
+    # conclusion of 24 pairs prints 97 levels deep and parses back as a
+    # query, 25 pairs would print 101 and their line is refused
+    f = tmp_path / "deep.naf"
+    theory = ("AGENTS: a\nPREMISE axiom x: %s\nRULE strict r1: %s |- %s\n"
+              "CONTRARY: %s ~ %s\nSCHEME fcp off\nSCHEME owp off\n")
+    for pair, flags in (("<> K_a ", ()), ("<> [] ", ()),
+                        ("P_a K_a ", ("--weak-mode",))):
+        ok, deep = pair * 24 + "p", pair * 25 + "p"
+        f.write_text(theory % (ok, ok, "q", ok, "q"))
+        code, out, err = run_cli(capsys, "run", str(f), "--json", *flags)
+        assert code == 0 and not err, pair
+        printed = json.loads(out)["arguments"][0]["conclusion"]
+        assert len(printed) > len(ok)
+        code, out, err = run_cli(capsys, "run", str(f), "--json", *flags,
+                                 "--query", printed)
+        assert code == 0 and not err, pair
+        assert json.loads(out)["queries"][0]["credulous"] is True
+        for lineno, fields in ((2, (deep, ok, "q", ok, "q")),
+                               (3, (ok, deep, "q", ok, "q")),
+                               (3, (ok, ok, deep, ok, "q")),
+                               (4, (ok, ok, "q", deep, "q")),
+                               (4, (ok, ok, "q", "q", deep))):
+            f.write_text(theory % fields)
+            code, out, err = run_cli(capsys, "run", str(f), *flags)
+            assert code == 2 and not out, (pair, fields)
+            assert_one_error_line(err, "line %d: formula nests deeper than "
+                                  "%d levels once normalized"
+                                  % (lineno, MAX_NESTING))
+    # a position puts O_{b,a} over its body: 98 [] print 100 levels deep
+    # with the parentheses around p, 99 would print 101
+    position = "AGENTS: a, b\nPOSITION claim_right(a, b): %sp\n"
+    f.write_text(position % ("[] " * 98))
+    code, out, err = run_cli(capsys, "run", str(f), "--json")
+    assert code == 0 and parse(json.loads(out)["arguments"][0]["conclusion"])
+    f.write_text(position % ("[] " * 99))
+    code, out, err = run_cli(capsys, "run", str(f), "--json")
+    assert code == 2 and not out
+    assert_one_error_line(err, "line 2: formula nests deeper")
+
+
 def test_recursion_crash_sizes_exit_2(capsys, tmp_path):
     # p0 & ... & p499, a 500-atom -> chain, 300 parentheses and 3000
     # chained ~ or [] once overflowed the stack
@@ -576,6 +619,24 @@ def test_report_writer_edge_cases(capsys, monkeypatch, tmp_path):
     report = run_report(capsys, monkeypatch, str(KNIFE), "--semantics",
                         "grounded")
     assert report["semantics"] == "grounded" and report["queries"] == []
+
+
+def test_extension_rows_match_reference():
+    # rows written column by column against the reference's member lists:
+    # no byte column at all, one full byte and one bit into a second, each
+    # with more extensions than a byte has values
+    rng = random.Random(4177)
+    for n, masks in ((0, [0] * 300), (8, list(range(256)) + [0, 255, 1]),
+                     (9, [rng.getrandbits(9) for _ in range(600)]),
+                     (9, [0, 1 << 8, 0b1_0000_0001] * 100)):
+        rng.shuffle(masks)
+        expected = json.dumps(
+            {"extensions": reference_report.extension_lists(masks, n)},
+            indent=2)
+        got = cli._dump_report(
+            {"extensions": cli._array(cli._extension_rows(masks, n))})
+        assert got == expected, n
+    assert cli._extension_rows([], 0) == cli._extension_rows([], 9) == []
 
 
 def test_report_writer_escapes_strings(capsys, monkeypatch):

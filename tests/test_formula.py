@@ -6,7 +6,8 @@ from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
                        UnknownOperator, agents_in, conflict_class, contrary,
                        normalize, parse, print_formula, subformulas)
-from normargue.formula import MAX_NESTING, _cform, names_in, rule_atoms_in
+from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
+                               parses_back, rule_atoms_in)
 
 import reference_formula as ref
 from helpers import conflict_pair, deep_shapes, random_formula
@@ -190,6 +191,31 @@ def test_normalize_diamond():
     assert normalize(parse("<>(p & q)")) == parse("~[]~(p & q)")
     # inner double negation collapses before wrapping
     assert normalize(parse("<>~~p")) == parse("~[]~p")
+
+
+def nesting(text):
+    """The nesting level parse reaches on text."""
+    return _Parser(text).binary(0)[1]
+
+
+def test_normal_form_prints_at_most_twice_as_deep():
+    # the bound that lets the loader skip printing short formulas: written
+    # n levels deep, a normal form prints at most 2n + 1 deep, and 2n when
+    # it does not start with ~; alternating <> K_a reaches it
+    rng = random.Random(2024)
+    for _ in range(5000):
+        f = random_formula(rng, depth=rng.randint(0, 6))
+        n = nesting(print_formula(f))
+        for weak in (False, True):
+            g = normalize(f, weak)
+            assert nesting(print_formula(g)) <= 2 * n + isinstance(g, Not), \
+                (str(f), weak)
+    for k in range(1, 25):
+        text = "<> K_a " * k + "p"
+        g = normalize(parse(text))
+        assert nesting(print_formula(g)) == 2 * nesting(text) + 1
+        assert parses_back(g)
+    assert not parses_back(normalize(parse("<> K_a " * 25 + "p")))
 
 
 def test_normalize_weak_permission():

@@ -1,16 +1,21 @@
-"""Whole-pipeline fuzzing: seeded mutations of the fixtures run through
-cli.main with random flags. Every run must end with a documented exit code,
-a failing one with exactly one error line, and a report's formulas must
-survive a print/parse round trip."""
+"""Whole-pipeline fuzzing through cli.main. Seeded mutations of the
+fixtures run with random flags: every run must end with a documented exit
+code, a failing one with exactly one error line, and a report's formulas
+must survive a print/parse round trip. Seeded random theories, written out
+as theory files, must give reports that keep the invariants of the
+semantics: grounded within every stable extension, every stable extension
+complete, and each defeat at a locus of its kind."""
 
 import json
 import random
 import re
 
-from normargue import cli, parse, print_formula
+from normargue import (RuleKind, Strength, cli, instantiate_schemes, parse,
+                       parse_theory, print_formula)
 from normargue.formula import MAX_NESTING
 
-from helpers import ABORTION, DOCTOR, KNIFE, deep_shapes
+from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
+                     theory_text)
 
 # identifiers (with @refs and scheme ids), two-character operators, single
 # punctuation, and whitespace kept so that lines stay lines
@@ -101,3 +106,71 @@ def test_fuzz_pipeline_exits_cleanly(capsys, tmp_path):
                 assert print_formula(parse(text)) == text, (case, text)
     # the mutations leave enough theories intact to reach every command
     assert len(codes) > 150 and set(codes) == {"run", "export", "check"}
+
+
+def run_json(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2), (argv, err)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1 and not out
+        return None
+    return json.loads(out)
+
+
+def test_fuzz_random_theories_keep_invariants(capsys, tmp_path):
+    rng = random.Random(7331)
+    path = tmp_path / "random.naf"
+    ran = multiple = defeats = 0
+    for case in range(800):
+        theory = random_theory(rng)
+        text = theory_text(theory)
+        path.write_text(text)
+        flags = ["--max-depth", str(theory.max_depth)]
+        flags += ["--weak-mode"] * theory.weak_mode
+        flags += ["--undercut-gated"] * (rng.random() < 0.3)
+        report = run_json(capsys, ["run", str(path), "--json"] + flags)
+        if report is None:  # e.g. a rule atom naming no defeasible rule
+            continue
+        grounded = run_json(capsys, ["run", str(path), "--json",
+                                     "--semantics", "grounded"] + flags)
+        loaded = instantiate_schemes(parse_theory(
+            text, weak_mode=theory.weak_mode, max_depth=theory.max_depth))
+        assert (loaded.premises, loaded.rules, loaded.contraries) == \
+            (theory.premises, theory.rules, theory.contraries), case
+        kinds = {r.id: r.kind for r in loaded.rules}
+        strengths = {p.id: p.strength for p in loaded.premises}
+        args = report["arguments"]
+        closure = []  # each argument's sub-arguments, itself included
+        for a in args:
+            closure.append({a["id"]}.union(*(closure[s]
+                                             for s in a["sub_args"])))
+        attackers = {a["id"]: set() for a in args}
+        for d in report["defeats"]:
+            attackers[d["target"]].add(d["attacker"])
+            target, locus = closure[d["target"]], d["locus"]
+            if d["kind"] == "rebut":
+                assert locus in target, (case, d)
+                assert kinds[args[locus]["top_rule"]] is RuleKind.DEFEASIBLE
+            elif d["kind"] == "undermine":
+                assert locus in args[d["target"]]["premises"], (case, d)
+                assert strengths[locus] is Strength.ORDINARY, (case, d)
+            else:
+                assert kinds[locus] is RuleKind.DEFEASIBLE, (case, d)
+                assert locus in {args[s]["top_rule"] for s in target}
+        for ext in map(set, report["extensions"]):
+            # complete: conflict-free, and holding exactly the arguments
+            # whose every attacker it attacks
+            assert not any(attackers[i] & ext for i in ext), case
+            defended = {i for i in attackers
+                        if all(attackers[a] & ext for a in attackers[i])}
+            assert defended == ext, case
+        if report["extensions"]:
+            assert set(grounded["extensions"][0]) <= set.intersection(
+                *map(set, report["extensions"])), case
+        ran += 1
+        multiple += len(report["extensions"]) > 1
+        defeats += bool(report["defeats"])
+    # most random theories have one extension; a few have several
+    assert ran > 300 and multiple > 5 and defeats > 120, (ran, multiple,
+                                                          defeats)

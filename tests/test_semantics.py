@@ -349,6 +349,76 @@ def test_verify_rejects_masks_outside_the_framework():
     assert not verify_extension(af, ~0b010)
 
 
+def check_masks(af, masks):
+    """verify_extension on all masks in one call agrees with the reference
+    on each; returns that verdict."""
+    expected = all(reference_verify(af, members(m)) for m in masks)
+    assert verify_extension(af, *masks) == expected
+    return expected
+
+
+def test_verify_many_masks_matches_reference():
+    # the full solver output in one call, then that output with one bit
+    # flipped in its first, middle or last mask: one member added to or
+    # taken from a stable extension never leaves it stable
+    rng = random.Random(9753)
+    frameworks = [with_extensions(rng) for _ in range(200)]
+    frameworks += [disjoint_union(*(with_extensions(rng)
+                                    for _ in range(rng.randint(2, 14))))
+                   for _ in range(80)]
+    for k, af in enumerate(frameworks):
+        exts = stable_extensions(af)
+        assert check_masks(af, exts), k
+        for pos in {0, len(exts) // 2, len(exts) - 1}:
+            for bit in {0, af.n_args - 1, rng.randrange(af.n_args)} \
+                    if af.n_args else ():
+                flipped = list(exts)
+                flipped[pos] ^= 1 << bit
+                assert not check_masks(af, flipped), (k, pos, bit)
+    assert max(af.n_args for af in frameworks) > 64
+    # masks that are not solver output, most of them not stable, alone and
+    # mixed into the solver's
+    for k in range(300):
+        af = random_af(rng)
+        exts = stable_extensions(af)
+        masks = [rng.getrandbits(af.n_args) for _ in range(rng.randint(1, 4))]
+        check_masks(af, masks)
+        mixed = exts + masks
+        rng.shuffle(mixed)
+        check_masks(af, mixed)
+
+
+def test_verify_many_masks_edge_cases():
+    assert verify_extension(af_of((0, 1)))  # no masks
+    assert verify_extension(af_of())
+    assert verify_extension(af_of(), 0, 0)
+    assert not verify_extension(af_of(), 0, 1)
+    # mutual pairs (0, 1), (2, 3), ..., across byte boundaries; an odd last
+    # argument has no defeats and is in every extension
+    for n in (7, 8, 9, 16, 17):
+        af = af_of(*((i + d, i + 1 - d) for i in range(0, n - 1, 2)
+                     for d in (0, 1)), n=n)
+        exts = stable_extensions(af)
+        assert len(exts) == 2 ** (n // 2)
+        assert verify_extension(af, *exts)
+        for bit in range(n):  # every argument, in the first and last mask
+            for pos in (0, -1):
+                flipped = list(exts)
+                flipped[pos] ^= 1 << bit
+                assert not verify_extension(af, *flipped), (n, bit, pos)
+        for bad in (exts[0] | 1 << n, 1 << n, -1, ~exts[0], -exts[-1]):
+            for pos in (0, len(exts) // 2, len(exts)):
+                masks = list(exts)
+                masks.insert(pos, bad)
+                assert not verify_extension(af, *masks), (n, bad, pos)
+    # self-attacks: 0 attacks itself and 1, 2 attacks 0; a lone self-attacker
+    loop = af_of((0, 0), (0, 1), (2, 0))
+    assert verify_extension(loop, 0b110, 0b110)
+    assert not verify_extension(loop, 0b110, 0b111)
+    assert not verify_extension(loop, 0b101, 0b110)
+    assert not verify_extension(af_of((0, 0)), 0, 1)
+
+
 def test_extensions_sorted_across_components():
     # components {0, 3, 5, 6} and {1, 4}, 2 isolated: the product of the
     # per-component lists, {0,3}|{0,5} by {1}|{4}, would put {0,2,3,4}
