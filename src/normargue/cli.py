@@ -15,11 +15,13 @@ the depth otherwise.
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
-formula nesting deeper than formula.MAX_NESTING levels, a negative
---max-depth or --max-args, and --oracle with --semantics
-grounded: the oracle checks stable extensions only), 3 framework too
-large for the brute-force oracle. All output is deterministic; ANSI color
-is used only on a terminal and can be switched off with NORMARGUE_COLOR=0.
+formula nesting deeper than formula.MAX_NESTING levels, a normal form,
+scheme consequent or --query formula that would print deeper than that
+and so not parse back, a negative --max-depth or --max-args, and
+--oracle with --semantics grounded: the oracle checks stable extensions
+only), 3 framework too large for the brute-force oracle. All output is
+deterministic; ANSI color is used only on a terminal and can be switched
+off with NORMARGUE_COLOR=0.
 
 Extensions travel as member masks (bit i set for argument i, see
 semantics) from the solver to the report. Before anything is printed,
@@ -51,7 +53,7 @@ import os
 import sys
 
 from .arguments import Argument, Ordering, classify, construct_arguments
-from .formula import normalize, parse
+from .formula import normalize, parse, printable
 from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
                         DefeatKind, TooLarge, acceptance, brute_force_stable,
                         byte_columns, compute_defeats, defeat_sort_key,
@@ -204,7 +206,10 @@ def cmd_run(ns) -> int:
                 return 1
     queries = []
     for text in ns.query:
-        f = normalize(parse(text), theory.weak_mode)
+        written = parse(text)
+        f = normalize(written, theory.weak_mode)
+        if f is not written:
+            printable(f, "query")
         queries.append({
             "formula": str(f),
             "credulous": acceptance(args, extensions, f, "credulous"),

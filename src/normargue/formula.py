@@ -348,7 +348,8 @@ def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST. Raises SyntaxError with the byte
     offset and the expected-token set, or for a formula nesting deeper than
     MAX_NESTING levels, or UnknownOperator for malformed modal prefixes.
-    The result is not normalized."""
+    The result is not normalized. The level it counts on a printed
+    formula is the one printed_nesting reads from the tree."""
     return _Parser(text).parse()
 
 
@@ -398,10 +399,33 @@ def _head(f: Formula) -> str:
     return "%s_{%s,%s}" % (head, f.agent, toward)
 
 
+def _wraps(op: type, side: int, operand: type) -> bool:
+    """Whether print_formula parenthesizes an operand node of type operand
+    on one side of an op node: side 0 is a connective's left operand, side
+    1 its right one or a prefix operator's body. The operand on the side a
+    connective does not group to must bind strictly tighter; ~ wraps the
+    connectives, and every other prefix operator all but prefix operators."""
+    if op in _INFIX:
+        strength, right_assoc = _INFIX[op][1], op is Implies
+        tight = _INFIX.get(operand, _TIGHT)[1]
+        return (tight < strength + right_assoc if side == 0
+                else tight <= strength - right_assoc)
+    return operand in _INFIX if op is Not else operand not in _PREFIX_TYPES
+
+
+# _wraps tabulated over the 14 node types, for the printer and the depth
+# walk: _WRAP[op][side] holds the operand types parenthesized there
+_NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + (Atom, RuleAtom)
+_WRAP = {op: tuple(frozenset(x for x in _NODE_TYPES if _wraps(op, side, x))
+                   for side in (0, 1))
+         for op in _PREFIX_TYPES + _BINARY_TYPES}
+
+
 def print_formula(f: Formula) -> str:
-    """Deterministic concrete syntax; parenthesized only where precedence
-    requires. parse(print_formula(f)) == f for every AST whose printed
-    form nests within MAX_NESTING levels."""
+    """Deterministic concrete syntax, parenthesized where _WRAP says:
+    only where precedence requires, and around a prefix operator's body
+    that is not itself a prefix operator (around any connective under ~).
+    parse(print_formula(f)) == f whenever parses_back(f)."""
     t = type(f)
     if t is Atom:
         return f.name + ("(" + ",".join(f.args) + ")" if f.args else "")
@@ -409,32 +433,52 @@ def print_formula(f: Formula) -> str:
         return "@" + f.rule_name
     infix = _INFIX.get(t)
     if infix is not None:
-        symbol, strength = infix
-        right_assoc = t is Implies
         left, right = print_formula(f.left), print_formula(f.right)
-        # the operand on the side a connective does not group to must bind
-        # strictly tighter
-        if _INFIX.get(type(f.left), _TIGHT)[1] < strength + right_assoc:
+        if type(f.left) in _WRAP[t][0]:
             left = "(" + left + ")"
-        if _INFIX.get(type(f.right), _TIGHT)[1] <= strength - right_assoc:
+        if type(f.right) in _WRAP[t][1]:
             right = "(" + right + ")"
-        return left + symbol + right
+        return left + infix[0] + right
     head, body = _head(f), print_formula(f.f)
-    if t is Not:
-        return head + ("(" + body + ")" if type(f.f) in _INFIX else body)
-    if isinstance(f.f, _PREFIX_TYPES):
-        return head + " " + body
-    return head + "(" + body + ")"
+    if type(f.f) in _WRAP[t][1]:
+        return head + "(" + body + ")"
+    return head + body if t is Not else head + " " + body
+
+
+def printed_nesting(f: Formula) -> int:
+    """The nesting level parse reaches on print_formula(f), read from the
+    tree without printing: each operator puts its operands one level
+    deeper, and the parentheses _WRAP puts around one a level more."""
+    deepest, todo = 0, [(f, 0)]
+    while todo:
+        x, level = todo.pop()
+        t = type(x)
+        if t in _BINARY_TYPES:
+            todo.append((x.left, level + 1 + (type(x.left) in _WRAP[t][0])))
+            todo.append((x.right, level + 1 + (type(x.right) in _WRAP[t][1])))
+        elif t in _PREFIX_TYPES:
+            todo.append((x.f, level + 1 + (type(x.f) in _WRAP[t][1])))
+        elif level > deepest:
+            deepest = level
+    return deepest
 
 
 def parses_back(f: Formula) -> bool:
-    """Whether print_formula(f) nests within MAX_NESTING levels, so that
-    parse reads it back."""
-    try:
-        parse(print_formula(f))
-    except SyntaxError:
-        return False
-    return True
+    """Whether parse reads print_formula(f) back, that is, whether it
+    prints within MAX_NESTING levels (for a formula whose names parse
+    reads as written, as every formula the engine makes has)."""
+    return printed_nesting(f) <= MAX_NESTING
+
+
+def printable(f: Formula, what: str = "formula") -> Formula:
+    """f, when it parses back; else a SyntaxError saying that what nests
+    too deep. The engine checks with it every formula it makes that it
+    may print: each one normalization rewrote, each position formula and
+    each scheme consequent."""
+    if not parses_back(f):
+        raise SyntaxError("%s nests deeper than %d levels once normalized"
+                          % (what, MAX_NESTING))
+    return f
 
 
 # ------------------------------------------------------------- normalizing
@@ -464,18 +508,9 @@ def normalize(f: Formula, weak: bool = False) -> Formula:
     """Eliminate double negation and rewrite Diamond g as ~[]~g. With the
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
     implication is left untouched. A normal form is returned as itself,
-    walked but not rebuilt.
-
-    Printed, the normal form of a formula that can be written n levels
-    deep nests at most 2n + 1 levels, and at most 2n when it does not
-    start with ~. By induction over f: ~ g cancels the leading ~ of g's
-    normal form or adds one level over it (two around a connective, whose
-    parentheses any text of f has too); <> g and weak P_a g print as ~[]
-    over that normal form with its leading ~ cancelled, or as ~[]~ over
-    one without, printed at most 2n - 2 deep; any other operator adds one
-    level, or two where the printer parenthesizes an atom or connective
-    under it. So only a formula written more than (MAX_NESTING - 1) // 2
-    levels deep can print too deep to parse."""
+    walked but not rebuilt. A rewritten formula may print deeper than it
+    was written, <> g as ~[]~ over g, and so deeper than parse reads: see
+    printable."""
     if isinstance(f, Not):
         return _complement(normalize(f.f, weak), f)
     if isinstance(f, Diamond):

@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .formula import (_PREFIX_TYPES, MAX_NESTING, And, Box, Formula, Implies,
-                      Know, Not, Oblig, Perm, names_in, normalize, parse,
-                      parse_contrary, parses_back, subformulas)
+from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
+                      Oblig, Perm, names_in, normalize, parse, parse_contrary,
+                      printable, subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -173,24 +173,15 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                               % (ident, id_lines[ident]))
         id_lines[ident] = lineno
 
-    def normal(f: Formula, lineno: int, written: int,
-               verbatim: bool = True) -> Formula:
-        """f in normal form, checked to print within MAX_NESTING levels
-        unless it is as the line wrote it (verbatim, and normalization
-        left it alone), which parse has checked. A text of f nests at most
-        written levels, so f can print too deep only when written exceeds
-        (MAX_NESTING - 1) // 2 (see normalize), and is printed only then.
-        A text nests at most as many levels as it has characters."""
+    def normal(f: Formula, lineno: int) -> Formula:
+        """f in normal form, which must parse back (see printable) when
+        normalization rewrote f; f as the line wrote it, parse has read."""
         g = normalize(f, weak_mode)
-        if (g is not f or not verbatim) and 2 * written + 1 > MAX_NESTING \
-                and not parses_back(g):
-            raise SyntaxError("formula nests deeper than %d levels once "
-                              "normalized" % MAX_NESTING)
         formula_lines.append((g, lineno))
-        return g
+        return g if g is f else printable(g)
 
     def read(text: str, lineno: int) -> Formula:
-        return normal(parse(text), lineno, len(text))
+        return normal(parse(text), lineno)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -248,8 +239,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 except SyntaxError:
                     raise SyntaxError(
                         "CONTRARY needs two formulas separated by ~") from None
-                contraries.append((normal(f, lineno, len(rest[1])),
-                                   normal(g, lineno, len(rest[1]))))
+                contraries.append((normal(f, lineno), normal(g, lineno)))
 
             elif head == "SCHEME":
                 m = _SCHEME_RE.match(line)
@@ -277,11 +267,10 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 n_positions += 1
                 pid = "pos#%d" % n_positions
                 declare_id(pid, lineno)
-                # to_formula puts at most ~, O or Power and ~ over the
-                # body, and parentheses around it
+                # no line wrote the position formula, so it is checked
+                # even where normalization leaves it alone
                 premises.append(Premise(
-                    pid, normal(to_formula(pos), lineno, len(body) + 4,
-                                verbatim=False),
+                    pid, printable(normal(to_formula(pos), lineno)),
                     _STRENGTHS.get(tag, Strength.AXIOM)))
 
             else:
@@ -371,7 +360,8 @@ def _modal_ands(pool: list[Formula]) -> list[Formula]:
 def instantiate_schemes(theory: Theory) -> Theory:
     """Ground the enabled schemes against the subformulas in play, rounds
     capped at max_depth, rule ids `<scheme>#<k>` in generation order.
-    Raises SchemeRoundsExceeded if a further round would still add rules.
+    Raises SchemeRoundsExceeded if a further round would still add rules,
+    and SyntaxError for a consequent that does not parse back (printable).
     Adding nothing returns the theory unchanged."""
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
@@ -388,8 +378,9 @@ def instantiate_schemes(theory: Theory) -> Theory:
                 return
             existing.add(key)
             counters[scheme] += 1
-            new.append(Rule("%s#%d" % (scheme, counters[scheme]),
-                            tuple(antecedents), consequent, kind))
+            rid = "%s#%d" % (scheme, counters[scheme])
+            new.append(Rule(rid, tuple(antecedents), printable(
+                consequent, "the consequent of " + rid), kind))
 
         pool = _ordered_subformulas(theory, rules)
         perms = [f for f in pool if isinstance(f, Perm)]

@@ -2,7 +2,9 @@
 that print_formula, subformulas, agents_in and rule_atoms_in replaced. Each
 node type is written out on its own, so they are long but independent of
 the precedence table, the head function and the single pre-order walker.
-They gate the new versions on seeded random formulas.
+They gate the new versions on seeded random formulas. parses_back is the
+check as it was before the depth was read from the tree: it prints the
+formula (with the reference printer here) and parses the text.
 
 normalize and cform are normalization and the implication-free form as
 they were before a formula with nothing to rewrite was returned as itself:
@@ -12,7 +14,7 @@ forms as a case of its own and scans every declared pair on each call; it
 reads the rebuilding normal forms."""
 
 from normargue import (And, Atom, Box, Diamond, Formula, Implies, Know, Not,
-                       Oblig, Or, Perm, Power, Right, RuleAtom, Stit)
+                       Oblig, Or, Perm, Power, Right, RuleAtom, Stit, parse)
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
@@ -78,6 +80,14 @@ def print_formula(f):
     if isinstance(f, Power):
         return _pr_prefix("Power_{%s,%s}" % (f.agent, f.toward), f.f)
     raise TypeError("not a formula: %r" % (f,))
+
+
+def parses_back(f):
+    try:
+        parse(print_formula(f))
+    except SyntaxError:
+        return False
+    return True
 
 
 def agents_in(f):

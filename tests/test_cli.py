@@ -370,6 +370,38 @@ def test_normal_form_too_deep_to_print_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(f), "--json")
     assert code == 2 and not out
     assert_one_error_line(err, "line 2: formula nests deeper")
+    # a query is held to the same rule: 24 pairs answer, and the normal
+    # form echoed back parses; 25 pairs are refused
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--json", "--query",
+                             "<> K_a " * 24 + "p")
+    assert code == 0 and not err
+    assert parse(json.loads(out)["queries"][0]["formula"])
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--json", "--query",
+                             "<> K_a " * 25 + "p")
+    assert code == 2 and not out
+    assert_one_error_line(err, "query nests deeper than %d levels once "
+                          "normalized" % MAX_NESTING)
+
+
+def test_scheme_conclusion_too_deep_to_print_exits_2(capsys, tmp_path):
+    # owp puts P_a's body under [](... -> ~q): over 96 [] and the printer's
+    # parentheses around p that prints 100 levels deep, over 97 it would
+    # print 101, so grounding refuses the rule
+    f = tmp_path / "owp.naf"
+    theory = ("AGENTS: a\nPREMISE axiom x: P_a %sp\nPREMISE axiom y: O_a ~q\n"
+              "SCHEME owp on\n")
+    f.write_text(theory % ("[] " * 96))
+    code, out, err = run_cli(capsys, "run", str(f), "--json")
+    assert code == 0 and not err
+    conclusions = [a["conclusion"] for a in json.loads(out)["arguments"]]
+    assert any(c.startswith("[]([] ") for c in conclusions)
+    for text in conclusions:
+        assert str(parse(text)) == text
+    f.write_text(theory % ("[] " * 97))
+    code, out, err = run_cli(capsys, "run", str(f), "--json")
+    assert code == 2 and not out
+    assert_one_error_line(err, "the consequent of owp#1 nests deeper than "
+                          "%d levels" % MAX_NESTING)
 
 
 def test_recursion_crash_sizes_exit_2(capsys, tmp_path):

@@ -6,8 +6,9 @@ from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
                        UnknownOperator, agents_in, conflict_class, contrary,
                        normalize, parse, print_formula, subformulas)
+from normargue import formula
 from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
-                               parses_back, rule_atoms_in)
+                               parses_back, printed_nesting, rule_atoms_in)
 
 import reference_formula as ref
 from helpers import conflict_pair, deep_shapes, random_formula
@@ -199,9 +200,8 @@ def nesting(text):
 
 
 def test_normal_form_prints_at_most_twice_as_deep():
-    # the bound that lets the loader skip printing short formulas: written
-    # n levels deep, a normal form prints at most 2n + 1 deep, and 2n when
-    # it does not start with ~; alternating <> K_a reaches it
+    # written n levels deep, a normal form prints at most 2n + 1 deep, and
+    # 2n when it does not start with ~; alternating <> K_a reaches it
     rng = random.Random(2024)
     for _ in range(5000):
         f = random_formula(rng, depth=rng.randint(0, 6))
@@ -216,6 +216,40 @@ def test_normal_form_prints_at_most_twice_as_deep():
         assert nesting(print_formula(g)) == 2 * nesting(text) + 1
         assert parses_back(g)
     assert not parses_back(normalize(parse("<> K_a " * 25 + "p")))
+
+
+PREFIX_HEADS = ("~", "[]", "<>", "K_a", "O", "O_a", "O_{a,b}", "P", "P_a",
+                "[a]", "R_a", "Power_{a,b}")
+
+
+def test_parses_back_matches_print_and_parse(monkeypatch):
+    # the depth read from the tree against printing and parsing: the same
+    # answer, and where the text parses, the level the parser reached
+    rng = random.Random(1103)
+    formulas = []
+    for _ in range(5000):
+        f = random_formula(rng, depth=rng.randint(0, 6))
+        formulas += (f, normalize(f), normalize(f, weak=True))
+    with monkeypatch.context() as m:  # texts past the limit, parsed anyway
+        m.setattr(formula, "MAX_NESTING", 10 * MAX_NESTING)
+        for n in range(98, 102):
+            for shape in deep_shapes(n).values():
+                formulas.append(parse(shape))
+                formulas += (parse("%s(%s)" % (head, shape))
+                             for head in PREFIX_HEADS)
+    for pair, weak in (("<> K_a ", False), ("<> [] ", False),
+                       ("P_a K_a ", True)):
+        formulas += (normalize(parse(pair * k + "p"), weak)
+                     for k in (23, 24, 25, 26, 49, 50))
+    refused = 0
+    for f in formulas:
+        assert parses_back(f) == ref.parses_back(f), print_formula(f)
+        if parses_back(f):
+            assert printed_nesting(f) == nesting(print_formula(f))
+        else:
+            refused += 1
+            assert printed_nesting(f) > MAX_NESTING
+    assert len(formulas) > 15000 and refused > 100, (len(formulas), refused)
 
 
 def test_normalize_weak_permission():

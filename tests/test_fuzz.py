@@ -4,7 +4,10 @@ code, a failing one with exactly one error line, and a report's formulas
 must survive a print/parse round trip. Seeded random theories, written out
 as theory files, must give reports that keep the invariants of the
 semantics: grounded within every stable extension, every stable extension
-complete, and each defeat at a locus of its kind."""
+complete, and each defeat at a locus of its kind. Seeded theories whose
+formulas print near the nesting limit once normalized must either give
+reports whose every formula parses back, or be refused with one error
+line."""
 
 import json
 import random
@@ -174,3 +177,69 @@ def test_fuzz_random_theories_keep_invariants(capsys, tmp_path):
     # most random theories have one extension; a few have several
     assert ran > 300 and multiple > 5 and defeats > 120, (ran, multiple,
                                                           defeats)
+
+
+# Units of the near-limit chains. A doubling unit is written two levels
+# deep and prints four once normalized: <> g as ~[]~g, and in weak mode
+# P_a g as ~O_a ~g. A single unit is one level either way.
+DIAMONDS = ("<> K_a", "<> []")
+SINGLES = ("K_a", "[]", "[a]", "O_b")
+
+
+def chain(rng, weak, written, pairs):
+    """A chain of prefix operators over p, written `written` levels deep,
+    with `pairs` doubling units among them."""
+    doubling = DIAMONDS + ("P_a K_b",) * weak
+    units = [rng.choice(doubling) for _ in range(pairs)]
+    units += [rng.choice(SINGLES) for _ in range(written - 2 * pairs)]
+    rng.shuffle(units)
+    return " ".join(units + ["p"])
+
+
+def near_limit_case(rng):
+    """A theory and its run flags. Its three chains are each written 40-60
+    levels deep: the body of a permission that owp and fcp ground against,
+    a rule consequent or position body, and a query. One of them, the
+    sized one, prints about 96-104 levels deep once normalized."""
+    weak = rng.random() < 0.5
+    sized = rng.randrange(3)
+    chains = []
+    for slot in range(3):
+        written = rng.randint(40, 60)
+        pairs = (min(written // 2, (rng.randint(97, 104) - written) // 2)
+                 if slot == sized else rng.randint(0, written // 4))
+        chains.append(chain(rng, weak, written, pairs))
+    body = rng.choice(("RULE defeasible r1: r |~ %s",
+                       "POSITION claim_right(a, b): %s",
+                       "POSITION freedom(a, b): %s [prem]")) % chains[1]
+    text = ("AGENTS: a, b\nPREMISE axiom x1: P_a %s\nPREMISE prem x2: O_a ~q\n"
+            "PREMISE prem x3: [](r -> p)\n%s\nSCHEME fcp on\nSCHEME owp on\n"
+            % (chains[0], body))
+    return text, ["--query", chains[2]] + ["--weak-mode"] * weak
+
+
+def test_fuzz_near_limit_formulas_parse_back(capsys, tmp_path):
+    # every formula a report prints parses back, whichever step made it:
+    # the loader's normal forms and positions, owp's and fcp's consequents,
+    # the echoed query; and each step refuses what would not
+    rng = random.Random(4111)
+    path = tmp_path / "deep.naf"
+    outcomes = {"ok": 0, "line": 0, "consequent of owp": 0, "query": 0}
+    for case in range(120):
+        text, flags = near_limit_case(rng)
+        path.write_text(text)
+        code = cli.main(["run", str(path), "--json"] + flags)
+        out, err = capsys.readouterr()
+        if code:
+            assert code == 2 and not out, (case, text, err)
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            outcomes[next(k for k in outcomes if k in err)] += 1
+            continue
+        outcomes["ok"] += 1
+        report = json.loads(out)
+        for printed in ([a["conclusion"] for a in report["arguments"]]
+                        + [q["formula"] for q in report["queries"]]):
+            assert print_formula(parse(printed)) == printed, (case, text)
+    assert outcomes["ok"] >= 60 and outcomes["line"] >= 20 and \
+        outcomes["consequent of owp"] >= 4 and outcomes["query"] >= 8, \
+        outcomes
