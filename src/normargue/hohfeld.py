@@ -1,14 +1,26 @@
 """Hohfeldian normative positions.
 
-Eight positions in two squares, the correlative relation (swap the two
-parties), the opposite relation (negate the normative status), translation
-of a position into a formula of the modal language, and the generalization
-of a bundle of directed duties into an undirected obligation.
+Eight positions in two squares, one of obligations and one of powers. A
+position kind is one entry of a table: its modality, who bears it (the
+holder, or the counterparty toward the holder) and whether it is negated.
 
-        claim-right -- duty          power    -- liability
-        freedom     -- no-claim      immunity -- disability
+        kind         modality  bearer        negated
+        duty         O         holder        no
+        claim_right  O         counterparty  no
+        freedom      O         holder        yes
+        no_claim     O         counterparty  yes
+        power        Power     holder        no
+        liability    Power     counterparty  no
+        disability   Power     holder        yes
+        immunity     Power     counterparty  yes
 
-Columns are correlatives, rows of one square are linked by opposition.
+The correlative of a position, the same relation seen from the other
+party, swaps the two parties and the bearer, so correlatives translate to
+the identical formula. The opposite of a position, the negated status of
+the same holder, flips the negation. to_formula renders a position as
+[~]M(bearer, other, content), the content negated too in a negated
+obligation kind, since a freedom is no duty to refrain. generalize
+collapses a bundle of directed duties into an undirected obligation.
 """
 
 from __future__ import annotations
@@ -34,27 +46,18 @@ class PositionKind(Enum):
     DISABILITY = "disability"
 
 
-_CORRELATIVE = {
-    PositionKind.CLAIM_RIGHT: PositionKind.DUTY,
-    PositionKind.DUTY: PositionKind.CLAIM_RIGHT,
-    PositionKind.FREEDOM: PositionKind.NO_CLAIM,
-    PositionKind.NO_CLAIM: PositionKind.FREEDOM,
-    PositionKind.POWER: PositionKind.LIABILITY,
-    PositionKind.LIABILITY: PositionKind.POWER,
-    PositionKind.IMMUNITY: PositionKind.DISABILITY,
-    PositionKind.DISABILITY: PositionKind.IMMUNITY,
+# kind: (modality, whether the holder bears it, negated), the module's table
+_SQUARES = {
+    PositionKind.CLAIM_RIGHT: (Oblig, False, False),
+    PositionKind.DUTY: (Oblig, True, False),
+    PositionKind.FREEDOM: (Oblig, True, True),
+    PositionKind.NO_CLAIM: (Oblig, False, True),
+    PositionKind.POWER: (Power, True, False),
+    PositionKind.LIABILITY: (Power, False, False),
+    PositionKind.IMMUNITY: (Power, False, True),
+    PositionKind.DISABILITY: (Power, True, True),
 }
-
-_OPPOSITE = {
-    PositionKind.CLAIM_RIGHT: PositionKind.NO_CLAIM,
-    PositionKind.NO_CLAIM: PositionKind.CLAIM_RIGHT,
-    PositionKind.DUTY: PositionKind.FREEDOM,
-    PositionKind.FREEDOM: PositionKind.DUTY,
-    PositionKind.POWER: PositionKind.DISABILITY,
-    PositionKind.DISABILITY: PositionKind.POWER,
-    PositionKind.LIABILITY: PositionKind.IMMUNITY,
-    PositionKind.IMMUNITY: PositionKind.LIABILITY,
-}
+_KINDS = {entry: kind for kind, entry in _SQUARES.items()}
 
 
 @dataclass(frozen=True)
@@ -67,38 +70,31 @@ class NormativePosition:
 
 def correlative(p: NormativePosition) -> NormativePosition:
     """The same relation seen from the other party. Involutive."""
-    return NormativePosition(_CORRELATIVE[p.kind], p.counterparty,
-                             p.holder, p.content)
+    modality, held, negated = _SQUARES[p.kind]
+    return NormativePosition(_KINDS[modality, not held, negated],
+                             p.counterparty, p.holder, p.content)
 
 
 def opposite(p: NormativePosition) -> NormativePosition:
     """The negated position of the same holder. Involutive."""
-    return NormativePosition(_OPPOSITE[p.kind], p.holder,
-                             p.counterparty, p.content)
+    modality, held, negated = _SQUARES[p.kind]
+    return NormativePosition(_KINDS[modality, held, not negated],
+                             p.holder, p.counterparty, p.content)
 
 
 def to_formula(p: NormativePosition) -> Formula:
-    """Render a position in the modal language. Correlative pairs render to
-    the identical formula; freedom reads as the absence of a contrary duty,
-    immunity and disability as the absence of the counterpart's power."""
-    k, h, c, f = p.kind, p.holder, p.counterparty, p.content
-    if k is PositionKind.CLAIM_RIGHT:
-        return Oblig(c, h, f)
-    if k is PositionKind.DUTY:
-        return Oblig(h, c, f)
-    if k is PositionKind.FREEDOM:
-        return Not(Oblig(h, c, Not(f)))
-    if k is PositionKind.NO_CLAIM:
-        return Not(Oblig(c, h, Not(f)))
-    if k is PositionKind.POWER:
-        return Power(h, c, f)
-    if k is PositionKind.LIABILITY:
-        return Power(c, h, f)
-    if k is PositionKind.IMMUNITY:
-        return Not(Power(c, h, f))
-    if k is PositionKind.DISABILITY:
-        return Not(Power(h, c, f))
-    raise ValueError("unknown position kind: %r" % (k,))
+    """Render a position in the modal language, [~]M(bearer, other,
+    content) from its table entry. Correlative pairs render to the
+    identical formula; freedom and no-claim read as the absence of a duty
+    to refrain, immunity and disability as the absence of the power."""
+    if p.kind not in _SQUARES:
+        raise ValueError("unknown position kind: %r" % (p.kind,))
+    modality, held, negated = _SQUARES[p.kind]
+    bearer, other = ((p.holder, p.counterparty) if held
+                     else (p.counterparty, p.holder))
+    body = Not(p.content) if negated and modality is Oblig else p.content
+    f = modality(bearer, other, body)
+    return Not(f) if negated else f
 
 
 def generalize(duties: list[NormativePosition], all_agents: set[str],

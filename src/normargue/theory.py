@@ -161,7 +161,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     premises: list[Premise] = []
     rules: list[Rule] = []
     contraries: list[tuple[Formula, Formula]] = []
-    toggles = {"fcp": True, "owp": True, "weak_closure": False, "k_truth": False}
+    toggles = dict(vars(Schemes()))
     warnings: list[str] = []
     id_lines: dict[str, int] = {}
     formula_lines: list[tuple[Formula, int]] = []
@@ -244,8 +244,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             elif head == "SCHEME":
                 m = _SCHEME_RE.match(line)
                 if not m or m.group(1) not in toggles:
-                    raise SyntaxError(
-                        "expected SCHEME fcp|owp|weak_closure|k_truth on|off")
+                    raise SyntaxError("expected SCHEME %s on|off"
+                                      % "|".join(toggles))
                 toggles[m.group(1)] = m.group(2) == "on"
 
             elif head == "POSITION":
@@ -365,8 +365,8 @@ def instantiate_schemes(theory: Theory) -> Theory:
     Adding nothing returns the theory unchanged."""
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
-    counters = {"fcp": 0, "owp": 0, "weak_closure": 0, "k_truth": 0}
     s = theory.schemes
+    counters = dict.fromkeys(vars(s), 0)
 
     def one_round() -> list[Rule]:
         new: list[Rule] = []

@@ -26,20 +26,21 @@ _NODE_KINDS = ("atom", "not", "and", "or", "implies", "box", "diamond",
                "know", "oblig", "perm", "stit", "right", "power")
 
 
-def random_formula(rng, depth=3):
+def random_formula(rng, depth=3, rules=("r1", "fcp#1")):
+    """A random formula whose rule atoms name one of rules."""
     if depth <= 0:
         roll = rng.random()
-        if roll < 0.8:
+        if roll < 0.8 or (roll >= 0.9 and not rules):
             return Atom(rng.choice(ATOMS))
         if roll < 0.9:
             return Atom("f", (rng.choice(ATOMS), rng.choice(ATOMS)))
-        return RuleAtom(rng.choice(("r1", "fcp#1")))
+        return RuleAtom(rng.choice(rules))
     kind = rng.choice(_NODE_KINDS)
     a = rng.choice(AGENTS)
     b = "b" if a == "a" else "a"
-    sub = lambda: random_formula(rng, depth - 1)
+    sub = lambda: random_formula(rng, depth - 1, rules)
     if kind == "atom":
-        return random_formula(rng, 0)
+        return random_formula(rng, 0, rules)
     if kind == "not":
         return Not(sub())
     if kind == "and":
@@ -70,12 +71,13 @@ def random_formula(rng, depth=3):
     return Power(a, b, sub())
 
 
-def conflict_pair(rng, depth=2):
+def conflict_pair(rng, depth=2, rules=("r1", "fcp#1")):
     """Two formulas biased towards conflict, in random order: a formula and
     its negation, obligations with negated bodies, a necessary implication
     and its possibility dual, a permission and its weak-mode dual, or two
-    unrelated random formulas."""
-    f, g = random_formula(rng, depth), random_formula(rng, depth)
+    unrelated random formulas. Their rule atoms name one of rules."""
+    f, g = (random_formula(rng, depth, rules),
+            random_formula(rng, depth, rules))
     a = rng.choice(AGENTS)
     bearer = rng.choice((None,) + AGENTS)
     toward = None if bearer is None or rng.random() < 0.5 else \
@@ -144,31 +146,37 @@ def random_theory(rng):
     consequents are drawn from one shared pool of random formulas, two of
     them a conflict_pair. It has ordinary and axiom premises, ~@r
     conclusions, declared contraries with @rule atoms, random scheme
-    toggles and, a third of the time, weak mode. Formulas are normalized
-    as the loader does."""
+    toggles and, a third of the time, weak mode. Every @rule atom names
+    one of its defeasible rules, so the theory loads unless scheme
+    grounding exceeds max_depth. Formulas are normalized as the loader
+    does."""
     weak = rng.random() < 1 / 3
-    pool = [random_formula(rng, depth=rng.randint(0, 2)) for _ in range(3)]
-    pool += conflict_pair(rng, depth=rng.randint(0, 2))
-    ids = ["r%d" % i for i in range(1, rng.randint(2, 5))]
+    kinds = [rng.choice(list(RuleKind)) for _ in range(rng.randint(1, 4))]
+    ids = ["r%d" % i for i in range(1, len(kinds) + 1)]
+    defeasible = tuple(rid for rid, kind in zip(ids, kinds)
+                       if kind is RuleKind.DEFEASIBLE)
+    pool = [random_formula(rng, rng.randint(0, 2), defeasible)
+            for _ in range(3)]
+    pool += conflict_pair(rng, rng.randint(0, 2), defeasible)
     premises = [Premise("p%d" % i, rng.choice(pool),
                         rng.choice(list(Strength)))
                 for i in range(rng.randint(1, 5))]
     rules = []
-    for rid in ids:
+    for rid, kind in zip(ids, kinds):
         roll = rng.random()
         if roll < 0.4:
             consequent = rng.choice(pool)
         elif roll < 0.7:
             consequent = Not(rng.choice(pool))
-        elif roll < 0.85:
-            consequent = Not(RuleAtom(rng.choice(ids)))
+        elif roll < 0.85 and defeasible:
+            consequent = Not(RuleAtom(rng.choice(defeasible)))
         else:
-            consequent = random_formula(rng, depth=2)
+            consequent = random_formula(rng, 2, defeasible)
         antecedents = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
-        rules.append(Rule(rid, tuple(antecedents), consequent,
-                          rng.choice(list(RuleKind))))
-    contraries = [(rng.choice(pool), RuleAtom(rng.choice(ids))
-                   if rng.random() < 0.6 else rng.choice(pool))
+        rules.append(Rule(rid, tuple(antecedents), consequent, kind))
+    contraries = [(rng.choice(pool), RuleAtom(rng.choice(defeasible))
+                   if defeasible and rng.random() < 0.6
+                   else rng.choice(pool))
                   for _ in range(rng.randint(0, 2))]
     norm = lambda f: normalize(f, weak)
     theory = Theory(

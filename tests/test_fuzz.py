@@ -133,7 +133,7 @@ def test_fuzz_random_theories_keep_invariants(capsys, tmp_path):
         flags += ["--weak-mode"] * theory.weak_mode
         flags += ["--undercut-gated"] * (rng.random() < 0.3)
         report = run_json(capsys, ["run", str(path), "--json"] + flags)
-        if report is None:  # e.g. a rule atom naming no defeasible rule
+        if report is None:  # scheme grounding needs more rounds
             continue
         grounded = run_json(capsys, ["run", str(path), "--json",
                                      "--semantics", "grounded"] + flags)
@@ -175,8 +175,8 @@ def test_fuzz_random_theories_keep_invariants(capsys, tmp_path):
         multiple += len(report["extensions"]) > 1
         defeats += bool(report["defeats"])
     # most random theories have one extension; a few have several
-    assert ran > 300 and multiple > 5 and defeats > 120, (ran, multiple,
-                                                          defeats)
+    assert ran >= 720 and multiple > 5 and defeats > 120, (ran, multiple,
+                                                           defeats)
 
 
 # Units of the near-limit chains. A doubling unit is written two levels

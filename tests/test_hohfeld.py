@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from normargue import (IncompleteCover, Not, NormativePosition, Oblig,
-                       PositionKind, correlative, generalize, opposite,
-                       parse, position_warnings, to_formula)
+                       PositionKind, contrary, correlative, generalize,
+                       opposite, parse, position_warnings, to_formula)
 
 from helpers import random_formula
 
@@ -73,6 +74,21 @@ def test_algebra_over_random_contents():
             assert {q.kind for q in orbit} == set(square)
             # correlatives describe the same state of affairs
             assert to_formula(p) == to_formula(correlative(p))
+
+
+def test_contradictory_positions_are_contrary():
+    # A power-square position contradicts its opposite. In the deontic
+    # square the opposite of duty(a,b,p), O_{a,b} p, is freedom(a,b,p),
+    # ~O_{a,b} ~p, which the D axiom makes a consequence of the duty; what
+    # contradicts the duty is the freedom to refrain, freedom(a,b,~p).
+    rng = random.Random(12)
+    for kind in FIRST_SQUARE + SECOND_SQUARE:
+        for _ in range(25):
+            p = pos(kind, random_formula(rng, depth=3))
+            q = opposite(p)
+            if kind in FIRST_SQUARE:
+                q = replace(q, content=Not(q.content))
+            assert contrary(to_formula(p), to_formula(q)), (p, q)
 
 
 def test_known_correlative_pairs():

@@ -177,6 +177,16 @@ def test_syntax_errors_name_the_line():
         assert "line 2" in str(err.value), text
 
 
+def test_scheme_lines_take_the_fields_of_schemes():
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("SCHEME bogus on")
+    assert str(err.value) == \
+        "line 1: expected SCHEME fcp|owp|weak_closure|k_truth on|off"
+    assert parse_theory("").schemes == Schemes()
+    assert parse_theory("SCHEME fcp off\nSCHEME k_truth on").schemes == \
+        Schemes(fcp=False, k_truth=True)
+
+
 def random_contrary_body(rng):
     """Printed random formulas joined by runs of ~, now and then with a
     run of ~ at either end, a character dropped or a stray one added."""
