@@ -1,4 +1,4 @@
-"""Argument construction and preference orderings.
+"""Argument construction.
 
 Arguments are built bottom-up from the premises, in rounds, as a
 semi-naive fixpoint. Every premise yields a depth-0 argument. Round r
@@ -20,16 +20,9 @@ import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 
 from .formula import Formula
 from .theory import RuleKind, Strength, Theory
-
-
-class Ordering(Enum):
-    UNIVERSAL = "universal"
-    RULE_BASED = "rule_based"
-    PREMISE_BASED = "premise_based"
 
 
 @dataclass(frozen=True)
@@ -129,13 +122,3 @@ def classify(a: Argument) -> tuple[str, str]:
     return ("defeasible" if a.defeasible else "strict",
             "plausible" if a.plausible else "firm")
 
-
-def dispreferred(a: Argument, b: Argument, ordering: Ordering | None) -> bool:
-    """Whether a ranks below b: defeasible below strict under RULE_BASED,
-    plausible below firm under PREMISE_BASED. UNIVERSAL and None (an
-    ungated locus) never separate two arguments."""
-    if ordering is Ordering.RULE_BASED:
-        return a.defeasible and not b.defeasible
-    if ordering is Ordering.PREMISE_BASED:
-        return a.plausible and not b.plausible
-    return False

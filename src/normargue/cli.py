@@ -2,16 +2,16 @@
 
     normargue run theory.naf [--json] [--query F ...] [--semantics S]
                              [--oracle] [--weak-mode] [--max-depth N]
-                             [--max-args N] [--undercut-gated]
+                             [--max-args N]
     normargue export theory.naf [--format dot|json] [shared flags]
     normargue check theory.naf [shared flags]
 
 Shared flags: --weak-mode, --max-depth N (argument and scheme depth,
 default 3), --max-args N (argument count, default 100000: construction
-keeps the first N arguments in id order), --undercut-gated. A report
-whose construction either cap cut short says truncated; the text note
-names the argument cap when the result holds exactly N arguments, and
-the depth otherwise.
+keeps the first N arguments in id order). A report whose construction
+either cap cut short says truncated; the text note names the argument
+cap when the result holds exactly N arguments, and the depth otherwise.
+Every attack is a defeat (see semantics), so no flag sets preferences.
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
@@ -52,13 +52,12 @@ import json
 import os
 import sys
 
-from .arguments import Argument, Ordering, classify, construct_arguments
+from .arguments import Argument, classify, construct_arguments
 from .formula import normalize, parse, printable
-from .semantics import (ArgumentationFramework, Defeat, DefeatConfig,
-                        DefeatKind, TooLarge, acceptance, brute_force_stable,
-                        byte_columns, compute_defeats, defeat_sort_key,
-                        grounded_extension, members, stable_extensions,
-                        verify_extension)
+from .semantics import (ArgumentationFramework, Defeat, DefeatKind, TooLarge,
+                        acceptance, brute_force_stable, byte_columns,
+                        compute_defeats, defeat_sort_key, grounded_extension,
+                        members, stable_extensions, verify_extension)
 from .theory import Theory, ValidationError, instantiate_schemes, load_theory
 
 _EDGE_STYLE = {DefeatKind.REBUT: "solid", DefeatKind.UNDERMINE: "dashed",
@@ -80,9 +79,7 @@ def _load(ns) -> Theory:
 def _pipeline(ns):
     theory = _load(ns)
     args, truncated = construct_arguments(theory)
-    cfg = DefeatConfig(
-        undercut_ordering=Ordering.RULE_BASED if ns.undercut_gated else None)
-    defeats = compute_defeats(args, theory, cfg)
+    defeats = compute_defeats(args, theory)
     af = ArgumentationFramework(len(args), frozenset(defeats))
     return theory, args, defeats, af, truncated
 
@@ -325,8 +322,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="argument and scheme depth cap (default 3)")
     shared.add_argument("--max-args", type=int, default=100_000, metavar="N",
                         help="argument count cap (default 100000)")
-    shared.add_argument("--undercut-gated", action="store_true",
-                        help="gate undercuts by the rule-based ordering")
 
     parser = argparse.ArgumentParser(
         prog="normargue",

@@ -8,10 +8,16 @@ Three attack forms, each anchored at a locus inside the target:
   undercut   contrary of a defeasible rule's name (@rule); locus is the
              rule id
 
-compute_defeats runs one loop over a table of loci, each with its formula,
-its ordering and the sub-argument it sits on. An attacker whose conclusion
-is contrary to the formula defeats every argument containing that
-sub-argument unless dispreferred to it; undercuts are ungated by default.
+Every attack is a defeat. In ASPIC+ (Modgil & Prakken 2014) a rebut or
+undermine on a sub-argument fails only when the attacker ranks strictly
+below it, and an undercut never fails; here the only preferences are
+strict over defeasible and firm over plausible, while every rebut or
+undercut locus ends in a defeasible rule and every undermine locus is an
+ordinary premise, so no attacker ever ranks below its locus.
+
+compute_defeats runs one loop over a table of loci, each with its formula
+and the sub-argument it sits on. An attacker whose conclusion is contrary
+to the formula defeats every argument containing that sub-argument.
 Candidate attackers come from an index by conflict_class and declared
 contrary pairs, and contrary confirms each one. Conclusions are normal
 forms (see Theory), so they are indexed as they are, and each distinct
@@ -45,7 +51,8 @@ by side, each argument's bit becomes one int holding a 0/1 byte per mask,
 and the condition is one xor and an OR over the attackers per argument.
 acceptance builds the holders of a conclusion as one mask and tests it
 against each extension. brute_force_stable is an independent cross-check
-for small frameworks.
+for small frameworks, of the order too: it sorts the member lists
+themselves.
 """
 
 from __future__ import annotations
@@ -56,9 +63,9 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .arguments import Argument, Ordering, dispreferred
+from .arguments import Argument
 from .formula import Formula, RuleAtom, conflict_class, contrary
-from .theory import RuleKind, Strength, Theory
+from .theory import RuleKind, Theory
 
 
 class TooLarge(Exception):
@@ -81,13 +88,6 @@ class Defeat:
     def __str__(self):
         return "%d --%s--> %d at %s" % (self.attacker, self.kind.value,
                                         self.target, self.locus)
-
-
-@dataclass(frozen=True)
-class DefeatConfig:
-    rebut_ordering: Ordering = Ordering.RULE_BASED
-    undermine_ordering: Ordering = Ordering.PREMISE_BASED
-    undercut_ordering: Ordering | None = None  # None: never gated
 
 
 @dataclass(frozen=True)
@@ -137,22 +137,19 @@ def _sub_closure(args: list[Argument]) -> list[set[int]]:
     return closure
 
 
-def compute_defeats(args: list[Argument], theory: Theory,
-                    config: DefeatConfig | None = None) -> set[Defeat]:
-    cfg = config or DefeatConfig()
+def compute_defeats(args: list[Argument], theory: Theory) -> set[Defeat]:
     weak = theory.weak_mode
     rules = {r.id: r for r in theory.rules}
-    loci = []  # (kind, locus, formula, ordering, locus sub-argument)
+    loci = []  # (kind, locus, formula, locus sub-argument id)
     for s in args:
         if s.top_rule is None:
             if s.plausible:  # an ordinary premise
                 loci.append((DefeatKind.UNDERMINE, next(iter(s.premise_ids)),
-                             s.conclusion, cfg.undermine_ordering, s))
+                             s.conclusion, s.id))
         elif rules[s.top_rule].kind is RuleKind.DEFEASIBLE:
-            loci.append((DefeatKind.REBUT, s.id, s.conclusion,
-                         cfg.rebut_ordering, s))
+            loci.append((DefeatKind.REBUT, s.id, s.conclusion, s.id))
             loci.append((DefeatKind.UNDERCUT, s.top_rule, RuleAtom(s.top_rule),
-                         cfg.undercut_ordering, s))
+                         s.id))
 
     # group the attackers by conclusion, and file each conclusion under its
     # conflict class and, if declared contrary to x, under x's class too
@@ -170,11 +167,10 @@ def compute_defeats(args: list[Argument], theory: Theory,
     # per locus sub-argument: (attacker, kind, locus) of its defeats; every
     # locus formula is a conclusion except @rule, which is its own class
     local: list[list[tuple]] = [[] for _ in args]
-    for kind, locus, f, ordering, s in loci:
+    for kind, locus, f, s in loci:
         for c in by_class.get(classes.get(f, f), ()):
             if contrary(c, f, theory):
-                local[s.id].extend((a.id, kind, locus) for a in holders[c]
-                                   if not dispreferred(a, s, ordering))
+                local[s].extend((a.id, kind, locus) for a in holders[c])
     closure = _sub_closure(args)
     return {Defeat(a, b.id, kind, locus) for b in args
             for s in closure[b.id] for a, kind, locus in local[s]}
@@ -294,13 +290,6 @@ def _keyed(mask: int, n: int) -> int:
     return int(format(mask, "0%db" % n)[::-1], 2) << n | mask
 
 
-def _by_member_lists(keyed: list[int], n: int, always: int = 0) -> list[int]:
-    """The masks of keyed masks over n arguments, in member list order,
-    each with the arguments of always added."""
-    everyone = (1 << n) - 1
-    return [k & everyone | always for k in sorted(keyed, reverse=True)]
-
-
 def stable_extensions(af: ArgumentationFramework) -> list[int]:
     """All stable extensions as member masks, ordered as their ascending
     member lists sort. Exact: stable semantics factors over weakly
@@ -320,7 +309,8 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
             return []
         picks = [_keyed(m, n) for m in found]
         exts = [e | m for e in exts for m in picks]
-    return _by_member_lists(exts, n, always)
+    everyone = (1 << n) - 1
+    return [e & everyone | always for e in sorted(exts, reverse=True)]
 
 
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
@@ -373,7 +363,8 @@ def verify_extension(af: ArgumentationFramework, *masks: int) -> bool:
 
 def brute_force_stable(af: ArgumentationFramework) -> list[int]:
     """Check every subset; only for cross-checking small frameworks. The
-    result has the form stable_extensions returns."""
+    result has the form stable_extensions returns, ordered here by sorting
+    the member lists themselves."""
     n = af.n_args
     if n > 20:
         raise TooLarge("brute force capped at 20 arguments, got %d" % n)
@@ -390,8 +381,8 @@ def brute_force_stable(af: ArgumentationFramework) -> list[int]:
                 ok = False
                 break
         if ok:
-            found.append(_keyed(m, n))
-    return _by_member_lists(found, n)
+            found.append(m)
+    return sorted(found, key=members)
 
 
 def acceptance(args: list[Argument], extensions: list[int],

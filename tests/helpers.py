@@ -213,12 +213,12 @@ def theory_text(theory):
     return "\n".join(lines) + "\n"
 
 
-def run_pipeline(theory, *, config=None):
+def run_pipeline(theory):
     """Ground, build, defeat and solve a theory from load_theory or
     parse_theory."""
     theory = instantiate_schemes(theory)
     args, truncated = construct_arguments(theory)
-    defeats = compute_defeats(args, theory, config)
+    defeats = compute_defeats(args, theory)
     af = ArgumentationFramework(len(args), frozenset(defeats))
     return SimpleNamespace(theory=theory, args=args, defeats=defeats, af=af,
                            extensions=stable_extensions(af),

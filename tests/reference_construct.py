@@ -1,8 +1,11 @@
 """Reference argument construction for the tests: the naive fixpoint.
 Every round enumerates every antecedent combination of every rule again
 and drops the ones already seen, so it is slow but independent of
-construct_arguments. It gates the semi-naive construction on fixtures and
-on seeded random theories. It knows no argument cap (max_args)."""
+construct_arguments. Only combinations of arguments below max_depth are
+enumerated, since any other one would be too deep; the result is
+truncated when a rule could fire but some pool holds an argument at
+max_depth. It gates the semi-naive construction on fixtures and on seeded
+random theories. It knows no argument cap (max_args)."""
 
 import itertools
 
@@ -29,16 +32,18 @@ def reference_construct(theory):
             pools = [by_conclusion.get(ant, []) for ant in rule.antecedents]
             if not all(pools):
                 continue
-            for subs in itertools.product(*pools):
+            if any(args[i].depth == theory.max_depth
+                   for pool in pools for i in pool):
+                truncated = True
+            shallow = [[i for i in pool if args[i].depth < theory.max_depth]
+                       for pool in pools]
+            for subs in itertools.product(*shallow):
                 key = (rule.id, tuple(sorted(subs)))
                 if key in seen:
                     continue
-                depth = 1 + max(args[i].depth for i in subs)
                 seen.add(key)
-                if depth > theory.max_depth:
-                    truncated = True
-                    continue
-                new.append((rule, subs, depth))
+                new.append((rule, subs, 1 + max(args[i].depth
+                                                for i in subs)))
         if not new:
             break
         for rule, subs, depth in new:

@@ -1,9 +1,8 @@
 import random
 from dataclasses import replace
 
-from normargue import (Ordering, SchemeRoundsExceeded, classify,
-                       construct_arguments, dispreferred, instantiate_schemes,
-                       load_theory, parse_theory)
+from normargue import (SchemeRoundsExceeded, classify, construct_arguments,
+                       instantiate_schemes, load_theory, parse_theory)
 
 from helpers import ABORTION, DOCTOR, KNIFE, ids_concluding, random_theory
 from reference_construct import reference_construct
@@ -255,35 +254,3 @@ def test_defeasibility_propagates_through_strict_rules():
     top = ids_concluding(args, "r")
     assert len(top) == 1
     assert classify(args[top.pop()]) == ("defeasible", "firm")
-
-
-# -------------------------------------------------------------- comparison
-
-def test_compare_orderings():
-    args, _ = build(load_theory(ABORTION))
-    strict_firm = args[5]
-    strict_plaus = args[6]
-    defeasible_plaus = args[7]
-    u, r, p = Ordering.UNIVERSAL, Ordering.RULE_BASED, Ordering.PREMISE_BASED
-
-    def equal(a, b, o):
-        return not dispreferred(a, b, o) and not dispreferred(b, a, o)
-
-    assert equal(strict_firm, defeasible_plaus, u)
-    assert dispreferred(defeasible_plaus, strict_firm, r)
-    assert not dispreferred(strict_firm, defeasible_plaus, r)
-    assert equal(strict_firm, strict_plaus, r)
-    assert dispreferred(strict_plaus, strict_firm, p)
-    assert not dispreferred(strict_firm, strict_plaus, p)
-    assert equal(strict_plaus, defeasible_plaus, p)
-    # None marks an ungated locus
-    assert not dispreferred(defeasible_plaus, strict_firm, None)
-
-
-def test_compare_is_antisymmetric():
-    rng = random.Random(5)
-    args, _ = build(load_theory(ABORTION))
-    for _ in range(100):
-        a, b = rng.choice(args), rng.choice(args)
-        for o in Ordering:
-            assert not (dispreferred(a, b, o) and dispreferred(b, a, o))

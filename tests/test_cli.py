@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -457,11 +459,12 @@ def test_exit_3_on_oracle_too_large(capsys, tmp_path):
 
 
 def test_undercut_gated_flag(capsys):
-    code, out, _ = run_cli(capsys, "run", str(ABORTION), "--json",
-                           "--undercut-gated")
-    report = json.loads(out)
-    assert {"attacker": 5, "target": 8, "kind": "undercut",
-            "locus": "rc2"} in report["defeats"]
+    # every attack is a defeat, so no flag gates undercuts
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(ABORTION), "--json", "--undercut-gated"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and not out
+    assert "unrecognized arguments: --undercut-gated" in err
 
 
 # ---------------------------------------------------------- determinism
@@ -480,7 +483,7 @@ def test_text_and_dot_match_golden_output(capsys):
     # run's text report and export's DOT graph on the fixtures, byte for
     # byte as tests/golden holds them
     for path in (DOCTOR, ABORTION, KNIFE):
-        for flags in ((), ("--weak-mode",), ("--undercut-gated",)):
+        for flags in ((), ("--weak-mode",)):
             name = path.stem + "".join("-" + f[2:] for f in flags)
             for command, suffix in (("run", ".txt"), ("export", ".dot")):
                 code, out, err = run_cli(capsys, command, str(path), *flags)
@@ -493,7 +496,7 @@ def test_run_json_matches_golden_output(capsys):
     # run --json on the fixtures under both semantics, byte for byte as
     # tests/golden holds them
     for path in (DOCTOR, ABORTION, KNIFE):
-        for flags in ((), ("--weak-mode",), ("--undercut-gated",)):
+        for flags in ((), ("--weak-mode",)):
             for semantics in ("stable", "grounded"):
                 name = path.stem + "".join("-" + f[2:] for f in flags) + (
                     "-grounded" if semantics == "grounded" else "")
@@ -530,6 +533,37 @@ def test_multi_extension_theories_match_golden_output(capsys):
                 (name, suffix)
 
 
+# ------------------------------------------------------------------ color
+
+HEADER = re.compile(r"^(theory:|arguments \(\d+\):|defeats \(\d+\):|"
+                    r"stable extensions \(\d+\):|no stable extension$)",
+                    re.M)
+
+
+def test_color_on_a_terminal(capsys, monkeypatch):
+    # on a terminal the text report's headers are bold, NORMARGUE_COLOR=0
+    # switches that off, and JSON never carries an escape
+    monkeypatch.delenv("NORMARGUE_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    cases = [(path, ()) for path in (DOCTOR, ABORTION, KNIFE)]
+    cases.append((THEORIES / "none.naf", ("--query", "m")))
+    for path, flags in cases:
+        golden = (GOLDEN / (path.stem + ".txt")).read_text()
+        code, out, err = run_cli(capsys, "run", str(path), *flags)
+        assert (code, err) == (0, "")
+        assert out == HEADER.sub("\x1b[1m\\1\x1b[0m", golden), path.stem
+        assert len(HEADER.findall(golden)) == 4
+        for argv in (("run", str(path), "--json", *flags),
+                     ("export", str(path), "--format", "json")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "") and "\x1b" not in out, argv
+    monkeypatch.setenv("NORMARGUE_COLOR", "0")
+    for path, flags in cases:
+        code, out, err = run_cli(capsys, "run", str(path), *flags)
+        assert (code, err, out) == (
+            0, "", (GOLDEN / (path.stem + ".txt")).read_text())
+
+
 # ------------------------------------------------------------ parser reuse
 
 def test_parser_reused_across_calls_keeps_no_state(capsys, monkeypatch):
@@ -541,8 +575,7 @@ def test_parser_reused_across_calls_keeps_no_state(capsys, monkeypatch):
         ["run", str(KNIFE), "--json"],
         ["run", str(DOCTOR), "--json", "--semantics", "grounded",
          "--weak-mode"],
-        ["run", str(DOCTOR), "--json", "--max-depth", "1",
-         "--undercut-gated", "--query", "q"],
+        ["run", str(DOCTOR), "--json", "--max-depth", "1", "--query", "q"],
         ["run", str(DOCTOR)],
         ["run", str(ABORTION), "--oracle", "--max-args", "9"],
         ["export", str(ABORTION), "--format", "json", "--max-args", "3"],
@@ -594,7 +627,6 @@ def run_report(capsys, monkeypatch, *argv):
     shared = ["--max-depth", str(ns.max_depth),
               "--max-args", str(ns.max_args)]
     shared += ["--weak-mode"] * ns.weak_mode
-    shared += ["--undercut-gated"] * ns.undercut_gated
     _, (_, _, defeats, af, _) = pipeline_of(
         monkeypatch, "export", ns.theory, "--format", "json", *shared)
     out, err = capsys.readouterr()
@@ -605,7 +637,7 @@ def run_report(capsys, monkeypatch, *argv):
 
 def test_report_writer_matches_json_on_fixtures(capsys, monkeypatch):
     for path in (DOCTOR, ABORTION, KNIFE):
-        for flags in ((), ("--semantics", "grounded"), ("--undercut-gated",),
+        for flags in ((), ("--semantics", "grounded"),
                       ("--weak-mode", "--query", "P_c(K_c(customer) & "
                        "handle)", "--query", "~p")):
             run_report(capsys, monkeypatch, str(path), *flags)

@@ -59,8 +59,7 @@ def random_flags(rng, text):
         flags += ["--max-depth", str(rng.randint(-1, 4))]
     if rng.random() < 0.2:
         flags += ["--max-args", str(rng.randint(-1, 30))]
-    if rng.random() < 0.2:
-        flags.append("--undercut-gated")
+    rng.random()  # an unused draw, so that the seeded cases stay as they are
     command = rng.choice(("run", "run", "run", "run", "export", "check"))
     if command == "export":
         flags += ["--format", rng.choice(("dot", "json"))]
@@ -131,7 +130,7 @@ def test_fuzz_random_theories_keep_invariants(capsys, tmp_path):
         path.write_text(text)
         flags = ["--max-depth", str(theory.max_depth)]
         flags += ["--weak-mode"] * theory.weak_mode
-        flags += ["--undercut-gated"] * (rng.random() < 0.3)
+        rng.random()  # an unused draw, as in random_flags
         report = run_json(capsys, ["run", str(path), "--json"] + flags)
         if report is None:  # scheme grounding needs more rounds
             continue

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from normargue import (Argument, ArgumentationFramework, Defeat,
-                       DefeatConfig, DefeatKind, Ordering, TooLarge,
-                       acceptance, brute_force_stable, compute_defeats,
+                       DefeatKind, TooLarge, acceptance, brute_force_stable, compute_defeats,
                        construct_arguments, grounded_extension,
                        instantiate_schemes, load_theory, members, parse,
                        parse_theory, stable_extensions, verify_extension)
@@ -17,11 +16,6 @@ from helpers import (ABORTION, DOCTOR, KNIFE, disjoint_union,
 from reference_defeats import reference_defeats
 from reference_solver import reference_stable
 from reference_verify import reference_verify
-
-# every DefeatConfig: rebut, undermine and undercut ordering
-CONFIGS = [DefeatConfig(r, u, c) for r, u, c in itertools.product(
-    Ordering, Ordering, (None, *Ordering))]
-
 
 def af_of(*edges, n=None):
     defeats = frozenset(Defeat(a, b, DefeatKind.REBUT, b) for a, b in edges)
@@ -76,45 +70,48 @@ def test_axiom_premises_cannot_be_undermined():
     assert any(d.locus == "c1" for d in r.defeats)
 
 
-def test_preference_gate_blocks_dispreferred_attacks():
-    base = run_pipeline(load_theory(ABORTION))
-    assert Defeat(8, 1, DefeatKind.UNDERMINE, "a2") in base.defeats
-    # raise the bar: rule-based gating makes the defeasible underminer
-    # dispreferred against the strict premise argument
-    gated = run_pipeline(load_theory(ABORTION), config=DefeatConfig(
-        undermine_ordering=Ordering.RULE_BASED))
-    assert Defeat(8, 1, DefeatKind.UNDERMINE, "a2") not in gated.defeats
-    assert Defeat(8, 6, DefeatKind.UNDERMINE, "a2") not in gated.defeats
-
-
-def test_universal_ordering_gates_nothing():
-    loose = DefeatConfig(rebut_ordering=Ordering.UNIVERSAL,
-                         undermine_ordering=Ordering.UNIVERSAL)
-    for path in (DOCTOR, ABORTION, KNIFE):
-        theory = load_theory(path)
-        assert run_pipeline(theory).defeats <= run_pipeline(
-            theory, config=loose).defeats
-
-
-def test_rebut_gate_blocks_weaker_side():
+def test_every_attack_is_a_defeat():
+    # the attacks a preference ordering could gate all stand: abortion's
+    # defeasible underminer of the strict premise argument, a rebut from
+    # a plausible side against a firm one, and an undercut by a strict,
+    # firm argument
+    abortion = run_pipeline(load_theory(ABORTION))
+    assert {Defeat(8, 1, DefeatKind.UNDERMINE, "a2"),
+            Defeat(8, 6, DefeatKind.UNDERMINE, "a2")} <= abortion.defeats
+    assert {d for d in abortion.defeats if d.kind is DefeatKind.UNDERCUT} \
+        == {Defeat(5, 8, DefeatKind.UNDERCUT, "rc2")}
     text = ("AGENTS: a\nPREMISE axiom s0: s\nPREMISE prem w0: w\n"
             "RULE defeasible rs: s |~ t\nRULE defeasible rw: w |~ ~t\n"
             "SCHEME fcp off\nSCHEME owp off")
-    default = run_pipeline(parse_theory(text))
-    assert {(d.attacker, d.target) for d in default.defeats} == \
+    two_way = run_pipeline(parse_theory(text))
+    assert {(d.attacker, d.target) for d in two_way.defeats} == \
         {(2, 3), (3, 2)}
-    gated = run_pipeline(parse_theory(text), config=DefeatConfig(
-        rebut_ordering=Ordering.PREMISE_BASED))
-    assert {(d.attacker, d.target) for d in gated.defeats} == {(2, 3)}
-
-
-def test_undercut_is_preference_free_by_default():
-    plain = run_pipeline(load_theory(ABORTION))
-    gated = run_pipeline(load_theory(ABORTION), config=DefeatConfig(
-        undercut_ordering=Ordering.RULE_BASED))
-    cut = {d for d in plain.defeats if d.kind is DefeatKind.UNDERCUT}
-    assert cut == {Defeat(5, 8, DefeatKind.UNDERCUT, "rc2")}
-    assert {d for d in gated.defeats if d.kind is DefeatKind.UNDERCUT} == cut
+    # no attacker ranks below its locus: a rebut or undercut locus is
+    # defeasible (no attacker is below it, strict over defeasible), an
+    # undermine locus plausible (none below it, firm over plausible)
+    theories = [instantiate_schemes(load_theory(path, weak_mode=weak))
+                for path, weak in itertools.product((DOCTOR, ABORTION, KNIFE),
+                                                    (False, True))]
+    theories += [random_theory(random.Random(seed)) for seed in range(240)]
+    kinds = set()
+    for theory in theories:
+        args, _ = construct_arguments(theory)
+        premise_arg = {next(iter(a.premise_ids)): a
+                       for a in args if a.top_rule is None}
+        closure = {a.id: {a.id} for a in args}
+        for a in args:
+            for sub in a.sub_args:
+                closure[a.id] |= closure[sub]
+        for d in compute_defeats(args, theory):
+            kinds.add(d.kind)
+            if d.kind is DefeatKind.UNDERMINE:
+                assert premise_arg[d.locus].plausible, d
+                continue
+            loci = [args[d.locus]] if d.kind is DefeatKind.REBUT else \
+                [args[s] for s in closure[d.target]
+                 if args[s].top_rule == d.locus]
+            assert loci and all(s.defeasible for s in loci), d
+    assert kinds == set(DefeatKind)
 
 
 def test_undercut_hits_superarguments():
@@ -132,9 +129,8 @@ def test_defeats_match_reference_on_fixtures():
                                         (False, True)):
         theory = instantiate_schemes(load_theory(path, weak_mode=weak))
         args, _ = construct_arguments(theory)
-        for cfg in CONFIGS:
-            assert compute_defeats(args, theory, cfg) == \
-                reference_defeats(args, theory, cfg), (path, weak, cfg)
+        assert compute_defeats(args, theory) == \
+            reference_defeats(args, theory), (path, weak)
 
 
 def test_defeats_match_reference_on_random_theories():
@@ -142,10 +138,9 @@ def test_defeats_match_reference_on_random_theories():
     for seed in range(240):
         theory = random_theory(random.Random(seed))
         args, _ = construct_arguments(theory)
-        for cfg in (DefeatConfig(), CONFIGS[seed % len(CONFIGS)]):
-            got = compute_defeats(args, theory, cfg)
-            assert got == reference_defeats(args, theory, cfg), (seed, cfg)
-            kinds |= {d.kind for d in got}
+        got = compute_defeats(args, theory)
+        assert got == reference_defeats(args, theory), seed
+        kinds |= {d.kind for d in got}
     assert kinds == set(DefeatKind)
 
 
