@@ -21,13 +21,21 @@ kind. parse rejects deeper input with a SyntaxError naming the offset.
 The bare identifiers O and P are reserved for the impersonal modalities and
 cannot be used as atom names; identifiers starting with K_, P_, O_, R_ or
 Power_ are likewise taken as modal prefixes.
+
+Nodes are interned (hash-consed, Filliatre & Conchon 2006): building a
+node whose class and fields match a live one returns that one, so each
+distinct formula is one object, == and hash are identity, and a node
+caches its normal forms and implication-free form. The intern table
+holds nodes weakly, so a formula lives only as long as something uses
+it. Building nodes is not thread-safe.
 """
 
 from __future__ import annotations
 
-import operator
+import inspect
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -37,108 +45,163 @@ class UnknownOperator(SyntaxError):
 
 
 class Formula:
-    """Base class of all AST nodes. Instances are immutable and hashable."""
+    """Base class of all AST nodes. Nodes are immutable and interned: each
+    distinct formula is one object, built once through a table keyed by
+    its class and fields, so == and hash are object's identity versions
+    and cost O(1) at any depth. The table holds its nodes weakly and
+    drops each entry when its node dies. Construction is single-threaded:
+    two threads building the same new node at once could each intern
+    their own. A node caches its normal forms (one slot per mode) and its
+    implication-free form outside vars(f), which holds the fields only."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__", "_normal", "_weak_normal", "_implication_free")
+
+    def __new__(cls, *fields, **named):
+        if named or len(fields) != len(cls._fields):
+            bound = cls._signature.bind(*fields, **named)
+            bound.apply_defaults()
+            fields = bound.args
+        key = (cls, *fields)
+        entry = _table.get(key)
+        node = entry and entry()
+        if node is None:
+            node = object.__new__(cls)
+            vars(node).update(zip(cls._fields, fields))
+            entry = _table[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the table: same node
+        return type(self), tuple(vars(self).values())
 
     def __str__(self):
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """The intern table's reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> _Entry of the one node with those fields
+_table: dict[tuple, _Entry] = {}
+
+
+def _drop(entry: _Entry, table=_table):
+    """Forget a dead node, unless its key names a newer one already."""
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+# dataclasses for their fields and repr; __new__ interns, and == and hash
+# stay object's
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Atom(Formula):
     name: str
     args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Know(Formula):
     agent: str
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Oblig(Formula):
     agent: str | None
     toward: str | None
     f: Formula
 
-    def __post_init__(self):
+    def __new__(cls, agent, toward, f):
         # a directed obligation needs a bearer
-        if self.toward is not None and self.agent is None:
+        if toward is not None and agent is None:
             raise ValueError("directed obligation requires a bearer agent")
+        return Formula.__new__(cls, agent, toward, f)
 
 
-@dataclass(frozen=True)
+@_node
 class Perm(Formula):
     agent: str | None
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Stit(Formula):
     agent: str
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Right(Formula):
     agent: str
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Power(Formula):
     agent: str
     toward: str
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class RuleAtom(Formula):
     rule_name: str
 
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
+_BINARY_TYPES = (And, Or, Implies)
+_NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + (Atom, RuleAtom)
+for _t in _NODE_TYPES:  # the field names and the signature __new__ reads
+    _t._fields = tuple(x.name for x in fields(_t))
+    _t._signature = inspect.Signature([inspect.Parameter(
+        x.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        default=inspect.Parameter.empty if x.default is MISSING else x.default)
+        for x in fields(_t)])
 
 # The binary connectives: symbol and binding strength. Prefix operators
 # and atoms bind tighter than all three (_TIGHT).
 _INFIX = {And: (" & ", 3), Or: (" | ", 2), Implies: (" -> ", 1)}
 _TIGHT = ("", 4)
-_BINARY_TYPES = tuple(_INFIX)
 _BY_SYMBOL = {symbol.strip(): (node, strength)
               for node, (symbol, strength) in _INFIX.items()}
 
@@ -152,9 +215,9 @@ _NAMED_HEAD = {Know: "K", Perm: "P", Oblig: "O", Right: "R", Power: "Power"}
 _IMPERSONAL = ("O", "P")
 _PREFIX_STARTS = tuple(head + "_" for head in _NAMED_HEAD.values())
 
-# Deepest nesting parse accepts. Normalization, _cform and scheme grounding
-# still recurse over formulas and may add a few levels, so the limit stays
-# well inside the default recursion limit.
+# Deepest nesting parse accepts. Normalization and _cform recurse over the
+# nodes whose forms are not cached yet, and scheme grounding may add a few
+# levels, so the limit stays well inside the default recursion limit.
 MAX_NESTING = 100
 
 
@@ -415,7 +478,6 @@ def _wraps(op: type, side: int, operand: type) -> bool:
 
 # _wraps tabulated over the 14 node types, for the printer and the depth
 # walk: _WRAP[op][side] holds the operand types parenthesized there
-_NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + (Atom, RuleAtom)
 _WRAP = {op: tuple(frozenset(x for x in _NODE_TYPES if _wraps(op, side, x))
                    for side in (0, 1))
          for op in _PREFIX_TYPES + _BINARY_TYPES}
@@ -483,41 +545,51 @@ def printable(f: Formula, what: str = "formula") -> Formula:
 
 # ------------------------------------------------------------- normalizing
 
-def _complement(f: Formula, node: Not | None = None) -> Formula:
-    """Not(f) with double negation collapsed; node itself when it is that
-    negation already."""
-    if isinstance(f, Not):
-        return f.f
-    return node if node is not None and node.f is f else Not(f)
+def _complement(f: Formula) -> Formula:
+    """Not(f) with double negation collapsed."""
+    return f.f if isinstance(f, Not) else Not(f)
 
 
 def _map(f: Formula, g) -> Formula:
-    """f with g applied to each direct subformula: f itself when g returns
-    every one of them unchanged, else a new node. Formula nodes are
-    dataclasses, so vars(f) holds their fields in declaration order."""
+    """f with g applied to each direct subformula. Formula nodes are
+    dataclasses, so vars(f) holds their fields in declaration order, and
+    interned, so where g returns every one unchanged this is f itself."""
     if not isinstance(f, Formula):
         raise TypeError("not a formula: %r" % (f,))
-    fields = vars(f).values()
-    new = [g(v) if isinstance(v, Formula) else v for v in fields]
-    if all(map(operator.is_, new, fields)):
-        return f
-    return type(f)(*new)
+    return type(f)(*[g(v) if isinstance(v, Formula) else v
+                     for v in vars(f).values()])
+
+
+def _cache(f: Formula, slot: str, g: Formula) -> Formula:
+    """g, stored as the form in f's cache slot. The slot holds None for f
+    itself, so that no node refers to itself, and g is its own form."""
+    if g is not f:
+        object.__setattr__(f, slot, g)
+    object.__setattr__(g, slot, None)
+    return g
 
 
 def normalize(f: Formula, weak: bool = False) -> Formula:
     """Eliminate double negation and rewrite Diamond g as ~[]~g. With the
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
-    implication is left untouched. A normal form is returned as itself,
-    walked but not rebuilt. A rewritten formula may print deeper than it
-    was written, <> g as ~[]~ over g, and so deeper than parse reads: see
+    implication is left untouched. The result is cached on the node, one
+    slot per mode, so a node is walked once per mode, and a normal form is
+    returned as itself. A rewritten formula may print deeper than it was
+    written, <> g as ~[]~ over g, and so deeper than parse reads: see
     printable."""
-    if isinstance(f, Not):
-        return _complement(normalize(f.f, weak), f)
-    if isinstance(f, Diamond):
-        return Not(Box(_complement(normalize(f.f, weak))))
-    if weak and isinstance(f, Perm):
-        return Not(Oblig(f.agent, None, _complement(normalize(f.f, weak))))
-    return _map(f, lambda x: normalize(x, weak))
+    try:
+        g = f._weak_normal if weak else f._normal
+    except AttributeError:
+        if isinstance(f, Not):
+            g = _complement(normalize(f.f, weak))
+        elif isinstance(f, Diamond):
+            g = Not(Box(_complement(normalize(f.f, weak))))
+        elif weak and isinstance(f, Perm):
+            g = Not(Oblig(f.agent, None, _complement(normalize(f.f, weak))))
+        else:
+            g = _map(f, lambda x: normalize(x, weak))
+        return _cache(f, "_weak_normal" if weak else "_normal", g)
+    return f if g is None else g
 
 
 # ------------------------------------------------------------- contrariness
@@ -525,13 +597,19 @@ def normalize(f: Formula, weak: bool = False) -> Formula:
 def _cform(f: Formula) -> Formula:
     """Rewrite every implication a -> b of a normalized formula into
     ~(a & ~b), collapsing double negations, so that necessity/possibility
-    duals collide syntactically. An implication-free formula is returned
-    as itself."""
-    if isinstance(f, Not):
-        return _complement(_cform(f.f), f)
-    if isinstance(f, Implies):
-        return Not(And(_cform(f.left), _complement(_cform(f.right))))
-    return _map(f, _cform)
+    duals collide syntactically. Cached on the node like normalize; an
+    implication-free formula is returned as itself."""
+    try:
+        c = f._implication_free
+    except AttributeError:
+        if isinstance(f, Not):
+            c = _complement(_cform(f.f))
+        elif isinstance(f, Implies):
+            c = Not(And(_cform(f.left), _complement(_cform(f.right))))
+        else:
+            c = _map(f, _cform)
+        return _cache(f, "_implication_free", c)
+    return f if c is None else c
 
 
 def _negation_linked(f: Formula, g: Formula) -> bool:
@@ -553,7 +631,9 @@ def conflict_class(f: Formula, weak: bool = False) -> Formula:
 def contrary(f: Formula, g: Formula, theory=None) -> bool:
     """True iff f and g are in conflict: syntactic negation, a deontic
     O phi / O ~phi clash on the same bearer and direction, a collision of
-    dual modal forms, or a pair declared in the theory. Symmetric."""
+    dual modal forms, or a pair declared in the theory. Symmetric. The
+    normal and implication-free forms it compares are read from the node
+    caches, computed on the first call that needs them."""
     weak = bool(theory is not None and theory.weak_mode)
     f = normalize(f, weak)
     g = normalize(g, weak)

@@ -21,7 +21,9 @@ to the formula defeats every argument containing that sub-argument.
 Candidate attackers come from an index by conflict_class and declared
 contrary pairs, and contrary confirms each one. Conclusions are normal
 forms (see Theory), so they are indexed as they are, and each distinct
-conclusion's class is computed once.
+conclusion's class is computed once. Formulas are interned (see formula),
+so the index hashes and compares them by identity, and contrary reads the
+normal and implication-free forms it compares from each node's caches.
 
 Each framework builds its defeat graph, the attackers and victims of
 every argument, once on first use; the solvers, verification and brute

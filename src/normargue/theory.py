@@ -330,31 +330,19 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 def _ordered_subformulas(theory: Theory, rules) -> list[Formula]:
     """Every subformula of the premises and rules, first appearance first."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
     tops = [p.formula for p in theory.premises]
     for r in rules:
         tops.extend(r.antecedents)
         tops.append(r.consequent)
-    for top in tops:
-        for sub in subformulas(top):
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-    return out
+    return list(dict.fromkeys(sub for top in tops for sub in subformulas(top)))
 
 
 def _modal_ands(pool: list[Formula]) -> list[Formula]:
     """And nodes occurring below a modal operator, in pool order."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-    for f in pool:
-        if isinstance(f, _PREFIX_TYPES) and not isinstance(f, Not):
-            for sub in subformulas(f.f):
-                if isinstance(sub, And) and sub not in seen:
-                    seen.add(sub)
-                    out.append(sub)
-    return out
+    return list(dict.fromkeys(
+        sub for f in pool if isinstance(f, _PREFIX_TYPES)
+        and not isinstance(f, Not)
+        for sub in subformulas(f.f) if isinstance(sub, And)))
 
 
 def instantiate_schemes(theory: Theory) -> Theory:

@@ -1,5 +1,6 @@
-"""Shared test utilities: fixture paths, a seeded random formula generator
-and conflict-biased formula pairs, random theories built from them,
+"""Shared test utilities: fixture paths, a formula's structure read from
+its fields, a seeded random formula generator and conflict-biased formula
+pairs, random theories built from them,
 deeply nested formula texts, random frameworks and their disjoint unions
 for solver fuzzing, grounded semantics from its definition, and a
 one-call pipeline runner."""
@@ -8,8 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
-                       Diamond, Implies, Know, Not, Oblig, Or, Perm, Power,
-                       Premise, Right, Rule, RuleAtom, RuleKind,
+                       Diamond, Formula, Implies, Know, Not, Oblig, Or, Perm,
+                       Power, Premise, Right, Rule, RuleAtom, RuleKind,
                        SchemeRoundsExceeded, Schemes, Stit, Strength, Theory,
                        And, compute_defeats, construct_arguments,
                        instantiate_schemes, normalize, stable_extensions)
@@ -24,6 +25,15 @@ AGENTS = ("a", "b")
 
 _NODE_KINDS = ("atom", "not", "and", "or", "implies", "box", "diamond",
                "know", "oblig", "perm", "stit", "right", "power")
+
+
+def structure(f):
+    """f as nested tuples of each node's class and fields, read from the
+    fields alone: two formulas have one structure exactly when they are
+    the same tree, whichever objects interning gave them."""
+    if isinstance(f, Formula):
+        return (type(f), *map(structure, vars(f).values()))
+    return f
 
 
 def random_formula(rng, depth=3, rules=("r1", "fcp#1")):

@@ -11,10 +11,13 @@ they were before a formula with nothing to rewrite was returned as itself:
 they rebuild every node. contrary is the conflict test as it was before
 declared pairs became a set lookup: it tests exact negation on normal
 forms as a case of its own and scans every declared pair on each call; it
-reads the rebuilding normal forms."""
+reads the rebuilding normal forms. It compares formulas by structure, not
+by ==, which interning makes identity, so that it does not rest on
+interning being right."""
 
 from normargue import (And, Atom, Box, Diamond, Formula, Implies, Know, Not,
                        Oblig, Or, Perm, Power, Right, RuleAtom, Stit, parse)
+from helpers import structure
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
@@ -164,23 +167,25 @@ def cform(f):
 
 
 def _negation_linked(f, g):
-    return (isinstance(f, Not) and f.f == g) or (isinstance(g, Not) and g.f == f)
+    # on structures: (Not, x) is the negation of x
+    return (f[0] is Not and f[1] == g) or (g[0] is Not and g[1] == f)
 
 
 def contrary(f, g, theory=None):
     weak = bool(theory is not None and theory.weak_mode)
     f = normalize(f, weak)
     g = normalize(g, weak)
-    if _negation_linked(f, g):
+    sf, sg = structure(f), structure(g)
+    if _negation_linked(sf, sg):
         return True
-    if (isinstance(f, Oblig) and isinstance(g, Oblig)
-            and f.agent == g.agent and f.toward == g.toward
-            and _negation_linked(f.f, g.f)):
+    if (sf[0] is Oblig and sg[0] is Oblig and sf[1:3] == sg[1:3]
+            and _negation_linked(sf[3], sg[3])):
         return True
-    if _negation_linked(cform(f), cform(g)):
+    if _negation_linked(structure(cform(f)), structure(cform(g))):
         return True
     if theory is not None:
         for a, b in theory.contraries:
-            if (f == a and g == b) or (f == b and g == a):
+            a, b = structure(a), structure(b)
+            if (sf == a and sg == b) or (sf == b and sg == a):
                 return True
     return False

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -531,6 +533,26 @@ def test_multi_extension_theories_match_golden_output(capsys):
             assert (code, err) == (0, "")
             assert out == (GOLDEN / (name + suffix)).read_text(), \
                 (name, suffix)
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # formula sets iterate in the order of their nodes' addresses, strings
+    # in PYTHONHASHSEED's: run --json in fresh interpreters under two hash
+    # seeds prints what tests/golden holds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [(path, ()) for path in (DOCTOR, ABORTION, KNIFE)] + [
+        (THEORIES / (name + ".naf"), THEORY_QUERIES[name])
+        for name in ("many", "wide")]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for path, queries in runs:
+            flags = [x for q in queries for x in ("--query", q)]
+            done = subprocess.run(
+                [sys.executable, "-m", "normargue.cli", "run", str(path),
+                 "--json", *flags], env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stderr) == (0, ""), path
+            golden = (GOLDEN / (path.stem + ".json")).read_text()
+            assert done.stdout == golden, (seed, path.stem)
 
 
 # ------------------------------------------------------------------ color

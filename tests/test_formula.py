@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,12 +8,13 @@ from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
                        UnknownOperator, agents_in, conflict_class, contrary,
                        normalize, parse, print_formula, subformulas)
-from normargue import formula
+from normargue import cli, formula
 from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
                                parses_back, printed_nesting, rule_atoms_in)
 
 import reference_formula as ref
-from helpers import conflict_pair, deep_shapes, random_formula
+from helpers import (ABORTION, DOCTOR, KNIFE, conflict_pair, deep_shapes,
+                     random_formula, structure)
 
 
 # ---------------------------------------------------------------- parsing
@@ -108,6 +111,89 @@ def test_parse_nesting_counts_every_level():
 def test_oblig_toward_requires_agent():
     with pytest.raises(ValueError):
         Oblig(None, "b", Atom("p"))
+    with pytest.raises(ValueError):
+        Oblig(toward="b", agent=None, f=Atom("p"))
+
+
+# -------------------------------------------------------------- interning
+
+def test_same_structure_is_the_same_node():
+    # positionally, by keyword and with Atom's default args alike
+    p = Atom("p")
+    assert p is Atom("p", ()) is Atom(name="p") is Atom("p", args=())
+    assert Atom("f", ("a", "b")) is Atom(args=("a", "b"), name="f")
+    assert Atom("f", ("a", "b")) is not Atom("f", ("b", "a"))
+    assert Oblig("a", None, p) is Oblig(f=p, toward=None, agent="a")
+    assert Box(p) is not Diamond(p) and Box(p) == Box(Atom("p"))
+    rng = random.Random(5)
+    for _ in range(500):
+        f = random_formula(rng, depth=rng.randint(0, 5))
+        assert parse(str(f)) is f
+        assert type(f)(*vars(f).values()) is f
+        assert type(f)(**vars(f)) is f
+        assert hash(f) == object.__hash__(f)
+    with pytest.raises(TypeError):
+        Atom()
+    with pytest.raises(TypeError):
+        Not(p, p)
+    with pytest.raises(TypeError):
+        Box(g=p)
+
+
+def test_interned_nodes_compare_by_identity():
+    # no node class defines or generates its own == or hash
+    for t in formula._NODE_TYPES:
+        for name in ("__eq__", "__hash__"):
+            assert getattr(t, name) is getattr(object, name), (t, name)
+    p = parse("K_a(p & [](q -> r))")
+    assert p == parse("K_a(p & [](q -> r))")
+    assert p != parse("K_a(p & [](r -> q))")
+    assert p != "K_a(p & [](q -> r))"
+    with pytest.raises(AttributeError):
+        p.agent = "b"
+
+
+def test_copy_and_pickle_return_the_same_node():
+    rng = random.Random(17)
+    for _ in range(200):
+        f = random_formula(rng, depth=rng.randint(0, 5))
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy([f, (f, 1)])[1][0] is f
+
+
+def test_caches_live_outside_the_fields():
+    # vars(f) holds the fields only, and a cache slot never holds its own
+    # node: that would be a cycle only the cycle collector frees
+    rng = random.Random(23)
+    slots = formula.Formula.__slots__[1:]
+    for _ in range(1000):
+        f = random_formula(rng, depth=rng.randint(0, 5))
+        contrary(f, Not(f), Theory(agents=(), premises=(), rules=(),
+                                   contraries=(), weak_mode=True))
+        contrary(f, Not(f))
+        for x in subformulas(f):
+            assert list(vars(x)) == list(type(x)._fields)
+            for slot in slots:
+                assert getattr(x, slot, None) is not x, (x, slot)
+    d = parse("<>p")
+    n = normalize(d)
+    assert d._normal is n and n._normal is None  # n is its own normal form
+
+
+def test_intern_table_keeps_no_dead_nodes(capsys):
+    # the table holds nodes weakly: what a run built is gone when it ends
+    before = len(formula._table)
+    for path in (DOCTOR, ABORTION, KNIFE):
+        for flags in ((), ("--weak-mode",)):
+            assert cli.main(["run", str(path), "--json", *flags]) == 0
+    capsys.readouterr()
+    assert len(formula._table) <= before
+    f = parse("atom_built_only_here & q")
+    key = (And, f.left, f.right)
+    assert formula._table[key]() is f
+    del f
+    assert key not in formula._table
 
 
 # --------------------------------------------------------------- printing
@@ -290,6 +376,8 @@ def test_normal_forms_are_walked_not_rebuilt():
             n = normalize(f, weak)
             c = _cform(n)
             assert n == ref.normalize(f, weak) and c == ref.cform(n)
+            assert structure(n) == structure(ref.normalize(f, weak))
+            assert structure(c) == structure(ref.cform(n))
             assert normalize(n, weak) is n and _cform(c) is c
             assert normalize(c, weak) is c
     p = parse("K_a(p & [](q -> r)) | O_b ~s")
@@ -298,7 +386,7 @@ def test_normal_forms_are_walked_not_rebuilt():
     for f, g in ((And(p, Not(Not(Atom("t")))), And(p, Atom("t"))),
                  (Diamond(p), Not(Box(Not(p)))),
                  (Not(Not(Not(p))), Not(p))):
-        assert normalize(f) == g
+        assert normalize(f) == g and structure(normalize(f)) == structure(g)
         assert p in [x for x in subformulas(normalize(f)) if x is p]
     k = parse("K_a(p & []q) | O_b ~s")  # implication-free
     assert _cform(k) is k and _cform(Implies(k, k)).f.left is k
@@ -389,7 +477,9 @@ def test_conflict_class_covers_contrary():
 def test_contrary_matches_reference():
     # 20,000 seeded pairs, half of them biased towards conflict, each in a
     # random mode, with no theory or with a theory declaring no pairs, an
-    # unrelated pair, or that one and the pair itself in either order
+    # unrelated pair, or that one and the pair itself in either order; the
+    # reference compares structures, and the normal forms are compared by
+    # structure too, so that a fault in interning cannot hide behind ==
     rng = random.Random(4242)
     hits = declared = 0
     for k in range(20000):
@@ -397,6 +487,9 @@ def test_contrary_matches_reference():
         f, g = (conflict_pair(rng, depth) if k % 2 else
                 (random_formula(rng, depth), random_formula(rng, depth)))
         weak = rng.random() < 0.5
+        for x in (f, g):
+            assert structure(normalize(x, weak)) == \
+                structure(ref.normalize(x, weak))
         roll = rng.random()
         if roll < 0.1:
             assert contrary(f, g) == ref.contrary(f, g), (f, g)
