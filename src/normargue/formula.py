@@ -18,9 +18,13 @@ A formula nests at most MAX_NESTING (100) levels: each prefix operator,
 pair of parentheses and binary connective puts its operands one level
 deeper, so `p0 & ... & p100` and 100 chained `~` are the deepest of their
 kind. parse rejects deeper input with a SyntaxError naming the offset.
-The bare identifiers O and P are reserved for the impersonal modalities and
-cannot be used as atom names; identifiers starting with K_, P_, O_, R_ or
-Power_ are likewise taken as modal prefixes.
+A modal head is written H, H_a or H_{a,b} (STIT alone is written [a]);
+the parser and the printer read one table of heads and of the agents each
+takes. The bare identifiers O and P are reserved for the impersonal
+modalities and cannot be used as atom names; identifiers starting with
+K_, P_, O_, R_ or Power_ are likewise taken as modal prefixes. One parser
+reads all formula text: parse a formula, parse_contrary the two formulas
+of a CONTRARY body f ~ g.
 
 Nodes are interned (hash-consed, Filliatre & Conchon 2006): building a
 node whose class and fields match a live one returns that one, so each
@@ -205,15 +209,13 @@ _TIGHT = ("", 4)
 _BY_SYMBOL = {symbol.strip(): (node, strength)
               for node, (symbol, strength) in _INFIX.items()}
 
-# Prefix operators written without agents; the others are [a] and the
-# named heads below with an _a or _{a,b} suffix.
-_FIXED_HEAD = {Not: "~", Box: "[]", Diamond: "<>"}
-_FIXED_BY_TEXT = {head: node for node, head in _FIXED_HEAD.items()}
-_NAMED_HEAD = {Know: "K", Perm: "P", Oblig: "O", Right: "R", Power: "Power"}
-# Identifiers the parser reads as modal prefixes: the two impersonal
-# modalities and every name starting with a named head and "_".
-_IMPERSONAL = ("O", "P")
-_PREFIX_STARTS = tuple(head + "_" for head in _NAMED_HEAD.values())
+# Each prefix operator's head, written with its agents as H, H_a or
+# H_{a,b}; only STIT is written otherwise, [a]. Heads in _BARE are also
+# read without agents, the others then as atom names.
+_HEAD = {Not: "~", Box: "[]", Diamond: "<>", Know: "K", Perm: "P",
+         Oblig: "O", Right: "R", Power: "Power"}
+_BY_HEAD = {head: node for node, head in _HEAD.items()}
+_BARE = (Not, Box, Diamond, Oblig, Perm)
 
 # Deepest nesting parse accepts. Normalization and _cform recurse over the
 # nodes whose forms are not cached yet, and scheme grounding may add a few
@@ -231,6 +233,7 @@ _TOKEN_RE = re.compile(
       | (?P<ruleref>@[A-Za-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[()\[\]{},~&|])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -244,28 +247,23 @@ class _Token(NamedTuple):
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise SyntaxError(
-                "offset %d: unexpected character %r" % (i, text[i]))
-        kind = m.lastgroup
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok_text, i = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise SyntaxError("offset %d: unexpected character %r"
+                              % (i, tok_text))
         if kind != "ws":
-            tok_text = m.group()
-            if kind == "punct":
-                kind = tok_text
-            tokens.append(_Token(kind, tok_text, i))
-        i = m.end()
+            tokens.append(_Token(tok_text if kind == "punct" else kind,
+                                 tok_text, i))
     return tokens
 
 
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[_Token] | None = None):
+    def __init__(self, text: str):
         self.text = text
-        self.tokens = _lex(text) if tokens is None else tokens
+        self.tokens = _lex(text)
         self.pos = 0
 
     def peek(self) -> _Token | None:
@@ -347,35 +345,26 @@ class _Parser:
         if kind not in ("~", "box", "diamond", "[", "ident"):
             self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
         self.pos += 1
-        if t in _FIXED_BY_TEXT:
-            return _FIXED_BY_TEXT[t]
         if kind == "[":  # STIT prefix [a]
             agent = self.take("ident").text
             self.take("]")
             return partial(Stit, agent)
-        if t == "O":
-            return partial(Oblig, None, None)
-        if t == "P":
-            return partial(Perm, None)
-        if t == "O_":
-            return partial(Oblig, *self.braced_agents(tok, True))
-        if t == "Power_":
-            return partial(Power, *self.braced_agents(tok, False))
-        if t.startswith("Power_"):
+        head, sep, agent = t.partition("_")
+        node = _BY_HEAD.get(head)
+        if node is None or not (sep or node in _BARE):
+            return None
+        slots = len(node._fields) - 1  # the agents before the body
+        if sep and not agent:
+            if slots == 1:
+                raise UnknownOperator(
+                    "offset %d: modal prefix %r lacks an agent" % (tok.pos, t))
+            agents = self.braced_agents(tok, node in _BARE)
+        elif slots == 2 and node not in _BARE:
             raise UnknownOperator(
                 "offset %d: power must be written Power_{a,b}" % tok.pos)
-        for prefix, node in (("K_", Know), ("P_", Perm), ("O_", Oblig),
-                             ("R_", Right)):
-            if t.startswith(prefix):
-                agent = t[len(prefix):]
-                if not agent:
-                    raise UnknownOperator(
-                        "offset %d: modal prefix %r lacks an agent"
-                        % (tok.pos, t))
-                if node is Oblig:
-                    return partial(Oblig, agent, None)
-                return partial(node, agent)
-        return None
+        else:
+            agents = (agent,) if sep else ()
+        return partial(node, *agents, *[None] * (slots - len(agents)))
 
     def braced_agents(self, tok, optional_second):
         if self.peek() is None or self.peek().kind != "{":
@@ -416,50 +405,32 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-def _ends_operand(tok: _Token) -> bool:
-    """Whether tok can end a formula: a rule atom, a closing parenthesis
-    or an atom name (an identifier that prefix does not read as a modal
-    operator). No formula has a ~ right after such a token."""
-    return tok.kind in ("ruleref", ")") or (
-        tok.kind == "ident" and tok.text not in _IMPERSONAL
-        and not tok.text.startswith(_PREFIX_STARTS))
-
-
 def parse_contrary(text: str) -> tuple[Formula, Formula]:
-    """The formulas f and g of a contrary declaration `f ~ g`, split at the
-    first ~ at which both sides parse. Each side ends at the end of an
-    operand and has no ~ right after one, so only the first ~ that follows
-    the end of an operand can separate them: a later one would leave that
-    one inside a side. The text is lexed once and one split is parsed.
-    Raises SyntaxError when it does not parse."""
-    tokens = _lex(text)
-    i = next((i for i in range(1, len(tokens))
-              if tokens[i].kind == "~" and _ends_operand(tokens[i - 1])), 0)
-    if not i:
-        raise SyntaxError("no ~ after the end of a formula")
-    return (_Parser(text, tokens[:i]).parse(),
-            _Parser(text, tokens[i + 1:]).parse())
+    """The formulas f and g of a contrary declaration `f ~ g`. The parser
+    reads f as far as it goes, then the ~ and g: no ~ right after an
+    operand is a connective, so f stops at the first ~ that follows the
+    end of an operand, the only one that can separate two formulas.
+    Raises SyntaxError when the text is not two formulas joined by ~."""
+    parser = _Parser(text)
+    f, _ = parser.binary(0)
+    parser.take("~")
+    return f, parser.parse()
 
 
 # ---------------------------------------------------------------- printing
 
 def _head(f: Formula) -> str:
-    """The prefix operator of f as written before its body."""
+    """The prefix operator of f as written before its body: [a] for a
+    STIT, else its head with its agents that are not None."""
     t = type(f)
-    head = _FIXED_HEAD.get(t)
-    if head is not None:
-        return head
     if t is Stit:
         return "[" + f.agent + "]"
-    head = _NAMED_HEAD.get(t)
-    if head is None:
+    if t not in _HEAD:
         raise TypeError("not a formula: %r" % (f,))
-    if f.agent is None:
-        return head
-    toward = vars(f).get("toward")
-    if toward is None:
-        return head + "_" + f.agent
-    return "%s_{%s,%s}" % (head, f.agent, toward)
+    agents = [x for x in vars(f).values() if type(x) is str]
+    if len(agents) == 2:
+        return "%s_{%s,%s}" % (_HEAD[t], *agents)
+    return "_".join([_HEAD[t], *agents])
 
 
 def _wraps(op: type, side: int, operand: type) -> bool:
@@ -679,8 +650,3 @@ def subformulas(f: Formula):
             todo.append(x.f)
         elif type(x) in _BINARY_TYPES:
             todo += (x.right, x.left)
-
-
-def rule_atoms_in(f: Formula) -> set[str]:
-    """The rule names of the rule atoms in f."""
-    return names_in(f)[1]

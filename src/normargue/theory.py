@@ -164,7 +164,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     toggles = dict(vars(Schemes()))
     warnings: list[str] = []
     id_lines: dict[str, int] = {}
-    formula_lines: list[tuple[Formula, int]] = []
+    # each distinct formula with the first line that has it
+    formula_lines: dict[Formula, int] = {}
     n_positions = 0
 
     def declare_id(ident: str, lineno: int):
@@ -177,7 +178,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         """f in normal form, which must parse back (see printable) when
         normalization rewrote f; f as the line wrote it, parse has read."""
         g = normalize(f, weak_mode)
-        formula_lines.append((g, lineno))
+        formula_lines.setdefault(g, lineno)
         return g if g is f else printable(g)
 
     def read(text: str, lineno: int) -> Formula:
@@ -278,13 +279,14 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         except (SyntaxError, ValidationError) as e:
             raise type(e)("line %d: %s" % (lineno, e)) from None
 
-    # one walk per formula; every unknown agent is reported before any
-    # dangling rule atom, so the first of those waits for the loop's end
+    # one walk per distinct formula, at its first line; every unknown
+    # agent is reported before any dangling rule atom, so the first of
+    # those waits for the loop's end
     declared = set(agents)
     defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
     pending: list[tuple[str, int]] = []
     dangling = None
-    for f, lineno in formula_lines:
+    for f, lineno in formula_lines.items():
         names, refs = names_in(f)
         undeclared = names - declared
         if undeclared:

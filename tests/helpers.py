@@ -41,7 +41,7 @@ def random_formula(rng, depth=3, rules=("r1", "fcp#1")):
     if depth <= 0:
         roll = rng.random()
         if roll < 0.8 or (roll >= 0.9 and not rules):
-            return Atom(rng.choice(ATOMS))
+            return Atom(rng.choice(ATOMS), ())
         if roll < 0.9:
             return Atom("f", (rng.choice(ATOMS), rng.choice(ATOMS)))
         return RuleAtom(rng.choice(rules))

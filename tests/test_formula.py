@@ -10,7 +10,7 @@ from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        normalize, parse, print_formula, subformulas)
 from normargue import cli, formula
 from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
-                               parses_back, printed_nesting, rule_atoms_in)
+                               parses_back, printed_nesting)
 
 import reference_formula as ref
 from helpers import (ABORTION, DOCTOR, KNIFE, conflict_pair, deep_shapes,
@@ -76,6 +76,53 @@ def test_unknown_operator():
         parse("Power_a(p)")
     # not an operator prefix at all: plain atom named X_a
     assert parse("X_a(p)") == Atom("X_a", ("p",))
+
+
+def test_head_grammar():
+    # each head in each agent shape it takes prints and reads back as the
+    # same node; a bare head of a modality that needs an agent is an atom
+    # name, and a malformed head is refused with its offset
+    p = Atom("p", ())
+    written = {Not(p): "~p", Box(p): "[](p)", Diamond(p): "<>(p)",
+               Stit("a", p): "[a](p)", Know("a", p): "K_a(p)",
+               Know("a_b", p): "K_a_b(p)", Right("a", p): "R_a(p)",
+               Perm(None, p): "P(p)", Perm("a", p): "P_a(p)",
+               Oblig(None, None, p): "O(p)", Oblig("a", None, p): "O_a(p)",
+               Oblig("a", "b", p): "O_{a,b}(p)",
+               Power("a", "b", p): "Power_{a,b}(p)"}
+    for f, text in written.items():
+        assert print_formula(f) == text
+        assert parse(text) is f
+        assert parse(print_formula(Not(f))) is Not(f)
+    assert parse("O_{a} p") is Oblig("a", None, p)
+    for name in ("K", "R", "Power", "Powerx", "X_a", "_a"):
+        assert parse(name) is Atom(name, ())
+    errors = {
+        "K_ p": (UnknownOperator, "offset 0: modal prefix 'K_' lacks an agent"),
+        "P_ p": (UnknownOperator, "offset 0: modal prefix 'P_' lacks an agent"),
+        "R_{a} p": (UnknownOperator,
+                    "offset 0: modal prefix 'R_' lacks an agent"),
+        "Power_a p": (UnknownOperator,
+                      "offset 0: power must be written Power_{a,b}"),
+        "O_ p": (UnknownOperator,
+                 "offset 0: 'O_' requires a braced agent list"),
+        "Power_ p": (UnknownOperator,
+                     "offset 0: 'Power_' requires a braced agent list"),
+        "Power_{a} p": (SyntaxError,
+                        "offset 8: expected one of {,}, found '}'"),
+        "O_{a,b,c} p": (SyntaxError,
+                        "offset 6: expected one of {}}, found ','"),
+        "O_{a,} p": (SyntaxError,
+                     "offset 5: expected one of {ident}, found '}'"),
+        "[a p": (SyntaxError, "offset 3: expected one of {]}, found 'p'"),
+        "K p": (SyntaxError,
+                "offset 2: expected one of {end of input}, found 'p'"),
+        "p $ q": (SyntaxError, "offset 2: unexpected character '$'"),
+    }
+    for text, (kind, message) in errors.items():
+        with pytest.raises(SyntaxError) as err:
+            parse(text)
+        assert (type(err.value), str(err.value)) == (kind, message), text
 
 
 def test_parse_nesting_limit():
@@ -236,7 +283,7 @@ def test_printer_and_walkers_match_reference():
         assert text == ref.print_formula(f)
         assert list(subformulas(f)) == list(ref.subformulas(f))
         assert agents_in(f) == ref.agents_in(f)
-        assert rule_atoms_in(f) == ref.rule_atoms_in(f)
+        assert names_in(f)[1] == ref.rule_atoms_in(f)
         assert parse(text) == f
     for case in ((Diamond, False, False, False),
                  (RuleAtom, False, False, False), (Atom, False, False, True), (Oblig, False, True, False),
@@ -255,7 +302,7 @@ def test_walkers_do_not_recurse():
                 else And(RuleAtom("r"), Oblig("b", "c", deep)))
     assert sum(1 for _ in subformulas(deep)) == 3 * 2500 + 2500 + 1
     assert agents_in(deep) == {"a", "b", "c"}
-    assert rule_atoms_in(deep) == {"r"}
+    assert names_in(deep)[1] == {"r"}
 
 
 def test_print_parse_round_trip_random():
