@@ -6,11 +6,10 @@ enumerate stable extensions.
 
 from .formula import (And, Atom, Box, Diamond, Formula, Implies, Know, Not,
                       Oblig, Or, Perm, Power, Right, RuleAtom, Stit,
-                      UnknownOperator, agents_in, conflict_class, contrary,
-                      normalize, parse, print_formula, subformulas)
-from .hohfeld import (IncompleteCover, NormativePosition, PositionKind,
-                      correlative, generalize, opposite, position_warnings,
-                      to_formula)
+                      UnknownOperator, conflict_class, contrary, normalize,
+                      parse, print_formula, subformulas)
+from .hohfeld import (NormativePosition, PositionKind, correlative, opposite,
+                      position_warnings, to_formula)
 from .theory import (DanglingRuleAtom, DuplicateId, Premise, Rule, RuleKind,
                      SchemeRoundsExceeded, Schemes, Strength, Theory,
                      UnknownAgent, ValidationError, instantiate_schemes,

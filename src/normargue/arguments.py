@@ -36,10 +36,6 @@ class Argument:
     plausible: bool
     depth: int
 
-    def __str__(self):
-        kind, firm = classify(self)
-        return "%d: %s [%s, %s]" % (self.id, self.conclusion, kind, firm)
-
 
 def construct_arguments(theory: Theory) -> tuple[list[Argument], bool]:
     """All constructible arguments up to max_depth, ids dense from 0 in

@@ -20,11 +20,12 @@ deeper, so `p0 & ... & p100` and 100 chained `~` are the deepest of their
 kind. parse rejects deeper input with a SyntaxError naming the offset.
 A modal head is written H, H_a or H_{a,b} (STIT alone is written [a]);
 the parser and the printer read one table of heads and of the agents each
-takes. The bare identifiers O and P are reserved for the impersonal
-modalities and cannot be used as atom names; identifiers starting with
-K_, P_, O_, R_ or Power_ are likewise taken as modal prefixes. One parser
-reads all formula text: parse a formula, parse_contrary the two formulas
-of a CONTRARY body f ~ g.
+takes. Braces always hold two agents, so O_{a} is an error. The bare
+identifiers O and P are reserved for the impersonal modalities and cannot
+be used as atom names; identifiers starting with K_, P_, O_, R_ or Power_
+are likewise taken as modal prefixes. One parser reads all formula text:
+parse a formula, parse_contrary the two formulas of a CONTRARY body
+f ~ g.
 
 Nodes are interned (hash-consed, Filliatre & Conchon 2006): building a
 node whose class and fields match a live one returns that one, so each
@@ -358,7 +359,7 @@ class _Parser:
             if slots == 1:
                 raise UnknownOperator(
                     "offset %d: modal prefix %r lacks an agent" % (tok.pos, t))
-            agents = self.braced_agents(tok, node in _BARE)
+            agents = self.braced_agents(tok)
         elif slots == 2 and node not in _BARE:
             raise UnknownOperator(
                 "offset %d: power must be written Power_{a,b}" % tok.pos)
@@ -366,18 +367,14 @@ class _Parser:
             agents = (agent,) if sep else ()
         return partial(node, *agents, *[None] * (slots - len(agents)))
 
-    def braced_agents(self, tok, optional_second):
+    def braced_agents(self, tok):
         if self.peek() is None or self.peek().kind != "{":
             raise UnknownOperator(
                 "offset %d: %r requires a braced agent list" % (tok.pos, tok.text))
         self.pos += 1
         first = self.take("ident").text
-        second = None
-        if self.peek() and self.peek().kind == ",":
-            self.pos += 1
-            second = self.take("ident").text
-        elif not optional_second:
-            self.error({","})
+        self.take(",")
+        second = self.take("ident").text
         self.take("}")
         return first, second
 
@@ -410,7 +407,8 @@ def parse_contrary(text: str) -> tuple[Formula, Formula]:
     reads f as far as it goes, then the ~ and g: no ~ right after an
     operand is a connective, so f stops at the first ~ that follows the
     end of an operand, the only one that can separate two formulas.
-    Raises SyntaxError when the text is not two formulas joined by ~."""
+    Raises SyntaxError naming the offset at which the text stops being
+    two formulas joined by ~."""
     parser = _Parser(text)
     f, _ = parser.binary(0)
     parser.take("~")
@@ -633,11 +631,6 @@ def names_in(f: Formula) -> tuple[set[str], set[str]]:
             agents.add(fields.get("toward"))
     agents.discard(None)
     return agents, rules
-
-
-def agents_in(f: Formula) -> set[str]:
-    """All agent names mentioned by modal operators in f."""
-    return names_in(f)[0]
 
 
 def subformulas(f: Formula):

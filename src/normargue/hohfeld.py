@@ -19,8 +19,7 @@ party, swaps the two parties and the bearer, so correlatives translate to
 the identical formula. The opposite of a position, the negated status of
 the same holder, flips the negation. to_formula renders a position as
 [~]M(bearer, other, content), the content negated too in a negated
-obligation kind, since a freedom is no duty to refrain. generalize
-collapses a bundle of directed duties into an undirected obligation.
+obligation kind, since a freedom is no duty to refrain.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import Formula, Not, Oblig, Power, Stit, agents_in
-
-
-class IncompleteCover(Exception):
-    """A duty bundle does not cover every other agent."""
+from .formula import Formula, Not, Oblig, Power, Stit
 
 
 class PositionKind(Enum):
@@ -95,38 +90,6 @@ def to_formula(p: NormativePosition) -> Formula:
     body = Not(p.content) if negated and modality is Oblig else p.content
     f = modality(bearer, other, body)
     return Not(f) if negated else f
-
-
-def generalize(duties: list[NormativePosition], all_agents: set[str],
-               impersonal: bool = False) -> Formula:
-    """Collapse a bundle of identical duties of one holder toward every
-    other agent into the undirected obligation O_holder(content), or into
-    the impersonal O(content) when asked and the content names no agent.
-    Raises IncompleteCover when some other agent lacks a duty entry."""
-    if not duties:
-        raise IncompleteCover("empty duty bundle")
-    holder = duties[0].holder
-    content = duties[0].content
-    for d in duties:
-        if d.kind is not PositionKind.DUTY:
-            raise ValueError("generalize takes duties, got %s" % d.kind.value)
-        if d.holder != holder or d.content != content:
-            raise ValueError("duties must share one holder and one content")
-        if d.counterparty not in all_agents:
-            raise ValueError("counterparty %r is not a declared agent"
-                             % d.counterparty)
-    covered = {d.counterparty for d in duties}
-    missing = (set(all_agents) - {holder}) - covered
-    if missing:
-        raise IncompleteCover("no duty toward: " + ", ".join(sorted(missing)))
-    if impersonal:
-        mentioned = agents_in(content)
-        if mentioned:
-            raise ValueError("impersonal form needs agent-independent "
-                             "content, found agents: "
-                             + ", ".join(sorted(mentioned)))
-        return Oblig(None, None, content)
-    return Oblig(holder, None, content)
 
 
 def position_warnings(p: NormativePosition) -> list[str]:

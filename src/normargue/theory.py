@@ -235,11 +235,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 rest = line.split(":", 1)
                 if len(rest) != 2:
                     raise SyntaxError("CONTRARY needs a colon")
-                try:
-                    f, g = parse_contrary(rest[1])
-                except SyntaxError:
-                    raise SyntaxError(
-                        "CONTRARY needs two formulas separated by ~") from None
+                f, g = parse_contrary(rest[1])
                 contraries.append((normal(f, lineno), normal(g, lineno)))
 
             elif head == "SCHEME":
@@ -283,9 +279,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     # agent is reported before any dangling rule atom, so the first of
     # those waits for the loop's end
     declared = set(agents)
-    defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
+    plain: list[tuple[str, int]] = []
     pending: list[tuple[str, int]] = []
-    dangling = None
     for f, lineno in formula_lines.items():
         names, refs = names_in(f)
         undeclared = names - declared
@@ -293,14 +288,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             raise UnknownAgent("line %d: undeclared agent %r"
                                % (lineno, sorted(undeclared)[0]))
         for name in sorted(refs):
-            if "#" in name:
-                pending.append((name, lineno))
-            elif name not in defeasible_ids and dangling is None:
-                dangling = DanglingRuleAtom(
-                    "line %d: @%s does not name a defeasible rule"
-                    % (lineno, name))
-    if dangling is not None:
-        raise dangling
+            (pending if "#" in name else plain).append((name, lineno))
+    _check_rule_refs(rules, plain)
 
     return Theory(
         agents=tuple(agents),
@@ -314,6 +303,17 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         warnings=tuple(warnings),
         pending_rule_refs=tuple(pending),
     )
+
+
+def _check_rule_refs(rules, refs):
+    """Raise DanglingRuleAtom at the first (name, line) of refs whose name
+    is no defeasible rule's id."""
+    defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
+    for name, lineno in refs:
+        if name not in defeasible_ids:
+            raise DanglingRuleAtom(
+                "line %d: @%s does not name a defeasible rule"
+                % (lineno, name))
 
 
 # ------------------------------------------------------- scheme grounding
@@ -433,13 +433,7 @@ def instantiate_schemes(theory: Theory) -> Theory:
                 "scheme grounding still adds rules after %d rounds, the cap "
                 "set by --max-depth; raise --max-depth" % theory.max_depth)
 
-    defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
-    for name, lineno in theory.pending_rule_refs:
-        if name not in defeasible_ids:
-            raise DanglingRuleAtom(
-                "line %d: @%s does not name a defeasible rule"
-                % (lineno, name))
-
+    _check_rule_refs(rules, theory.pending_rule_refs)
     if len(rules) == len(theory.rules) and not theory.pending_rule_refs:
         return theory
     return replace(theory, rules=tuple(rules), pending_rule_refs=())

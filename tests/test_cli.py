@@ -423,20 +423,22 @@ def test_recursion_crash_sizes_exit_2(capsys, tmp_path):
 
 
 def test_too_deep_contrary_body(capsys, tmp_path):
-    # CONTRARY tries each ~ as the separator and skips the splits that do
-    # not parse, so a too-deep side leaves no split to take
+    # a CONTRARY body is read in one parse, so a too-deep side fails with
+    # the parser's own offset, as in any other formula
     f = tmp_path / "contrary.naf"
     for n, code_wanted in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
         f.write_text("AGENTS: a\nRULE defeasible r1: p |~ q\n"
                      "CONTRARY: q ~ %s\n" % ("~" * n + "p"))
         code, out, err = run_cli(capsys, "run", str(f))
         assert code == code_wanted
-    assert_one_error_line(err, "line 3: CONTRARY needs two formulas")
+    assert_one_error_line(
+        err, "line 3: offset 105: formula nests deeper than 100 levels")
 
 
 def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
-    # the body is lexed once and split at most once, so thousands of ~
-    # cost no more than thousands of any other token
+    # the body is lexed once and read in one parse, which stops at the
+    # nesting limit, so thousands of ~ cost no more than thousands of any
+    # other token
     f = tmp_path / "tildes.naf"
     f.write_text("AGENTS: a\nCONTRARY: q ~ %s p\n" % ("~" * 3000))
     best = float("inf")
@@ -445,7 +447,8 @@ def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(f))
         best = min(best, time.perf_counter() - start)
         assert code == 2 and not out
-        assert_one_error_line(err, "line 2: CONTRARY needs two formulas")
+        assert_one_error_line(
+            err, "line 2: offset 105: formula nests deeper than 100 levels")
     assert best < 0.1, best
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from normargue import (And, Atom, Box, Diamond, Implies, Know, Not, Oblig,
                        Or, Perm, Power, Right, RuleAtom, Stit, Theory,
-                       UnknownOperator, agents_in, conflict_class, contrary,
-                       normalize, parse, print_formula, subformulas)
+                       UnknownOperator, conflict_class, contrary, normalize,
+                       parse, print_formula, subformulas)
 from normargue import cli, formula
 from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
                                parses_back, printed_nesting)
@@ -94,7 +94,6 @@ def test_head_grammar():
         assert print_formula(f) == text
         assert parse(text) is f
         assert parse(print_formula(Not(f))) is Not(f)
-    assert parse("O_{a} p") is Oblig("a", None, p)
     for name in ("K", "R", "Power", "Powerx", "X_a", "_a"):
         assert parse(name) is Atom(name, ())
     errors = {
@@ -114,6 +113,7 @@ def test_head_grammar():
                         "offset 6: expected one of {}}, found ','"),
         "O_{a,} p": (SyntaxError,
                      "offset 5: expected one of {ident}, found '}'"),
+        "O_{a} p": (SyntaxError, "offset 4: expected one of {,}, found '}'"),
         "[a p": (SyntaxError, "offset 3: expected one of {]}, found 'p'"),
         "K p": (SyntaxError,
                 "offset 2: expected one of {end of input}, found 'p'"),
@@ -282,7 +282,7 @@ def test_printer_and_walkers_match_reference():
         text = print_formula(f)
         assert text == ref.print_formula(f)
         assert list(subformulas(f)) == list(ref.subformulas(f))
-        assert agents_in(f) == ref.agents_in(f)
+        assert names_in(f)[0] == ref.agents_in(f)
         assert names_in(f)[1] == ref.rule_atoms_in(f)
         assert parse(text) == f
     for case in ((Diamond, False, False, False),
@@ -301,7 +301,7 @@ def test_walkers_do_not_recurse():
         deep = (Know("a", deep) if i % 2
                 else And(RuleAtom("r"), Oblig("b", "c", deep)))
     assert sum(1 for _ in subformulas(deep)) == 3 * 2500 + 2500 + 1
-    assert agents_in(deep) == {"a", "b", "c"}
+    assert names_in(deep)[0] == {"a", "b", "c"}
     assert names_in(deep)[1] == {"r"}
 
 
@@ -409,7 +409,7 @@ def test_normalize_idempotent_and_preserving():
             f = random_formula(rng, depth=4)
             n1 = normalize(f, weak)
             assert normalize(n1, weak) == n1
-            assert agents_in(n1) == agents_in(f)
+            assert names_in(n1)[0] == names_in(f)[0]
             assert atom_names(n1) == atom_names(f)
 
 
@@ -567,12 +567,6 @@ def test_conflict_class_examples():
 
 
 # ---------------------------------------------------------------- helpers
-
-def test_agents_in():
-    f = parse("O_{a,b} [b] K_a(data) & Power_{a,b}(p)")
-    assert agents_in(f) == {"a", "b"}
-    assert agents_in(parse("p & q")) == set()
-
 
 def test_subformulas_preorder():
     f = parse("p & ~q")

@@ -1,11 +1,9 @@
 import random
 from dataclasses import replace
 
-import pytest
-
-from normargue import (IncompleteCover, Not, NormativePosition, Oblig,
-                       PositionKind, contrary, correlative, generalize,
-                       opposite, parse, position_warnings, to_formula)
+from normargue import (Not, NormativePosition, PositionKind, contrary,
+                       correlative, opposite, parse, position_warnings,
+                       to_formula)
 
 from helpers import random_formula
 
@@ -113,48 +111,6 @@ def test_known_opposite_pairs():
     for k, v in pairs.items():
         assert opposite(pos(k)).kind is v
         assert opposite(pos(v)).kind is k
-
-
-# ------------------------------------------------------------- generalize
-
-def duty(holder, counterparty, content="p"):
-    return NormativePosition(PositionKind.DUTY, holder, counterparty,
-                             parse(content))
-
-
-def test_generalize_full_cover():
-    agents = ("a", "b", "c")
-    duties = [duty("a", "b"), duty("a", "c")]
-    assert generalize(duties, agents) == Oblig("a", None, parse("p"))
-
-
-def test_generalize_impersonal():
-    agents = ("a", "b")
-    assert generalize([duty("a", "b")], agents, impersonal=True) \
-        == Oblig(None, None, parse("p"))
-    with pytest.raises(ValueError):
-        generalize([duty("a", "b", "K_a(p)")], agents, impersonal=True)
-
-
-def test_generalize_incomplete_cover():
-    agents = ("a", "b", "c")
-    with pytest.raises(IncompleteCover) as err:
-        generalize([duty("a", "b")], agents)
-    assert "c" in str(err.value)
-    with pytest.raises(IncompleteCover):
-        generalize([], agents)
-
-
-def test_generalize_rejects_mixed_input():
-    agents = ("a", "b", "c")
-    with pytest.raises(ValueError):
-        generalize([duty("a", "b"), duty("b", "c")], agents)
-    with pytest.raises(ValueError):
-        generalize([duty("a", "b"), duty("a", "c", "q")], agents)
-    with pytest.raises(ValueError):
-        generalize([pos(PositionKind.POWER)], ("a", "b"))
-    with pytest.raises(ValueError):
-        generalize([duty("a", "x")], agents)
 
 
 # --------------------------------------------------------------- warnings
