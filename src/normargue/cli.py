@@ -15,13 +15,14 @@ Every attack is a defeat (see semantics), so no flag sets preferences.
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
-formula nesting deeper than formula.MAX_NESTING levels, a normal form,
-scheme consequent or --query formula that would print deeper than that
-and so not parse back, a negative --max-depth or --max-args, and
---oracle with --semantics grounded: the oracle checks stable extensions
-only), 3 framework too large for the brute-force oracle. All output is
-deterministic; ANSI color is used only on a terminal and can be switched
-off with NORMARGUE_COLOR=0.
+formula nesting deeper than formula.MAX_NESTING levels, the normal form
+of a loaded formula, a scheme consequent or a --query formula that would
+print deeper than that and so not parse back, even one left as written
+such as MAX_NESTING chained [] over an atom, a negative --max-depth or
+--max-args, and --oracle with --semantics grounded: the oracle checks
+stable extensions only), 3 framework too large for the brute-force
+oracle. All output is deterministic; ANSI color is used only on a
+terminal and can be switched off with NORMARGUE_COLOR=0.
 
 Extensions travel as member masks (bit i set for argument i, see
 semantics) from the solver to the report. Before anything is printed,
@@ -203,15 +204,10 @@ def cmd_run(ns) -> int:
                 return 1
     queries = []
     for text in ns.query:
-        written = parse(text)
-        f = normalize(written, theory.weak_mode)
-        if f is not written:
-            printable(f, "query")
-        queries.append({
-            "formula": str(f),
-            "credulous": acceptance(args, extensions, f, "credulous"),
-            "skeptical": acceptance(args, extensions, f, "skeptical"),
-        })
+        f = printable(normalize(parse(text), theory.weak_mode), "query")
+        credulous, skeptical = acceptance(args, extensions, f)
+        queries.append({"formula": str(f), "credulous": credulous,
+                        "skeptical": skeptical})
 
     texts = [str(a.conclusion) for a in args]
     sorted_defeats = sorted(defeats, key=defeat_sort_key)

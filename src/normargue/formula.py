@@ -27,20 +27,19 @@ are likewise taken as modal prefixes. One parser reads all formula text:
 parse a formula, parse_contrary the two formulas of a CONTRARY body
 f ~ g.
 
-Nodes are interned (hash-consed, Filliatre & Conchon 2006): building a
-node whose class and fields match a live one returns that one, so each
-distinct formula is one object, == and hash are identity, and a node
-caches its normal forms and implication-free form. The intern table
-holds nodes weakly, so a formula lives only as long as something uses
-it. Building nodes is not thread-safe.
+Nodes are interned (hash-consed, Filliatre & Conchon 2006) and built
+positionally: building a node whose class and fields match a live one
+returns that one, so each distinct formula is one object, == and hash
+are identity, and a node caches its normal forms and implication-free
+form. The intern table holds nodes weakly, so a formula lives only as
+long as something uses it. Building nodes is not thread-safe.
 """
 
 from __future__ import annotations
 
-import inspect
 import re
 import weakref
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -53,19 +52,21 @@ class Formula:
     """Base class of all AST nodes. Nodes are immutable and interned: each
     distinct formula is one object, built once through a table keyed by
     its class and fields, so == and hash are object's identity versions
-    and cost O(1) at any depth. The table holds its nodes weakly and
-    drops each entry when its node dies. Construction is single-threaded:
-    two threads building the same new node at once could each intern
-    their own. A node caches its normal forms (one slot per mode) and its
-    implication-free form outside vars(f), which holds the fields only."""
+    and cost O(1) at any depth. A node is built positionally, one value
+    per field in declaration order; Atom (whose args default to ()) and
+    Oblig also take keywords, through their own __new__. The table holds
+    its nodes weakly and drops each entry when its node dies.
+    Construction is single-threaded: two threads building the same new
+    node at once could each intern their own. A node caches its normal
+    forms (one slot per mode) and its implication-free form outside
+    vars(f), which holds the fields only."""
 
     __slots__ = ("__weakref__", "_normal", "_weak_normal", "_implication_free")
 
-    def __new__(cls, *fields, **named):
-        if named or len(fields) != len(cls._fields):
-            bound = cls._signature.bind(*fields, **named)
-            bound.apply_defaults()
-            fields = bound.args
+    def __new__(cls, *fields):
+        if len(fields) != len(cls._fields):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (cls.__name__, len(cls._fields), len(fields)))
         key = (cls, *fields)
         entry = _table.get(key)
         node = entry and entry()
@@ -109,6 +110,9 @@ _node = dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
     args: tuple[str, ...] = ()
+
+    def __new__(cls, name, args=()):
+        return Formula.__new__(cls, name, args)
 
 
 @_node
@@ -196,12 +200,8 @@ class RuleAtom(Formula):
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
 _NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + (Atom, RuleAtom)
-for _t in _NODE_TYPES:  # the field names and the signature __new__ reads
+for _t in _NODE_TYPES:  # the field names, in the order __new__ takes them
     _t._fields = tuple(x.name for x in fields(_t))
-    _t._signature = inspect.Signature([inspect.Parameter(
-        x.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        default=inspect.Parameter.empty if x.default is MISSING else x.default)
-        for x in fields(_t)])
 
 # The binary connectives: symbol and binding strength. Prefix operators
 # and atoms bind tighter than all three (_TIGHT).
@@ -246,9 +246,9 @@ class _Token(NamedTuple):
     pos: int
 
 
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str, start: int, end: int) -> list[_Token]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start, end):
         kind, tok_text, i = m.lastgroup, m.group(), m.start()
         if kind == "bad":
             raise SyntaxError("offset %d: unexpected character %r"
@@ -262,9 +262,11 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
+    """Reads text[start:end] in place, so offsets count from text's start."""
+
+    def __init__(self, text: str, start: int = 0, end: int | None = None):
+        self.end = len(text) if end is None else end
+        self.tokens = _lex(text, start, self.end)
         self.pos = 0
 
     def peek(self) -> _Token | None:
@@ -272,7 +274,7 @@ class _Parser:
 
     def error(self, expected: set[str]):
         tok = self.peek()
-        offset = tok.pos if tok else len(self.text)
+        offset = tok.pos if tok else self.end
         found = repr(tok.text) if tok else "end of input"
         raise SyntaxError("offset %d: expected one of {%s}, found %s"
                           % (offset, ", ".join(sorted(expected)), found))
@@ -393,23 +395,24 @@ class _Parser:
         return Atom(name, args)
 
 
-def parse(text: str) -> Formula:
-    """Parse concrete syntax into an AST. Raises SyntaxError with the byte
-    offset and the expected-token set, or for a formula nesting deeper than
-    MAX_NESTING levels, or UnknownOperator for malformed modal prefixes.
-    The result is not normalized. The level it counts on a printed
-    formula is the one printed_nesting reads from the tree."""
-    return _Parser(text).parse()
+def parse(text: str, start: int = 0, end: int | None = None) -> Formula:
+    """Parse the concrete syntax in text[start:end] into an AST. Raises
+    SyntaxError with the offset in text and the expected-token set, or for
+    a formula nesting deeper than MAX_NESTING levels, or UnknownOperator
+    for malformed modal prefixes. The result is not normalized. The level
+    it counts on a printed formula is the one printed_nesting reads from
+    the tree."""
+    return _Parser(text, start, end).parse()
 
 
-def parse_contrary(text: str) -> tuple[Formula, Formula]:
+def parse_contrary(text: str, start: int = 0) -> tuple[Formula, Formula]:
     """The formulas f and g of a contrary declaration `f ~ g`. The parser
     reads f as far as it goes, then the ~ and g: no ~ right after an
     operand is a connective, so f stops at the first ~ that follows the
     end of an operand, the only one that can separate two formulas.
-    Raises SyntaxError naming the offset at which the text stops being
-    two formulas joined by ~."""
-    parser = _Parser(text)
+    Reads text from start on, and raises SyntaxError naming the offset in
+    text at which it stops being two formulas joined by ~."""
+    parser = _Parser(text, start)
     f, _ = parser.binary(0)
     parser.take("~")
     return f, parser.parse()
@@ -503,9 +506,10 @@ def parses_back(f: Formula) -> bool:
 
 def printable(f: Formula, what: str = "formula") -> Formula:
     """f, when it parses back; else a SyntaxError saying that what nests
-    too deep. The engine checks with it every formula it makes that it
-    may print: each one normalization rewrote, each position formula and
-    each scheme consequent."""
+    too deep. The engine checks with it every formula it may print: the
+    normal form of each formula it loads, each scheme consequent and each
+    query. A formula parse has read may still fail: 100 chained [] over
+    an atom print 101 levels deep, with the atom in parentheses."""
     if not parses_back(f):
         raise SyntaxError("%s nests deeper than %d levels once normalized"
                           % (what, MAX_NESTING))

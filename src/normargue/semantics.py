@@ -52,9 +52,9 @@ masks in one bit-sliced pass. byte_columns lays byte k of every mask side
 by side, each argument's bit becomes one int holding a 0/1 byte per mask,
 and the condition is one xor and an OR over the attackers per argument.
 acceptance builds the holders of a conclusion as one mask and tests it
-against each extension. brute_force_stable is an independent cross-check
-for small frameworks, of the order too: it sorts the member lists
-themselves.
+against each extension, returning credulous and skeptical acceptance
+together. brute_force_stable is an independent cross-check for small
+frameworks, of the order too: it sorts the member lists themselves.
 """
 
 from __future__ import annotations
@@ -388,13 +388,10 @@ def brute_force_stable(af: ArgumentationFramework) -> list[int]:
 
 
 def acceptance(args: list[Argument], extensions: list[int],
-               conclusion: Formula, mode: str) -> bool:
-    """Credulous/skeptical acceptance of a conclusion; each extension is a
-    member mask. Skeptical acceptance over zero extensions is False, not
-    vacuously true."""
-    if mode not in ("credulous", "skeptical"):
-        raise ValueError("mode must be credulous or skeptical")
+               conclusion: Formula) -> tuple[bool, bool]:
+    """(credulous, skeptical) acceptance of a conclusion, from one mask of
+    its holders; each extension is a member mask. Skeptical acceptance
+    over zero extensions is False, not vacuously true."""
     holders = sum(1 << a.id for a in args if a.conclusion == conclusion)
-    if mode == "credulous":
-        return any(map(holders.__and__, extensions))
-    return bool(extensions) and all(map(holders.__and__, extensions))
+    return (any(map(holders.__and__, extensions)),
+            bool(extensions) and all(map(holders.__and__, extensions)))

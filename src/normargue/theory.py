@@ -150,7 +150,10 @@ def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
 def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                  max_args: int = 100_000) -> Theory:
     """Parse and validate a theory from DSL text. Every formula is
-    normalized as its line is read. An error names its line."""
+    normalized as its line is read, and its normal form must parse back
+    (see printable). An error names its line, and a formula error also
+    the offset where parsing stopped, a column of the line counted after
+    its leading whitespace."""
     if max_depth < 0:
         raise ValidationError("max_depth (--max-depth) must be at least 0, "
                               "got %d" % max_depth)
@@ -175,14 +178,19 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         id_lines[ident] = lineno
 
     def normal(f: Formula, lineno: int) -> Formula:
-        """f in normal form, which must parse back (see printable) when
-        normalization rewrote f; f as the line wrote it, parse has read."""
+        """f in normal form, which must parse back (see printable): each
+        distinct normal form is checked once, at the first line that has
+        it, whether or not normalization rewrote f."""
         g = normalize(f, weak_mode)
-        formula_lines.setdefault(g, lineno)
-        return g if g is f else printable(g)
+        if g not in formula_lines:
+            formula_lines[g] = lineno
+            printable(g)
+        return g
 
-    def read(text: str, lineno: int) -> Formula:
-        return normal(parse(text), lineno)
+    def read(lineno: int, start: int, end: int | None = None) -> Formula:
+        """The formula at line[start:end], so that an offset in a parse
+        error is a column of the line."""
+        return normal(parse(line, start, end), lineno)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -208,7 +216,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                     raise SyntaxError(
                         "expected PREMISE axiom|prem <id>: <formula>")
                 declare_id(m.group(2), lineno)
-                premises.append(Premise(m.group(2), read(m.group(3), lineno),
+                premises.append(Premise(m.group(2), read(lineno, m.start(3)),
                                         _STRENGTHS[m.group(1)]))
 
             elif head == "RULE":
@@ -227,15 +235,17 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 ants = parts[0].split(";")
                 if not any(a.strip() for a in ants):
                     raise SyntaxError("rule needs at least one antecedent")
-                antecedents = tuple(read(a, lineno) for a in ants)
-                rules.append(Rule(m.group(2), antecedents,
-                                  read(parts[1], lineno), kind))
+                antecedents, at = [], m.start(3)
+                for a in ants:  # each antecedent and the ; after it
+                    antecedents.append(read(lineno, at, at + len(a)))
+                    at += len(a) + 1
+                rules.append(Rule(m.group(2), tuple(antecedents), read(
+                    lineno, m.end(3) - len(parts[1])), kind))
 
             elif head == "CONTRARY":
-                rest = line.split(":", 1)
-                if len(rest) != 2:
+                if ":" not in line:
                     raise SyntaxError("CONTRARY needs a colon")
-                f, g = parse_contrary(rest[1])
+                f, g = parse_contrary(line, line.index(":") + 1)
                 contraries.append((normal(f, lineno), normal(g, lineno)))
 
             elif head == "SCHEME":
@@ -256,19 +266,16 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 except ValueError:
                     raise SyntaxError("unknown position kind %r"
                                       % m.group(1)) from None
-                body, tag = _POSITION_BODY_RE.match(m.group(4)).groups()
+                rest = _POSITION_BODY_RE.match(line, m.start(4))
                 pos = NormativePosition(kind, m.group(2), m.group(3),
-                                        parse(body))
+                                        parse(line, *rest.span(1)))
                 warnings.extend("line %d: %s" % (lineno, w)
                                 for w in position_warnings(pos))
+                # pos#k cannot clash with an id, which has no #
                 n_positions += 1
-                pid = "pos#%d" % n_positions
-                declare_id(pid, lineno)
-                # no line wrote the position formula, so it is checked
-                # even where normalization leaves it alone
                 premises.append(Premise(
-                    pid, printable(normal(to_formula(pos), lineno)),
-                    _STRENGTHS.get(tag, Strength.AXIOM)))
+                    "pos#%d" % n_positions, normal(to_formula(pos), lineno),
+                    _STRENGTHS.get(rest.group(2), Strength.AXIOM)))
 
             else:
                 raise SyntaxError("unknown directive %r" % head)
@@ -388,7 +395,7 @@ def instantiate_schemes(theory: Theory) -> Theory:
                     if perms else [])
             for p in perms:
                 for n, conjuncts in ands:
-                    if n != p.f and p.f in conjuncts:
+                    if p.f in conjuncts:
                         add("fcp", RuleKind.DEFEASIBLE, [p], Perm(p.agent, n))
         if s.owp:
             for p in perms:

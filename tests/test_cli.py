@@ -11,7 +11,7 @@ import pytest
 
 from normargue import (ArgumentationFramework, Atom, Defeat, DefeatKind, Not,
                        Premise, Rule, RuleAtom, RuleKind, Strength, Theory,
-                       load_theory, parse)
+                       load_theory, parse, print_formula)
 from normargue import cli
 from normargue.cli import main
 
@@ -310,15 +310,26 @@ def assert_one_error_line(err, *parts):
 
 
 def test_nesting_limit_shapes(capsys, tmp_path):
-    # every shape at the limit runs through the whole pipeline; one level
-    # more is a parse error naming its line, not a RecursionError
+    # every shape at the limit runs through the whole pipeline, and every
+    # formula its report prints parses back; one level more is a parse
+    # error naming its line, not a RecursionError. The printer puts the
+    # atom under chained [] in parentheses, one level deeper than written,
+    # so those load one level short of the limit
     for name, text in deep_shapes(MAX_NESTING).items():
+        if name == "box":
+            text = deep_shapes(MAX_NESTING - 1)[name]
         f = tmp_path / ("%s.naf" % name)
         f.write_text(deep_theory(text))
         for flags in ((), ("--weak-mode",), ("--json", "--query", text),
-                      ("--weak-mode", "--query", text)):
+                      ("--weak-mode", "--query", text),
+                      ("--weak-mode", "--json", "--query", text)):
             code, out, err = run_cli(capsys, "run", str(f), *flags)
             assert code == 0 and not err, (name, flags, err)
+            if "--json" in flags:
+                report = json.loads(out)
+                for t in ([a["conclusion"] for a in report["arguments"]]
+                          + [q["formula"] for q in report["queries"]]):
+                    assert print_formula(parse(t)) == t, (name, flags)
         deeper = deep_shapes(MAX_NESTING + 1)[name]
         for lineno in (2, 3, 4):
             lines = deep_theory(text).splitlines()
@@ -331,6 +342,23 @@ def test_nesting_limit_shapes(capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", deeper)
         assert code == 2 and not out
         assert_one_error_line(err, "offset", "nests deeper")
+    # 100 chained [] parse, but print 101 levels deep: the print check
+    # refuses them on any line, and as a query, without an offset
+    box = deep_shapes(MAX_NESTING - 1)["box"]
+    boxes = deep_shapes(MAX_NESTING)["box"]
+    f = tmp_path / "box.naf"
+    for lineno in (2, 3, 4):
+        lines = deep_theory(box).splitlines()
+        lines[lineno - 1] = deep_theory(boxes).splitlines()[lineno - 1]
+        f.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "run", str(f))
+        assert code == 2 and not out, lineno
+        assert err == ("error: line %d: formula nests deeper than %d levels "
+                       "once normalized\n" % (lineno, MAX_NESTING))
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", boxes)
+    assert code == 2 and not out
+    assert err == ("error: query nests deeper than %d levels once "
+                   "normalized\n" % MAX_NESTING)
 
 
 def test_normal_form_too_deep_to_print_exits_2(capsys, tmp_path):
@@ -432,7 +460,7 @@ def test_too_deep_contrary_body(capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(f))
         assert code == code_wanted
     assert_one_error_line(
-        err, "line 3: offset 105: formula nests deeper than 100 levels")
+        err, "line 3: offset 114: formula nests deeper than 100 levels")
 
 
 def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
@@ -448,7 +476,7 @@ def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
         best = min(best, time.perf_counter() - start)
         assert code == 2 and not out
         assert_one_error_line(
-            err, "line 2: offset 105: formula nests deeper than 100 levels")
+            err, "line 2: offset 114: formula nests deeper than 100 levels")
     assert best < 0.1, best
 
 

@@ -456,23 +456,19 @@ def test_grounded_matches_definition():
 def test_acceptance_modes():
     r = run_pipeline(load_theory(KNIFE))
     f = parse("P_c(K_c(customer) & handle)")
-    assert acceptance(r.args, r.extensions, f, "credulous")
-    assert acceptance(r.args, r.extensions, f, "skeptical")
+    assert acceptance(r.args, r.extensions, f) == (True, True)
     g = parse("P_c(K_c(customer) & misuse)")
-    assert not acceptance(r.args, r.extensions, g, "credulous")
+    credulous, _ = acceptance(r.args, r.extensions, g)
+    assert not credulous
 
 
 def test_acceptance_splits_on_multiple_extensions():
     prem = Argument(0, frozenset({"p1"}), (), None, parse("p"), False, True, 0)
     other = Argument(1, frozenset({"p2"}), (), None, parse("q"), False, True, 0)
     exts = [0b01, 0b10]
-    assert acceptance([prem, other], exts, parse("p"), "credulous")
-    assert not acceptance([prem, other], exts, parse("p"), "skeptical")
+    assert acceptance([prem, other], exts, parse("p")) == (True, False)
 
 
 def test_skeptical_over_no_extensions_is_false():
     prem = Argument(0, frozenset({"p1"}), (), None, parse("p"), False, False, 0)
-    assert not acceptance([prem], [], parse("p"), "skeptical")
-    assert not acceptance([prem], [], parse("p"), "credulous")
-    with pytest.raises(ValueError):
-        acceptance([prem], [], parse("p"), "both")
+    assert acceptance([prem], [], parse("p")) == (False, False)

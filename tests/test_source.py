@@ -43,6 +43,15 @@ def test_public_names():
         "verify_extension"]
 
 
+def test_readme_library_example_runs(capsys, monkeypatch):
+    # the README's Python example, run as printed from the repo root
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True True\n[[0, 1, 2, 3, 5, 7, 9]]\n"
+
+
 def test_code_lines_counts_code_only():
     spec = importlib.util.spec_from_file_location(
         "code_lines", ROOT / "tools" / "code_lines.py")

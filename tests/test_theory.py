@@ -106,7 +106,7 @@ def test_position_with_two_tags_is_an_error(capsys, tmp_path):
         text = "AGENTS: a, b\nPOSITION duty(a, b): p" + tail
         with pytest.raises(SyntaxError) as err:
             parse_theory(text)
-        assert str(err.value) == ("line 2: offset 2: expected one of "
+        assert str(err.value) == ("line 2: offset 23: expected one of "
                                   "{end of input}, found '['"), tail
         f = tmp_path / "tags.naf"
         f.write_text(text)
@@ -127,10 +127,37 @@ def test_loader_errors_keep_their_type():
     with pytest.raises(UnknownOperator) as err:
         parse_theory("AGENTS: a\nPREMISE axiom p1: K_ p")
     assert str(err.value) == \
-        "line 2: offset 0: modal prefix 'K_' lacks an agent"
+        "line 2: offset 18: modal prefix 'K_' lacks an agent"
     with pytest.raises(DuplicateId) as err:
         parse_theory("AGENTS: a\nPREMISE axiom x: p\nPREMISE prem x: q")
     assert str(err.value) == "line 3: id 'x' already declared on line 2"
+
+
+def test_rule_without_antecedents_is_an_error():
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("AGENTS: a\nRULE strict r: ; |- q")
+    assert str(err.value) == "line 2: rule needs at least one antecedent"
+
+
+def test_contrary_without_colon_is_an_error():
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("AGENTS: a\nCONTRARY p ~ q")
+    assert str(err.value) == "line 2: CONTRARY needs a colon"
+
+
+def test_formula_error_offsets_count_from_the_line():
+    # an operand missing after & at the end of each directive's formula:
+    # the offset is the column where that formula ends, counted after the
+    # line's leading whitespace
+    for line, offset in (("PREMISE axiom a: p &", 20),
+                         ("CONTRARY: p ~ q &", 17),
+                         ("  RULE strict r: p; q & |- r", 21),
+                         ("POSITION duty(a, b): p & [prem]", 24)):
+        with pytest.raises(SyntaxError) as err:
+            parse_theory("AGENTS: a, b\n" + line)
+        assert str(err.value) == ("line 2: offset %d: expected one of "
+                                  "{formula}, found end of input"
+                                  % offset), line
 
 
 def test_crlf_input():
