@@ -199,7 +199,9 @@ class RuleAtom(Formula):
 
 _PREFIX_TYPES = (Not, Box, Diamond, Know, Oblig, Perm, Stit, Right, Power)
 _BINARY_TYPES = (And, Or, Implies)
-_NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + (Atom, RuleAtom)
+# leaves are their own normal forms and implication-free forms
+_LEAF_TYPES = (Atom, RuleAtom)
+_NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + _LEAF_TYPES
 for _t in _NODE_TYPES:  # the field names, in the order __new__ takes them
     _t._fields = tuple(x.name for x in fields(_t))
 
@@ -482,7 +484,10 @@ def print_formula(f: Formula) -> str:
 def printed_nesting(f: Formula) -> int:
     """The nesting level parse reaches on print_formula(f), read from the
     tree without printing: each operator puts its operands one level
-    deeper, and the parentheses _WRAP puts around one a level more."""
+    deeper, and the parentheses _WRAP puts around one a level more. A
+    leaf is at level 0, read without a walk."""
+    if type(f) in _LEAF_TYPES:
+        return 0
     deepest, todo = 0, [(f, 0)]
     while todo:
         x, level = todo.pop()
@@ -547,9 +552,12 @@ def normalize(f: Formula, weak: bool = False) -> Formula:
     weak-permission mode on, also rewrite P_a g as ~O_a ~g. Idempotent;
     implication is left untouched. The result is cached on the node, one
     slot per mode, so a node is walked once per mode, and a normal form is
-    returned as itself. A rewritten formula may print deeper than it was
-    written, <> g as ~[]~ over g, and so deeper than parse reads: see
-    printable."""
+    returned as itself. A leaf is its own normal form in both modes and is
+    returned before any cache is read or written. A rewritten formula may
+    print deeper than it was written, <> g as ~[]~ over g, and so deeper
+    than parse reads: see printable."""
+    if type(f) in _LEAF_TYPES:
+        return f
     try:
         g = f._weak_normal if weak else f._normal
     except AttributeError:
@@ -571,7 +579,10 @@ def _cform(f: Formula) -> Formula:
     """Rewrite every implication a -> b of a normalized formula into
     ~(a & ~b), collapsing double negations, so that necessity/possibility
     duals collide syntactically. Cached on the node like normalize; an
-    implication-free formula is returned as itself."""
+    implication-free formula is returned as itself, and a leaf before any
+    cache is read or written."""
+    if type(f) in _LEAF_TYPES:
+        return f
     try:
         c = f._implication_free
     except AttributeError:
@@ -624,8 +635,10 @@ def contrary(f: Formula, g: Formula, theory=None) -> bool:
 
 def names_in(f: Formula) -> tuple[set[str], set[str]]:
     """The agent names mentioned by modal operators in f and the rule
-    names of its rule atoms, from one walk."""
+    names of its rule atoms, from one walk; an atom names none."""
     agents, rules = set(), set()
+    if type(f) is Atom:
+        return agents, rules
     for x in subformulas(f):
         if type(x) is RuleAtom:
             rules.add(x.rule_name)

@@ -128,21 +128,19 @@ _POSITION_RE = re.compile(
 # a POSITION body and its one optional strength tag
 _POSITION_BODY_RE = re.compile(r"(.*?)\s*(?:\[(axiom|prem)\])?$")
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
+# a directive's head: up to the first whitespace or colon
+_HEAD_RE = re.compile(r"[^\s:]*")
 _STRENGTHS = {"axiom": Strength.AXIOM, "prem": Strength.ORDINARY}
 # each rule kind's separator, and a pattern of it between whitespace
 _SEPARATORS = {RuleKind.STRICT: ("|-", re.compile(r"\s\|-\s")),
                RuleKind.DEFEASIBLE: ("|~", re.compile(r"\s\|~\s"))}
 
 
-def _strip_comment(line: str) -> str:
-    m = _COMMENT_RE.search(line)
-    return line[:m.start()] if m else line
-
-
 def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
                 max_args: int = 100_000) -> Theory:
-    """Read the theory file at path and parse it with parse_theory."""
-    return parse_theory(Path(path).read_text(encoding="utf-8"),
+    """Read the theory file at path, UTF-8 with or without a byte-order
+    mark, and parse it with parse_theory."""
+    return parse_theory(Path(path).read_text(encoding="utf-8-sig"),
                         weak_mode=weak_mode, max_depth=max_depth,
                         max_args=max_args)
 
@@ -151,9 +149,12 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                  max_args: int = 100_000) -> Theory:
     """Parse and validate a theory from DSL text. Every formula is
     normalized as its line is read, and its normal form must parse back
-    (see printable). An error names its line, and a formula error also
-    the offset where parsing stopped, a column of the line counted after
-    its leading whitespace."""
+    (see printable). Each distinct formula text of a premise or rule,
+    stripped, is parsed, normalized and checked once per call; a repeat
+    reuses that normal form, so loading costs per distinct text. A
+    directive's head runs up to the first whitespace or colon. An error
+    names its line, and a formula error also the offset where parsing
+    stopped, a column of the line counted after its leading whitespace."""
     if max_depth < 0:
         raise ValidationError("max_depth (--max-depth) must be at least 0, "
                               "got %d" % max_depth)
@@ -169,6 +170,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     id_lines: dict[str, int] = {}
     # each distinct formula with the first line that has it
     formula_lines: dict[Formula, int] = {}
+    # each formula text read without error, stripped, to its normal form
+    read_texts: dict[str, Formula] = {}
     n_positions = 0
 
     def declare_id(ident: str, lineno: int):
@@ -188,15 +191,20 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
         return g
 
     def read(lineno: int, start: int, end: int | None = None) -> Formula:
-        """The formula at line[start:end], so that an offset in a parse
-        error is a column of the line."""
-        return normal(parse(line, start, end), lineno)
+        """The normal form of the formula at line[start:end], parsed in
+        place so that an offset in a parse error is a column of the line;
+        a text read before is not parsed again."""
+        key = line[start:end].strip()
+        g = read_texts.get(key)
+        if g is None:
+            g = read_texts[key] = normal(parse(line, start, end), lineno)
+        return g
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
+        line = _COMMENT_RE.split(raw, 1)[0].strip()  # comment cut off
         if not line:
             continue
-        head = line.split(None, 1)[0].rstrip(":")
+        head = _HEAD_RE.match(line).group()
         try:
             if head == "AGENTS":
                 rest = line.split(":", 1)
@@ -359,10 +367,15 @@ def instantiate_schemes(theory: Theory) -> Theory:
     capped at max_depth, rule ids `<scheme>#<k>` in generation order.
     Raises SchemeRoundsExceeded if a further round would still add rules,
     and SyntaxError for a consequent that does not parse back (printable).
-    Adding nothing returns the theory unchanged."""
+    Adding nothing returns the theory unchanged. With every scheme off no
+    round runs and no pool is built; the theory's @<scheme>#k references,
+    which then name no rule, still raise DanglingRuleAtom."""
+    s = theory.schemes
+    if not any(vars(s).values()):
+        _check_rule_refs(theory.rules, theory.pending_rule_refs)
+        return theory
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
-    s = theory.schemes
     counters = dict.fromkeys(vars(s), 0)
 
     def one_round() -> list[Rule]:

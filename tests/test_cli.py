@@ -218,6 +218,18 @@ def test_exit_2_on_bad_file(capsys, tmp_path):
     assert "error:" in err and "line 2" in err
 
 
+def test_byte_order_mark_and_crlf_load_like_the_original(capsys, tmp_path):
+    # a theory file saved on Windows: UTF-8 with a byte-order mark, CRLF
+    _, expected, _ = run_cli(capsys, "run", str(DOCTOR), "--json")
+    text = DOCTOR.read_text(encoding="utf-8")
+    for name, data in (("bom.naf", "\ufeff" + text),
+                       ("bom-crlf.naf", "\ufeff" + text.replace("\n", "\r\n"))):
+        path = tmp_path / name
+        path.write_bytes(data.encode("utf-8"))
+        code, out, err = run_cli(capsys, "run", str(path), "--json")
+        assert (code, out, err) == (0, expected, ""), name
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "run", "no_such_theory.naf")
     assert code == 2 and "error:" in err

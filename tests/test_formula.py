@@ -440,6 +440,22 @@ def test_normal_forms_are_walked_not_rebuilt():
     assert _cform(k) is k and _cform(Implies(k, k)).f.left is k
 
 
+def test_leaves_are_their_own_forms():
+    # atoms and rule atoms come back from normalize, _cform and
+    # printed_nesting without a walk; vars holds their fields only, and a
+    # leaf only ever normalized itself gets no cache slot
+    for leaf in (Atom("p"), Atom("f", ("x", "y")), RuleAtom("r1")):
+        assert normalize(leaf) is leaf and normalize(leaf, True) is leaf
+        assert _cform(leaf) is leaf and printed_nesting(leaf) == 0
+    p = Atom("p")
+    assert normalize(Not(Not(p))) is p and _cform(Not(Not(p))) is p
+    assert normalize(Diamond(p), True) == Not(Box(Not(p)))
+    assert vars(p) == {"name": "p", "args": ()}
+    q = Atom("never_cached")  # a leaf no other test builds
+    assert normalize(q) is normalize(q, True) is _cform(q) is q
+    assert not any(hasattr(q, slot) for slot in formula.Formula.__slots__[1:])
+
+
 def test_names_in_one_walk():
     f = parse("K_a(@r1 & O_{b,c} @fcp#2) | Power_{d,a} q")
     assert names_in(f) == ({"a", "b", "c", "d"}, {"r1", "fcp#2"})

@@ -12,6 +12,7 @@ from normargue import (And, Atom, Box, DanglingRuleAtom, Diamond,
                        ValidationError,
                        instantiate_schemes, load_theory, normalize, parse,
                        parse_theory, print_formula)
+from normargue import theory as theory_module
 from normargue.cli import main
 from normargue.formula import parse_contrary
 
@@ -163,6 +164,57 @@ def test_formula_error_offsets_count_from_the_line():
 def test_crlf_input():
     t = parse_theory("AGENTS: a\r\nPREMISE axiom p1: p\r\n")
     assert len(t.premises) == 1
+
+
+def test_directive_head_ends_at_a_colon():
+    t = parse_theory("AGENTS:a\nPREMISE axiom x: K_a p\nCONTRARY:p ~ q")
+    assert t.agents == ("a",)
+    assert t.contraries == ((Atom("p"), Atom("q")),)
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("PREMISE:x")
+    assert str(err.value) == \
+        "line 1: expected PREMISE axiom|prem <id>: <formula>"
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("FROB:x")
+    assert str(err.value) == "line 1: unknown directive 'FROB'"
+
+
+def test_each_formula_text_is_parsed_once(monkeypatch):
+    # a repeated text, stripped, reuses its first read: the loader calls
+    # theory.parse once per distinct text of its premises and rules, and
+    # p&q and p & q are two texts of one formula
+    texts = []
+
+    def counting(text, start=0, end=None):
+        texts.append(text[start:end].strip())
+        return parse(text, start, end)
+
+    monkeypatch.setattr(theory_module, "parse", counting)
+    text = ("AGENTS: a\nPREMISE axiom x1: p & q\nPREMISE prem x2: p&q\n"
+            "PREMISE prem x3: p & q\nRULE strict r1: p;  p & q ; q |- p&q\n"
+            "RULE defeasible r2: p |~  p & q \nRULE defeasible r3: q |~ ~~p\n"
+            "CONTRARY: p ~ q\nPREMISE prem x4: K_a ~~p\n")
+    t = parse_theory(text)
+    assert sorted(texts) == sorted(
+        ["p & q", "p&q", "p", "q", "~~p", "K_a ~~p"])
+    pq = And(Atom("p"), Atom("q"))
+    assert [p.formula for p in t.premises] == [
+        pq, pq, pq, Know("a", Atom("p"))]
+    assert t.rules[0].antecedents == (Atom("p"), pq, Atom("q"))
+    assert t.rules[2].consequent is Atom("p")
+
+
+def test_repeated_text_keeps_its_first_line():
+    # errors read the line that first has a formula, and a text that fails
+    # is parsed again where it recurs, so the first failing line is named
+    with pytest.raises(UnknownAgent) as err:
+        parse_theory("AGENTS: a\nPREMISE axiom x: K_b p\n"
+                     "PREMISE axiom y: K_b p\nPREMISE axiom z: K_c p")
+    assert str(err.value) == "line 2: undeclared agent 'b'"
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("PREMISE axiom x: p &\nPREMISE axiom y: p &")
+    assert str(err.value) == ("line 1: offset 20: expected one of "
+                              "{formula}, found end of input")
 
 
 # ------------------------------------------------------------------ errors
@@ -410,6 +462,21 @@ def test_schemes_off_is_identity():
                     "PREMISE axiom pc: <>(q & m)\n"
                     "SCHEME fcp off\nSCHEME owp off")
     assert instantiate_schemes(t) == t
+
+
+def test_every_scheme_off_returns_the_theory_itself():
+    off = "".join("SCHEME %s off\n" % name for name in vars(Schemes()))
+    t = parse_theory("AGENTS: c\nPREMISE axiom pb: P_c(q)\n"
+                     "PREMISE axiom pd: [](m -> q)\n"
+                     "PREMISE axiom pk: K_c(q & m)\n" + off)
+    assert instantiate_schemes(t) is t
+    # an @<scheme>#k reference then names no rule
+    t = parse_theory("AGENTS: c\nPREMISE axiom pb: P_c(q)\n"
+                     "CONTRARY: q ~ @fcp#1\n" + off)
+    with pytest.raises(DanglingRuleAtom) as err:
+        instantiate_schemes(t)
+    assert str(err.value) == \
+        "line 3: @fcp#1 does not name a defeasible rule"
 
 
 def test_instantiation_idempotent():
