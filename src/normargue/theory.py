@@ -20,7 +20,8 @@ starts a comment:
     POSITION claim_right(patient, doctor): [doctor](K_patient(result)) [prem]
 
 A POSITION ends in at most one strength tag, [axiom] (the default) or
-[prem].
+[prem]. Ids, agent names and POSITION parties are ASCII names,
+[A-Za-z_][A-Za-z0-9_]*, like the names in formulas.
 
 Rule separators `|-` (strict) and `|~` (defeasible) must be surrounded by
 whitespace so they cannot collide with `|` and `~` inside formulas.
@@ -119,14 +120,27 @@ class Theory:
             (g, f) for f, g in self.contraries)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_PREMISE_RE = re.compile(r"PREMISE\s+(axiom|prem)\s+([A-Za-z_]\w*)\s*:\s*(.+)$")
-_RULE_RE = re.compile(r"RULE\s+(strict|defeasible)\s+([A-Za-z_]\w*)\s*:\s*(.+)$")
-_SCHEME_RE = re.compile(r"SCHEME\s+(\w+)\s+(on|off)\s*$")
-_POSITION_RE = re.compile(
-    r"POSITION\s+(\w+)\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\)\s*:\s*(.+)$")
-# a POSITION body and its one optional strength tag
-_POSITION_BODY_RE = re.compile(r"(.*?)\s*(?:\[(axiom|prem)\])?$")
+# an id, an agent name or a POSITION party: ASCII, as in formulas
+_NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+_NAME_RE = re.compile(_NAME)
+_TOGGLES = "|".join(vars(Schemes()))
+# each directive's syntax from the end of its head to the end of the line,
+# and the message for a line that does not match it
+_DIRECTIVES = {head: (re.compile(syntax), usage) for head, syntax, usage in (
+    ("AGENTS", r"\s*:(.*)", "AGENTS needs a colon"),
+    ("PREMISE", r"\s+(axiom|prem)\s+" + _NAME + r"\s*:\s*(.+)",
+     "expected PREMISE axiom|prem <id>: <formula>"),
+    ("RULE", r"\s+(strict|defeasible)\s+" + _NAME + r"\s*:\s*(.+)",
+     "expected RULE strict|defeasible <id>: <f>; ... |- <g>"),
+    ("CONTRARY", r"\s*:(.*)", "CONTRARY needs a colon"),
+    ("SCHEME", r"\s+(%s)\s+(on|off)" % _TOGGLES,
+     "expected SCHEME %s on|off" % _TOGGLES),
+    ("POSITION", r"\s+(\w+)\s*\(\s*%s\s*,\s*%s\s*\)\s*:\s*(.+)"
+     % (_NAME, _NAME),
+     "expected POSITION <kind>(<holder>, <counterparty>): "
+     "<formula> [axiom|prem]"))}
+# a POSITION's strength tag, which ends its line
+_TAG_RE = re.compile(r"\[(axiom|prem)\]$")
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 # a directive's head: up to the first whitespace or colon
 _HEAD_RE = re.compile(r"[^\s:]*")
@@ -152,9 +166,14 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     (see printable). Each distinct formula text of a premise or rule,
     stripped, is parsed, normalized and checked once per call; a repeat
     reuses that normal form, so loading costs per distinct text. A
-    directive's head runs up to the first whitespace or colon. An error
-    names its line, and a formula error also the offset where parsing
-    stopped, a column of the line counted after its leading whitespace."""
+    directive's head runs up to the first whitespace or colon, and the rest
+    of the line must match that directive's syntax in _DIRECTIVES, or the
+    line fails with its usage message: only whitespace may stand between
+    AGENTS or CONTRARY and the colon, and ids, agent names and POSITION
+    parties are ASCII names, as in formulas. A POSITION's content runs to
+    the strength tag that ends the line, if any. An error names its line,
+    and a formula error also the offset where parsing stopped, a column of
+    the line counted after its leading whitespace."""
     if max_depth < 0:
         raise ValidationError("max_depth (--max-depth) must be at least 0, "
                               "got %d" % max_depth)
@@ -206,32 +225,28 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             continue
         head = _HEAD_RE.match(line).group()
         try:
+            if head not in _DIRECTIVES:
+                raise SyntaxError("unknown directive %r"
+                                  % (head or line.split()[0]))
+            syntax, usage = _DIRECTIVES[head]
+            m = syntax.fullmatch(line, len(head))
+            if not m:
+                raise SyntaxError(usage)
             if head == "AGENTS":
-                rest = line.split(":", 1)
-                if len(rest) != 2:
-                    raise SyntaxError("AGENTS needs a colon")
-                for name in rest[1].split(","):
+                for name in m.group(1).split(","):
                     name = name.strip()
-                    if not _IDENT_RE.match(name):
+                    if not _NAME_RE.fullmatch(name):
                         raise SyntaxError("bad agent name %r" % name)
                     if name in agents:
                         raise DuplicateId("duplicate agent %r" % name)
                     agents.append(name)
 
             elif head == "PREMISE":
-                m = _PREMISE_RE.match(line)
-                if not m:
-                    raise SyntaxError(
-                        "expected PREMISE axiom|prem <id>: <formula>")
                 declare_id(m.group(2), lineno)
                 premises.append(Premise(m.group(2), read(lineno, m.start(3)),
                                         _STRENGTHS[m.group(1)]))
 
             elif head == "RULE":
-                m = _RULE_RE.match(line)
-                if not m:
-                    raise SyntaxError("expected RULE strict|defeasible <id>: "
-                                      "<f>; ... |- <g>")
                 kind = RuleKind(m.group(1))
                 declare_id(m.group(2), lineno)
                 sep, sep_re = _SEPARATORS[kind]
@@ -251,42 +266,31 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                     lineno, m.end(3) - len(parts[1])), kind))
 
             elif head == "CONTRARY":
-                if ":" not in line:
-                    raise SyntaxError("CONTRARY needs a colon")
-                f, g = parse_contrary(line, line.index(":") + 1)
+                f, g = parse_contrary(line, m.start(1))
                 contraries.append((normal(f, lineno), normal(g, lineno)))
 
             elif head == "SCHEME":
-                m = _SCHEME_RE.match(line)
-                if not m or m.group(1) not in toggles:
-                    raise SyntaxError("expected SCHEME %s on|off"
-                                      % "|".join(toggles))
                 toggles[m.group(1)] = m.group(2) == "on"
 
-            elif head == "POSITION":
-                m = _POSITION_RE.match(line)
-                if not m:
-                    raise SyntaxError(
-                        "expected POSITION <kind>(<holder>, <counterparty>): "
-                        "<formula> [axiom|prem]")
+            else:  # POSITION
                 try:
                     kind = PositionKind(m.group(1))
                 except ValueError:
                     raise SyntaxError("unknown position kind %r"
                                       % m.group(1)) from None
-                rest = _POSITION_BODY_RE.match(line, m.start(4))
-                pos = NormativePosition(kind, m.group(2), m.group(3),
-                                        parse(line, *rest.span(1)))
+                # the content runs to the tag, whitespace before it dropped
+                start = m.start(4)
+                tag = _TAG_RE.search(line, start)
+                end = tag.start() if tag else len(line)
+                pos = NormativePosition(kind, m.group(2), m.group(3), parse(
+                    line, start, start + len(line[start:end].rstrip())))
                 warnings.extend("line %d: %s" % (lineno, w)
                                 for w in position_warnings(pos))
                 # pos#k cannot clash with an id, which has no #
                 n_positions += 1
                 premises.append(Premise(
                     "pos#%d" % n_positions, normal(to_formula(pos), lineno),
-                    _STRENGTHS.get(rest.group(2), Strength.AXIOM)))
-
-            else:
-                raise SyntaxError("unknown directive %r" % head)
+                    _STRENGTHS[tag.group(1)] if tag else Strength.AXIOM))
         except (SyntaxError, ValidationError) as e:
             raise type(e)("line %d: %s" % (lineno, e)) from None
 

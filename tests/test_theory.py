@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -177,6 +178,72 @@ def test_directive_head_ends_at_a_colon():
     with pytest.raises(SyntaxError) as err:
         parse_theory("FROB:x")
     assert str(err.value) == "line 1: unknown directive 'FROB'"
+
+
+def test_only_whitespace_stands_between_head_and_colon():
+    t = parse_theory("AGENTS :a\nCONTRARY\t: p ~ q")
+    assert t.agents == ("a",)
+    assert t.contraries == ((Atom("p"), Atom("q")),)
+    for line, message in (("AGENTS @ : c", "AGENTS needs a colon"),
+                          ("AGENTS a: b", "AGENTS needs a colon"),
+                          ("CONTRARY junk: p ~ q", "CONTRARY needs a colon")):
+        with pytest.raises(SyntaxError) as err:
+            parse_theory(line)
+        assert str(err.value) == "line 1: " + message, line
+    # a CONTRARY body is read from just after its colon, in place
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("CONTRARY  : p ~ q &")
+    assert str(err.value) == ("line 1: offset 19: expected one of "
+                              "{formula}, found end of input")
+
+
+def test_a_line_without_a_head_names_its_first_word():
+    for text, word in ((": p", ":"), (":foo", ":foo"),
+                       ("  :AGENTS a", ":AGENTS")):
+        with pytest.raises(SyntaxError) as err:
+            parse_theory("AGENTS: a\n" + text)
+        assert str(err.value) == "line 2: unknown directive %r" % word
+
+
+def test_ids_and_parties_are_ascii_names():
+    # one name rule for ids, parties and agents, the one formulas use, so
+    # that @ can name every rule
+    for line, directive in (
+            ("RULE defeasible rü: p |~ q",
+             "RULE strict|defeasible <id>: <f>; ... |- <g>"),
+            ("PREMISE axiom pü: p", "PREMISE axiom|prem <id>: <formula>"),
+            ("POSITION duty(a, bü): p",
+             "POSITION <kind>(<holder>, <counterparty>): <formula> "
+             "[axiom|prem]")):
+        with pytest.raises(SyntaxError) as err:
+            parse_theory("AGENTS: a, b\n" + line)
+        assert str(err.value) == "line 2: expected " + directive, line
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("AGENTS: a, bü")
+    assert str(err.value) == "line 1: bad agent name 'bü'"
+    t = parse_theory("AGENTS: a_1\nRULE defeasible _r2: p |~ q\n"
+                     "CONTRARY: x ~ @_r2")
+    assert t.rules[0].id == "_r2"
+
+
+def test_position_content_never_ends_before_it_starts():
+    # the content ends at the tag, whitespace before it dropped, but not
+    # before the whitespace after the colon
+    with pytest.raises(SyntaxError) as err:
+        parse_theory("AGENTS: a, b\nPOSITION duty(a, b): [prem]")
+    assert str(err.value) == ("line 2: offset 21: expected one of "
+                              "{formula}, found end of input")
+
+
+def test_position_with_a_long_run_of_spaces_loads_in_linear_time():
+    # the tag is found from the end of the line, without backtracking over
+    # each space of the content
+    text = ("AGENTS: a, b\nPOSITION duty(a, b): p" + " " * 50_000
+            + "& q [prem]")
+    start = time.perf_counter()
+    t = parse_theory(text)
+    assert time.perf_counter() - start < 1
+    assert t.premises[0].formula == parse("O_{a,b}(p & q)")
 
 
 def test_each_formula_text_is_parsed_once(monkeypatch):
