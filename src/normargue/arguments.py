@@ -19,14 +19,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import Formula
 from .theory import RuleKind, Strength, Theory
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     id: int
     premise_ids: frozenset[str]
     sub_args: tuple[int, ...]

@@ -203,8 +203,12 @@ def cmd_run(ns) -> int:
                       file=sys.stderr)
                 return 1
     queries = []
-    for text in ns.query:
-        f = printable(normalize(parse(text), theory.weak_mode), "query")
+    for k, text in enumerate(ns.query, 1):
+        try:
+            f = parse(text)
+        except SyntaxError as e:
+            raise type(e)("query %d: %s" % (k, e)) from None
+        f = printable(normalize(f, theory.weak_mode), "query")
         credulous, skeptical = acceptance(args, extensions, f)
         queries.append({"formula": str(f), "credulous": credulous,
                         "skeptical": skeptical})
@@ -246,7 +250,7 @@ def cmd_run(ns) -> int:
         lines.append("  %d%s: %s [%s, %s]%s" % (a.id, star, text, kind,
                                                 firmness, via))
     lines.append(_paint("defeats (%d):" % len(sorted_defeats), "1"))
-    lines += ["  %s" % d for d in sorted_defeats]
+    lines += ["  %s" % (d,) for d in sorted_defeats]
     if ns.semantics == "grounded":
         lines.append(_paint("grounded extension:", "1"))
         lines += ["  %d: %s" % (i, texts[i]) for i in members(extensions[0])]

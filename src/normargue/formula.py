@@ -39,13 +39,18 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
 
 class UnknownOperator(SyntaxError):
     """Malformed modal prefix, e.g. a bare K_ or Power_ without braces."""
+
+
+def _immutable(self, name, *value):
+    """__setattr__ and __delattr__ of a class whose objects never change."""
+    raise AttributeError("%s is immutable: cannot set or delete %r"
+                         % (type(self).__name__, name))
 
 
 class Formula:
@@ -57,9 +62,12 @@ class Formula:
     Oblig also take keywords, through their own __new__. The table holds
     its nodes weakly and drops each entry when its node dies.
     Construction is single-threaded: two threads building the same new
-    node at once could each intern their own. A node caches its normal
-    forms (one slot per mode) and its implication-free form outside
-    vars(f), which holds the fields only."""
+    node at once could each intern their own. A node's fields are the
+    names annotated on its class, in order (_fields); vars(f) holds them
+    and only them, and repr writes them as Atom(name='p', args=()).
+    Setting or deleting an attribute raises AttributeError. A node caches
+    its normal forms (one slot per mode) and its implication-free form in
+    slots outside vars(f), written through object.__setattr__."""
 
     __slots__ = ("__weakref__", "_normal", "_weak_normal", "_implication_free")
 
@@ -81,6 +89,12 @@ class Formula:
         # copy, deepcopy and pickle rebuild through the table: same node
         return type(self), tuple(vars(self).values())
 
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in vars(self).items()))
+
+    __setattr__ = __delattr__ = _immutable
+
     def __str__(self):
         return print_formula(self)
 
@@ -101,60 +115,46 @@ def _drop(entry: _Entry, table=_table):
         del table[entry.key]
 
 
-# dataclasses for their fields and repr; __new__ interns, and == and hash
-# stay object's
-_node = dataclass(frozen=True, eq=False, init=False)
-
-
-@_node
 class Atom(Formula):
     name: str
-    args: tuple[str, ...] = ()
+    args: tuple[str, ...]
 
     def __new__(cls, name, args=()):
         return Formula.__new__(cls, name, args)
 
 
-@_node
 class Not(Formula):
     f: Formula
 
 
-@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Box(Formula):
     f: Formula
 
 
-@_node
 class Diamond(Formula):
     f: Formula
 
 
-@_node
 class Know(Formula):
     agent: str
     f: Formula
 
 
-@_node
 class Oblig(Formula):
     agent: str | None
     toward: str | None
@@ -167,32 +167,27 @@ class Oblig(Formula):
         return Formula.__new__(cls, agent, toward, f)
 
 
-@_node
 class Perm(Formula):
     agent: str | None
     f: Formula
 
 
-@_node
 class Stit(Formula):
     agent: str
     f: Formula
 
 
-@_node
 class Right(Formula):
     agent: str
     f: Formula
 
 
-@_node
 class Power(Formula):
     agent: str
     toward: str
     f: Formula
 
 
-@_node
 class RuleAtom(Formula):
     rule_name: str
 
@@ -203,7 +198,7 @@ _BINARY_TYPES = (And, Or, Implies)
 _LEAF_TYPES = (Atom, RuleAtom)
 _NODE_TYPES = _PREFIX_TYPES + _BINARY_TYPES + _LEAF_TYPES
 for _t in _NODE_TYPES:  # the field names, in the order __new__ takes them
-    _t._fields = tuple(x.name for x in fields(_t))
+    _t._fields = tuple(_t.__annotations__)
 
 # The binary connectives: symbol and binding strength. Prefix operators
 # and atoms bind tighter than all three (_TIGHT).
@@ -529,9 +524,9 @@ def _complement(f: Formula) -> Formula:
 
 
 def _map(f: Formula, g) -> Formula:
-    """f with g applied to each direct subformula. Formula nodes are
-    dataclasses, so vars(f) holds their fields in declaration order, and
-    interned, so where g returns every one unchanged this is f itself."""
+    """f with g applied to each direct subformula. vars(f) holds a node's
+    fields in declaration order, and nodes are interned, so where g
+    returns every one unchanged this is f itself."""
     if not isinstance(f, Formula):
         raise TypeError("not a formula: %r" % (f,))
     return type(f)(*[g(v) if isinstance(v, Formula) else v

@@ -24,8 +24,8 @@ obligation kind, since a freedom is no duty to refrain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .formula import Formula, Not, Oblig, Power, Stit
 
@@ -55,8 +55,7 @@ _SQUARES = {
 _KINDS = {entry: kind for kind, entry in _SQUARES.items()}
 
 
-@dataclass(frozen=True)
-class NormativePosition:
+class NormativePosition(NamedTuple):
     kind: PositionKind
     holder: str
     counterparty: str

@@ -62,11 +62,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arguments import Argument
-from .formula import Formula, RuleAtom, conflict_class, contrary
+from .formula import (Formula, RuleAtom, _immutable, conflict_class,
+                      contrary)
 from .theory import RuleKind, Theory
 
 
@@ -80,8 +81,7 @@ class DefeatKind(Enum):
     UNDERCUT = "undercut"
 
 
-@dataclass(frozen=True)
-class Defeat:
+class Defeat(NamedTuple):
     attacker: int
     target: int
     kind: DefeatKind
@@ -92,10 +92,17 @@ class Defeat:
                                         self.target, self.locus)
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
+class _FrameworkFields(NamedTuple):
     n_args: int
     defeats: frozenset[Defeat]
+
+
+class ArgumentationFramework(_FrameworkFields):
+    """A named tuple of the argument count and the defeats, whose subclass
+    adds only a __dict__ that holds the cached _graph, and no attribute can
+    be set."""
+
+    __setattr__ = __delattr__ = _immutable
 
     @functools.cached_property
     def _graph(self) -> tuple[list[set[int]], list[set[int]]]:

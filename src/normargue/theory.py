@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
-                      Oblig, Perm, names_in, normalize, parse, parse_contrary,
-                      printable, subformulas)
+                      Oblig, Perm, _immutable, names_in, normalize, parse,
+                      parse_contrary, printable, subformulas)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -71,36 +71,27 @@ class RuleKind(Enum):
     DEFEASIBLE = "defeasible"
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(NamedTuple):
     id: str
     formula: Formula
     strength: Strength
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     antecedents: tuple[Formula, ...]
     consequent: Formula
     kind: RuleKind
 
 
-@dataclass(frozen=True)
-class Schemes:
+class Schemes(NamedTuple):
     fcp: bool = True
     owp: bool = True
     weak_closure: bool = False
     k_truth: bool = False
 
 
-@dataclass(frozen=True)
-class Theory:
-    """Every formula of a theory is in normal form, normalize(f, weak_mode):
-    parse_theory and load_theory return normal forms, and a theory built in
-    code must normalize its formulas likewise, since compute_defeats and
-    contrary match conclusions and declared pairs as they are."""
-
+class _TheoryFields(NamedTuple):
     agents: tuple[str, ...]
     premises: tuple[Premise, ...]
     rules: tuple[Rule, ...]
@@ -113,6 +104,18 @@ class Theory:
     # @scheme#k references seen at load time, resolved after instantiation
     pending_rule_refs: tuple[tuple[str, int], ...] = ()
 
+
+class Theory(_TheoryFields):
+    """Every formula of a theory is in normal form, normalize(f, weak_mode):
+    parse_theory and load_theory return normal forms, and a theory built in
+    code must normalize its formulas likewise, since compute_defeats and
+    contrary match conclusions and declared pairs as they are. A theory is
+    a named tuple of its fields, so two with equal fields are equal, and
+    _replace makes a changed copy; the subclass adds only a __dict__ that
+    holds the cached declared_pairs, and no attribute can be set."""
+
+    __setattr__ = __delattr__ = _immutable
+
     @functools.cached_property
     def declared_pairs(self) -> frozenset[tuple[Formula, Formula]]:
         """The declared contrary pairs in both orders, built once."""
@@ -123,7 +126,7 @@ class Theory:
 # an id, an agent name or a POSITION party: ASCII, as in formulas
 _NAME = "([A-Za-z_][A-Za-z0-9_]*)"
 _NAME_RE = re.compile(_NAME)
-_TOGGLES = "|".join(vars(Schemes()))
+_TOGGLES = "|".join(Schemes._fields)
 # each directive's syntax from the end of its head to the end of the line,
 # and the message for a line that does not match it
 _DIRECTIVES = {head: (re.compile(syntax), usage) for head, syntax, usage in (
@@ -184,7 +187,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     premises: list[Premise] = []
     rules: list[Rule] = []
     contraries: list[tuple[Formula, Formula]] = []
-    toggles = dict(vars(Schemes()))
+    toggles = Schemes()._asdict()
     warnings: list[str] = []
     id_lines: dict[str, int] = {}
     # each distinct formula with the first line that has it
@@ -375,12 +378,12 @@ def instantiate_schemes(theory: Theory) -> Theory:
     round runs and no pool is built; the theory's @<scheme>#k references,
     which then name no rule, still raise DanglingRuleAtom."""
     s = theory.schemes
-    if not any(vars(s).values()):
+    if not any(s):
         _check_rule_refs(theory.rules, theory.pending_rule_refs)
         return theory
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
-    counters = dict.fromkeys(vars(s), 0)
+    counters = dict.fromkeys(s._fields, 0)
 
     def one_round() -> list[Rule]:
         new: list[Rule] = []
@@ -460,4 +463,4 @@ def instantiate_schemes(theory: Theory) -> Theory:
     _check_rule_refs(rules, theory.pending_rule_refs)
     if len(rules) == len(theory.rules) and not theory.pending_rule_refs:
         return theory
-    return replace(theory, rules=tuple(rules), pending_rule_refs=())
+    return theory._replace(rules=tuple(rules), pending_rule_refs=())

@@ -219,7 +219,7 @@ def theory_text(theory):
         for r in theory.rules if "#" not in r.id]
     lines += ["CONTRARY: %s ~ %s" % pair for pair in theory.contraries]
     lines += ["SCHEME %s %s" % (name, ("off", "on")[on])
-              for name, on in vars(theory.schemes).items()]
+              for name, on in theory.schemes._asdict().items()]
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,6 @@ recursive helpers and the recursive subformulas of reference_formula. It
 gates the current grounding on the fixtures and on seeded theories under
 every scheme toggle combination."""
 
-from dataclasses import replace
-
 from normargue import (And, Box, Implies, Know, Not, Oblig, Perm, Power,
                        Right, Rule, RuleKind, SchemeRoundsExceeded, Stit,
                        normalize)
@@ -132,4 +130,4 @@ def reference_instantiate_schemes(theory):
 
     if len(rules) == len(theory.rules) and not theory.pending_rule_refs:
         return theory
-    return replace(theory, rules=tuple(rules), pending_rule_refs=())
+    return theory._replace(rules=tuple(rules), pending_rule_refs=())

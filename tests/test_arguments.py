@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 from normargue import (SchemeRoundsExceeded, classify, construct_arguments,
                        instantiate_schemes, load_theory, parse_theory)
@@ -158,7 +157,7 @@ def test_construction_matches_reference_on_random_theories():
     for _ in range(1000):
         theory = random_theory(rng)
         for depth in range(4):
-            t = replace(theory, max_depth=depth)
+            t = theory._replace(max_depth=depth)
             expected = reference_construct(t)
             assert construct_arguments(t) == expected
             truncated += expected[1]
@@ -203,7 +202,7 @@ def test_max_args_matches_reference_prefix():
         args, truncated = reference_construct(theory)
         n = len(args)
         for cap in sorted({0, 1, n // 2, n - 1, n, n + 1}):
-            assert (construct_arguments(replace(theory, max_args=cap))
+            assert (construct_arguments(theory._replace(max_args=cap))
                     == (args[:cap], truncated or n > cap))
 
 

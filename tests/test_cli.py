@@ -308,6 +308,18 @@ def test_exit_2_on_bad_query(capsys):
     assert code == 2 and "offset" in err
 
 
+def test_query_parse_error_names_the_query(capsys):
+    # the parser's error, prefixed with the query's place among --query
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", "p",
+                             "--query", "q & .")
+    assert code == 2 and not out
+    assert err == "error: query 2: offset 4: unexpected character '.'\n"
+    code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", "K_ p")
+    assert code == 2 and not out
+    assert err == ("error: query 1: offset 0: modal prefix 'K_' lacks an "
+                   "agent\n")
+
+
 def deep_theory(f):
     """A premise, a rule antecedent and a rule consequent written as f."""
     return ("AGENTS: a\nPREMISE prem a1: %s\nRULE defeasible r1: %s |~ q\n"

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 from normargue import (Not, NormativePosition, PositionKind, contrary,
                        correlative, opposite, parse, position_warnings,
@@ -85,7 +84,7 @@ def test_contradictory_positions_are_contrary():
             p = pos(kind, random_formula(rng, depth=3))
             q = opposite(p)
             if kind in FIRST_SQUARE:
-                q = replace(q, content=Not(q.content))
+                q = q._replace(content=Not(q.content))
             assert contrary(to_formula(p), to_formula(q)), (p, q)
 
 

@@ -2,10 +2,18 @@
 
 import ast
 import importlib.util
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import normargue
+from normargue import (Argument, ArgumentationFramework, Defeat, DefeatKind,
+                       NormativePosition, PositionKind, Premise, Rule,
+                       RuleKind, Schemes, Strength, Theory, parse)
+from normargue.formula import _NODE_TYPES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -77,3 +85,81 @@ docstring"""
 '''
     # import, class, the two lines of x, def and the two of the return
     assert tool.code_lines(snippet) == 7
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each command starts a process, so what the import pulls in is paid
+    # per file; counted in modules, not time, so that it cannot flake
+    code = ("import sys; sys.path.insert(0, %r); import normargue.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % str(SRC))
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def record_fields():
+    """(type, fields by name) for every record type of the package."""
+    p = parse("p")
+    premise = Premise("a1", p, Strength.AXIOM)
+    rule = Rule("r1", (p,), parse("q"), RuleKind.DEFEASIBLE)
+    defeat = Defeat(0, 1, DefeatKind.REBUT, 1)
+    return [
+        (Premise, {"id": "a1", "formula": p, "strength": Strength.AXIOM}),
+        (Rule, {"id": "r1", "antecedents": (p,), "consequent": parse("q"),
+                "kind": RuleKind.DEFEASIBLE}),
+        (Schemes, {"fcp": False, "owp": True, "weak_closure": True,
+                   "k_truth": False}),
+        (Argument, {"id": 0, "premise_ids": frozenset({"a1"}),
+                    "sub_args": (), "top_rule": None, "conclusion": p,
+                    "defeasible": False, "plausible": False, "depth": 0}),
+        (Defeat, {"attacker": 0, "target": 1, "kind": DefeatKind.REBUT,
+                  "locus": 1}),
+        (NormativePosition, {"kind": PositionKind.DUTY, "holder": "a",
+                             "counterparty": "b", "content": p}),
+        (Theory, {"agents": ("a",), "premises": (premise,),
+                  "rules": (rule,), "contraries": ((p, parse("q")),),
+                  "schemes": Schemes(), "weak_mode": False, "max_depth": 3,
+                  "max_args": 100_000, "warnings": (),
+                  "pending_rule_refs": ()}),
+        (ArgumentationFramework, {"n_args": 2,
+                                  "defeats": frozenset({defeat})}),
+    ]
+
+
+def test_records_are_immutable_values():
+    for cls, fields in record_fields():
+        a, b = cls(**fields), cls(*fields.values())
+        assert a == b and hash(a) == hash(b), cls
+        assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(
+            "%s=%r" % item for item in fields.items()))
+        for name in (*fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+        assert a == b, cls
+    assert str(Defeat(0, 1, DefeatKind.REBUT, 1)) == "0 --rebut--> 1 at 1"
+
+
+def test_formula_repr_names_each_field():
+    p, q = "Atom(name='p', args=())", "Atom(name='q', args=())"
+    expected = {
+        "p": p,
+        "p(x,y)": "Atom(name='p', args=('x', 'y'))",
+        "@r": "RuleAtom(rule_name='r')",
+        "~p": "Not(f=%s)" % p,
+        "p & q": "And(left=%s, right=%s)" % (p, q),
+        "p | q": "Or(left=%s, right=%s)" % (p, q),
+        "p -> q": "Implies(left=%s, right=%s)" % (p, q),
+        "[](p)": "Box(f=%s)" % p,
+        "<>(p)": "Diamond(f=%s)" % p,
+        "K_a p": "Know(agent='a', f=%s)" % p,
+        "O p": "Oblig(agent=None, toward=None, f=%s)" % p,
+        "O_{a,b} p": "Oblig(agent='a', toward='b', f=%s)" % p,
+        "P_a p": "Perm(agent='a', f=%s)" % p,
+        "[a] p": "Stit(agent='a', f=%s)" % p,
+        "R_a p": "Right(agent='a', f=%s)" % p,
+        "Power_{a,b} p": "Power(agent='a', toward='b', f=%s)" % p,
+    }
+    assert {type(parse(text)) for text in expected} == set(_NODE_TYPES)
+    for text, written in expected.items():
+        assert repr(parse(text)) == written, text

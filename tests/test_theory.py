@@ -2,7 +2,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -500,7 +499,7 @@ def test_grounding_matches_reference_on_fixtures():
             (DOCTOR, ABORTION, KNIFE), (False, True), range(5), toggles):
         t = load_theory(path, weak_mode=weak, max_depth=depth)
         if schemes is not None:
-            t = replace(t, schemes=schemes)
+            t = t._replace(schemes=schemes)
         assert grounding_outcome(instantiate_schemes, t) == \
             grounding_outcome(reference_instantiate_schemes, t), \
             (path, weak, depth, schemes)
@@ -532,7 +531,7 @@ def test_schemes_off_is_identity():
 
 
 def test_every_scheme_off_returns_the_theory_itself():
-    off = "".join("SCHEME %s off\n" % name for name in vars(Schemes()))
+    off = "".join("SCHEME %s off\n" % name for name in Schemes._fields)
     t = parse_theory("AGENTS: c\nPREMISE axiom pb: P_c(q)\n"
                      "PREMISE axiom pd: [](m -> q)\n"
                      "PREMISE axiom pk: K_c(q & m)\n" + off)
