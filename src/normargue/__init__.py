@@ -17,7 +17,7 @@ from .theory import (DanglingRuleAtom, DuplicateId, Premise, Rule, RuleKind,
 from .arguments import Argument, classify, construct_arguments
 from .semantics import (ArgumentationFramework, Defeat, DefeatKind, TooLarge,
                         acceptance, brute_force_stable, compute_defeats,
-                        grounded_extension, members, stable_extensions,
-                        verify_extension)
+                        extension_table, grounded_extension, members,
+                        stable_extensions, verify_extension)
 
 __version__ = "0.1.0"

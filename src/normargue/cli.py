@@ -25,30 +25,36 @@ oracle. All output is deterministic; ANSI color is used only on a
 terminal and can be switched off with NORMARGUE_COLOR=0.
 
 Extensions travel as member masks (bit i set for argument i, see
-semantics) from the solver to the report. Before anything is printed,
-every stable extension is checked by verify_extension, from its own mask
-and the defeat graph alone; one call checks them all. The same masks are
-what the rows are written from and what the queries test.
+semantics) from the solver to the report. Each --query is parsed and
+print-checked right after the theory loads, so that a bad query fails
+before any argument is built. Once solved, the masks are transposed once
+(semantics.extension_table): their byte columns, and per argument one int
+with a 0/1 byte per extension. Before anything is printed, every stable
+extension is checked by verify_extension against the defeat graph from
+that table, in one call; the queries are answered from it, and the JSON
+rows are written from its byte columns once the per-argument ints are
+dropped.
 
 The --json report is exactly json.dumps(report, indent=2), and export
 --format json exactly json.dumps(payload, indent=2), but neither object
 is built: _dump_report joins top-level fields handed in already encoded.
 Argument and defeat rows fill fixed templates, with strings encoded by
 json's C encode_basestring_ascii. Extension rows are written column by
-column: each byte column of the masks (semantics.byte_columns) maps
-through a table of token strings, one per byte value, made on first use,
-and each row joins its entries from every column; only the theory
-summary and the queries go through json.dumps. The text report decodes
-each mask into its ids and is printed by one join of its lines. Each
-argument's conclusion is printed once, for the JSON rows, the text report
-and the DOT labels alike.
+column: each byte column of the masks maps through a table of token
+strings, one per byte value, each made on first use from the entry with
+the lowest bit cleared; the first column's tokens open the row and the
+last one's close it, and each row joins its entries from every column.
+Only the rows with no member among arguments 0-7 are mended afterwards.
+Only the theory summary and the queries go through json.dumps. The text
+report decodes each mask into its ids and is printed by one join of its
+lines. Each argument's conclusion is printed once, for the JSON rows, the
+text report and the DOT labels alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -56,8 +62,8 @@ import sys
 from .arguments import Argument, classify, construct_arguments
 from .formula import normalize, parse, printable
 from .semantics import (ArgumentationFramework, Defeat, DefeatKind, TooLarge,
-                        acceptance, brute_force_stable, byte_columns,
-                        compute_defeats, defeat_sort_key, grounded_extension,
+                        acceptance, brute_force_stable, compute_defeats,
+                        defeat_sort_key, extension_table, grounded_extension,
                         members, stable_extensions, verify_extension)
 from .theory import Theory, ValidationError, instantiate_schemes, load_theory
 
@@ -77,12 +83,11 @@ def _load(ns) -> Theory:
         max_args=ns.max_args))
 
 
-def _pipeline(ns):
-    theory = _load(ns)
+def _pipeline(theory: Theory):
     args, truncated = construct_arguments(theory)
     defeats = compute_defeats(args, theory)
     af = ArgumentationFramework(len(args), frozenset(defeats))
-    return theory, args, defeats, af, truncated
+    return args, defeats, af, truncated
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -139,34 +144,53 @@ def _defeat_rows(defeats: list[Defeat]) -> list[str]:
 
 
 class _Tokens(dict):
-    """Row tokens for one byte of extension masks: byte value v maps to
-    the tokens of v's set bits joined in ascending order. Entries are made
-    on first lookup, so a table costs what its lookups touch."""
+    """Row text for one byte column of extension masks: byte value v maps
+    to the tokens of v's set bits in ascending order, followed by the
+    entry of 0. Each entry is made on first lookup, in one step: the token
+    of v's lowest set bit, then the entry of the other bits, v & v - 1, in
+    rest (the table itself when rest is None, which keeps a table out of
+    reference cycles). So a table costs what its lookups touch."""
 
-    __slots__ = ("tokens",)
+    __slots__ = ("tokens", "rest")
 
-    def __init__(self, tokens: list[str]):
-        super().__init__()
+    def __init__(self, tokens: list[str], end: str, rest=None):
+        super().__init__({0: end})
         self.tokens = tokens
+        self.rest = rest
 
     def __missing__(self, v: int) -> str:
-        r = self[v] = "".join(itertools.compress(
-            self.tokens, [v >> j & 1 for j in range(8)]))
+        rest = self if self.rest is None else self.rest
+        r = self[v] = self.tokens[(v & -v).bit_length() - 1] + rest[v & v - 1]
         return r
 
 
-def _extension_rows(extensions: list[int], n_args: int) -> list[str]:
-    """One row per extension mask, one member per line, written column by
-    column: each byte column of the masks (see semantics.byte_columns)
-    maps through a table of its arguments' tokens, and each row joins its
-    mask's entries from every column."""
-    if not n_args:  # no byte columns, and every mask is empty
-        return ["[]"] * len(extensions)
-    tokens = [",\n      %d" % i for i in range(n_args)]
-    columns = [map(_Tokens(tokens[8 * k:8 * k + 8]).__getitem__, column)
-               for k, column in enumerate(byte_columns(extensions, n_args))]
-    return ["[" + row[1:] + "\n    ]" if row else "[]"
-            for row in map("".join, zip(*columns))]
+_ROW_END = "\n    ]"
+
+
+def _extension_rows(columns: list[bytes], count: int) -> list[str]:
+    """One row per extension, one member per line, from the byte columns
+    of the masks of count extensions (see semantics.byte_columns): each
+    column maps through a table of its arguments' tokens, the last one's
+    entries close the row and the first one's open it, and each row joins
+    its entries from every column. A row whose first byte is 0 starts with
+    a comma, or is the close alone, and is mended by itself."""
+    if not columns:  # no arguments, and every extension is empty
+        return ["[]"] * count
+    last = len(columns) - 1
+    tables = [_Tokens([",\n      %d" % i for i in range(8 * k, 8 * k + 8)],
+                      _ROW_END if k == last else "")
+              for k in range(last + 1)]
+    tables[0] = _Tokens(["[\n      %d" % i for i in range(8)], tables[0][0],
+                        tables[0])
+    rows = list(map("".join, zip(*[map(t.__getitem__, column)
+                                   for t, column in zip(tables, columns)])))
+    first = columns[0]
+    e = first.find(0)
+    while e >= 0:
+        row = rows[e]
+        rows[e] = "[]" if row == _ROW_END else "[" + row[1:]
+        e = first.find(0, e + 1)
+    return rows
 
 
 def _dump_report(fields: dict[str, str]) -> str:
@@ -185,12 +209,22 @@ def cmd_run(ns) -> int:
     if ns.oracle and ns.semantics == "grounded":
         raise ValueError("--oracle checks stable extensions and cannot be "
                          "used with --semantics grounded")
-    theory, args, defeats, af, truncated = _pipeline(ns)
+    theory = _load(ns)
+    formulas = []
+    for k, text in enumerate(ns.query, 1):
+        try:
+            f = parse(text)
+        except SyntaxError as e:
+            raise type(e)("query %d: %s" % (k, e)) from None
+        formulas.append(printable(normalize(f, theory.weak_mode), "query"))
+    args, defeats, af, truncated = _pipeline(theory)
     if ns.semantics == "grounded":
         extensions = [sum(1 << i for i in grounded_extension(af))]
     else:
         extensions = stable_extensions(af)
-        if not verify_extension(af, *extensions):
+    table = extension_table(extensions, len(args))
+    if ns.semantics == "stable":
+        if not verify_extension(af, table=table):
             print("error: a solver extension fails the stable check",
                   file=sys.stderr)
             return 1
@@ -203,19 +237,19 @@ def cmd_run(ns) -> int:
                       file=sys.stderr)
                 return 1
     queries = []
-    for k, text in enumerate(ns.query, 1):
-        try:
-            f = parse(text)
-        except SyntaxError as e:
-            raise type(e)("query %d: %s" % (k, e)) from None
-        f = printable(normalize(f, theory.weak_mode), "query")
-        credulous, skeptical = acceptance(args, extensions, f)
+    for f in formulas:
+        credulous, skeptical = acceptance(args, table, f)
         queries.append({"formula": str(f), "credulous": credulous,
                         "skeptical": skeptical})
+    columns = table.columns
+    del table  # the rows read the columns alone: free held before them
 
     texts = [str(a.conclusion) for a in args]
     sorted_defeats = sorted(defeats, key=defeat_sort_key)
     if ns.json:
+        rows = _extension_rows(columns, len(extensions))
+        del columns, extensions  # free what the rows were made from,
+        rows = _array(rows)  # and the row list, before the report is joined
         print(_dump_report({
             "schema": "1",
             "semantics": _encode(ns.semantics),
@@ -227,7 +261,7 @@ def cmd_run(ns) -> int:
             }),
             "arguments": _array(_argument_rows(args, texts)),
             "defeats": _array(_defeat_rows(sorted_defeats)),
-            "extensions": _array(_extension_rows(extensions, len(args))),
+            "extensions": rows,
             "queries": _json(queries),
             "truncated": _BOOL[truncated],
         }))
@@ -285,7 +319,7 @@ def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
 
 
 def cmd_export(ns) -> int:
-    theory, args, defeats, af, truncated = _pipeline(ns)
+    args, defeats, af, truncated = _pipeline(_load(ns))
     if ns.format == "json":
         print(_dump_report({
             "schema": "1",

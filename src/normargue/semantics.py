@@ -45,15 +45,17 @@ grounded_extension counts each argument's attackers not yet rejected and
 accepts it when the count reaches zero, in O(n + E). members lists the ids
 of a mask, for the readers that need them.
 
-verify_extension checks member masks directly and apart from the
-solver, from the masks and the defeat graph alone: an argument is a
-member exactly when none of its attackers is. It checks any number of
-masks in one bit-sliced pass. byte_columns lays byte k of every mask side
-by side, each argument's bit becomes one int holding a 0/1 byte per mask,
-and the condition is one xor and an OR over the attackers per argument.
-acceptance builds the holders of a conclusion as one mask and tests it
-against each extension, returning credulous and skeptical acceptance
-together. brute_force_stable is an independent cross-check for small
+extension_table transposes the masks once, bit-sliced: byte_columns lays
+byte k of every mask side by side, and each argument's bit becomes one
+int, held[i], holding a 0/1 byte per mask. verify_extension checks member
+masks directly and apart from the solver, from that table and the defeat
+graph alone: an argument is a member exactly when none of its attackers
+is, one xor and an OR over the attackers per argument, for any number of
+masks at once. It transposes the masks it is given, or reads a table
+already made. acceptance reads the table too: the OR of the held ints of
+a conclusion's holders is nonzero when some extension holds one of them
+(credulous) and has a 1 byte per extension when every one does
+(skeptical). brute_force_stable is an independent cross-check for small
 frameworks, of the order too: it sorts the member lists themselves.
 """
 
@@ -348,7 +350,30 @@ def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
 _BIT = [bytes(v >> j & 1 for v in range(256)) for j in range(8)]
 
 
-def verify_extension(af: ArgumentationFramework, *masks: int) -> bool:
+class ExtensionTable(NamedTuple):
+    """Extension masks transposed once, by extension_table: byte column k
+    of the masks (see byte_columns), and held[i] with one byte per mask, 1
+    where argument i is a member and 0 elsewhere; everyone has a 1 byte
+    per mask."""
+
+    columns: list[bytes]
+    held: list[int]
+    everyone: int
+
+
+def extension_table(masks: list[int], n: int) -> ExtensionTable:
+    """The table of masks over n arguments (each 0 <= m < 2**n), from one
+    byte_columns call: eight constant tables turn each column into the
+    held ints of its eight arguments."""
+    columns = byte_columns(masks, n)
+    held = [int.from_bytes(columns[i >> 3].translate(_BIT[i & 7]), "little")
+            for i in range(n)]
+    return ExtensionTable(columns, held,
+                          int.from_bytes(b"\x01" * len(masks), "little"))
+
+
+def verify_extension(af: ArgumentationFramework, *masks: int,
+                     table: ExtensionTable | None = None) -> bool:
     """Direct check of the stable conditions on any number of member masks
     of af: True when every one of them is a stable extension. Read from
     the masks and the defeat graph alone, per argument (Dung 1995): i is a
@@ -356,16 +381,15 @@ def verify_extension(af: ArgumentationFramework, *masks: int) -> bool:
     every outsider defeated at once. All masks are checked together,
     bit-sliced: held[i] holds one byte per mask, 1 where i is a member, so
     the test is held[i] ^ OR(held[a] for a attacking i) == one 1 per mask,
-    in O(n + E) operations on ints of len(masks) bytes."""
-    if not masks:
-        return True
+    in O(n + E) operations on ints of len(masks) bytes. Given table, the
+    extension_table of masks over af's arguments, in place of the masks,
+    the check reads it and transposes nothing."""
     n = af.n_args
-    if min(masks) < 0 or max(masks) >> n:  # bits outside the framework
-        return False
-    columns = byte_columns(masks, n)
-    held = [int.from_bytes(columns[i >> 3].translate(_BIT[i & 7]), "little")
-            for i in range(n)]
-    everyone = int.from_bytes(b"\x01" * len(masks), "little")
+    if table is None:
+        if masks and (min(masks) < 0 or max(masks) >> n):  # bits outside af
+            return False
+        table = extension_table(masks, n)
+    held, everyone = table.held, table.everyone
     return all(h ^ functools.reduce(operator.or_, map(held.__getitem__, a), 0)
                == everyone for h, a in zip(held, af._graph[0]))
 
@@ -394,11 +418,14 @@ def brute_force_stable(af: ArgumentationFramework) -> list[int]:
     return sorted(found, key=members)
 
 
-def acceptance(args: list[Argument], extensions: list[int],
+def acceptance(args: list[Argument], table: ExtensionTable,
                conclusion: Formula) -> tuple[bool, bool]:
-    """(credulous, skeptical) acceptance of a conclusion, from one mask of
-    its holders; each extension is a member mask. Skeptical acceptance
-    over zero extensions is False, not vacuously true."""
-    holders = sum(1 << a.id for a in args if a.conclusion == conclusion)
-    return (any(map(holders.__and__, extensions)),
-            bool(extensions) and all(map(holders.__and__, extensions)))
+    """(credulous, skeptical) acceptance of a conclusion over the
+    extensions of table (see extension_table): the OR of its holders' held
+    ints has a 1 byte for each extension that holds one of them, in
+    O(holders) int operations. Skeptical acceptance over zero extensions
+    is False, not vacuously true."""
+    held = table.held
+    some = functools.reduce(operator.or_, [held[a.id] for a in args
+                                           if a.conclusion == conclusion], 0)
+    return some != 0, some == table.everyone != 0

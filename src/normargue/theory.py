@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import re
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
@@ -157,8 +156,9 @@ def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
                 max_args: int = 100_000) -> Theory:
     """Read the theory file at path, UTF-8 with or without a byte-order
     mark, and parse it with parse_theory."""
-    return parse_theory(Path(path).read_text(encoding="utf-8-sig"),
-                        weak_mode=weak_mode, max_depth=max_depth,
+    with open(path, encoding="utf-8-sig") as f:
+        text = f.read()
+    return parse_theory(text, weak_mode=weak_mode, max_depth=max_depth,
                         max_args=max_args)
 
 

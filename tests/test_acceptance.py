@@ -6,9 +6,9 @@ import time
 
 from normargue import (Defeat, DefeatKind, NormativePosition, PositionKind,
                        Theory, acceptance, brute_force_stable, contrary,
-                       correlative, load_theory, members, normalize,
-                       opposite, parse, stable_extensions, to_formula,
-                       verify_extension)
+                       correlative, extension_table, load_theory, members,
+                       normalize, opposite, parse, stable_extensions,
+                       to_formula, verify_extension)
 
 from helpers import (ABORTION, DOCTOR, KNIFE, ids_concluding, random_af,
                      random_formula, run_pipeline)
@@ -59,8 +59,9 @@ def test_criterion_3_doctor_asymmetric_rebut():
     a4 = ids_concluding(r.args, "~P K_doctor(illness)").pop()
     assert any(d.attacker == b3 and d.target == a4 for d in r.defeats)
     assert not any(d.attacker == a4 and d.target == b3 for d in r.defeats)
-    _, skeptical = acceptance(r.args, r.extensions,
-                              parse("P(K_doctor(illness))"))
+    _, skeptical = acceptance(
+        r.args, extension_table(r.extensions, len(r.args)),
+        parse("P(K_doctor(illness))"))
     assert skeptical
     ok(3, "doctor: strict treatment argument defeats the privacy argument, "
           "not vice versa; its permission is skeptically accepted")
@@ -71,6 +72,7 @@ def test_criterion_4_knife_scheme_verdicts():
     r = run_pipeline(load_theory(KNIFE))
     assert len(r.theory.rules) == 6
     assert all("#" in rule.id for rule in r.theory.rules)
+    table = extension_table(r.extensions, len(r.args))
     accepted = ["O_c(~misuse)",                     # A
                 "P_c(K_c(customer))",               # B
                 "<>(K_c(customer) & misuse)",       # C
@@ -80,10 +82,10 @@ def test_criterion_4_knife_scheme_verdicts():
                 "[](K_c(customer) -> ~misuse)"]     # C'
     for text in accepted:
         f = normalize(parse(text))
-        assert acceptance(r.args, r.extensions, f) == (True, True), text
+        assert acceptance(r.args, table, f) == (True, True), text
     for text in rejected:
         f = normalize(parse(text))
-        assert acceptance(r.args, r.extensions, f) == (False, False), text
+        assert acceptance(r.args, table, f) == (False, False), text
     ok(4, "knife: scheme-generated arguments give the expected verdicts "
           "on all seven queries")
 

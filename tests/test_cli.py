@@ -12,10 +12,11 @@ import pytest
 from normargue import (ArgumentationFramework, Atom, Defeat, DefeatKind, Not,
                        Premise, Rule, RuleAtom, RuleKind, Strength, Theory,
                        load_theory, parse, print_formula)
-from normargue import cli
+from normargue import cli, semantics
 from normargue.cli import main
 
 from normargue.formula import MAX_NESTING
+from normargue.semantics import byte_columns
 
 import reference_report
 from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
@@ -235,6 +236,17 @@ def test_exit_2_on_missing_file(capsys):
     assert code == 2 and "error:" in err
     assert "No such file" in err and "no_such_theory.naf" in err
     assert "directive" not in err
+
+
+def test_unreadable_theory_error_texts(capsys, tmp_path):
+    # the OS error as open() words it, for a missing file and a directory
+    missing = tmp_path / "no_such_theory.naf"
+    for argv, text in (
+            (["run", str(missing)],
+             "[Errno 2] No such file or directory: '%s'" % missing),
+            (["check", str(tmp_path)],
+             "[Errno 21] Is a directory: '%s'" % tmp_path)):
+        assert run_cli(capsys, *argv) == (2, "", "error: %s\n" % text)
 
 
 def test_exit_2_on_scheme_rounds_beyond_max_depth(capsys, tmp_path):
@@ -504,6 +516,33 @@ def test_long_contrary_tilde_run_fails_fast(capsys, tmp_path):
     assert best < 0.1, best
 
 
+def test_bad_query_exits_2_before_construction(capsys, monkeypatch,
+                                               tmp_path):
+    # queries are parsed and print-checked once the theory has loaded: a
+    # bad one exits 2 before any argument is built, even where --oracle
+    # would have refused the framework as too large, and a theory error is
+    # still the one reported
+    def construct(theory):
+        raise AssertionError("arguments were built")
+    monkeypatch.setattr(cli, "construct_arguments", construct)
+    big = tmp_path / "big.naf"
+    big.write_text("AGENTS: a\n" + "".join(
+        "PREMISE axiom p%d: p%d\n" % (i, i) for i in range(21)))
+    bad = tmp_path / "bad.naf"
+    bad.write_text("AGENTS: a\nPREMISE axiom p1: K_b(q)\n")
+    for argv, err in (
+            ((str(DOCTOR), "--query", "p &"), "error: query 1: offset 3: "
+             "expected one of {formula}, found end of input\n"),
+            ((str(DOCTOR), "--json", "--query", "p", "--query", "[]" * 100
+              + "p"), "error: query nests deeper than 100 levels once "
+             "normalized\n"),
+            ((str(big), "--oracle", "--query", "q & ."),
+             "error: query 1: offset 4: unexpected character '.'\n")):
+        assert run_cli(capsys, "run", *argv) == (2, "", err), argv
+    code, out, err = run_cli(capsys, "run", str(bad), "--query", "p &")
+    assert (code, out) == (2, "") and err.startswith("error: line 2: ")
+
+
 def test_exit_3_on_oracle_too_large(capsys, tmp_path):
     f = tmp_path / "big.naf"
     lines = ["AGENTS: a"] + ["PREMISE axiom p%d: p%d" % (i, i)
@@ -684,11 +723,11 @@ def pipeline_of(monkeypatch, *argv):
     its pipeline built, seen through a wrapper of cli._pipeline."""
     seen, pipeline = [], cli._pipeline
     with monkeypatch.context() as m:
-        m.setattr(cli, "_pipeline",
-                  lambda ns: seen.append((ns, pipeline(ns))) or seen[-1][1])
+        m.setattr(cli, "_pipeline", lambda theory: seen.append(
+            (theory, *pipeline(theory))) or seen[-1][1:])
         code = main(list(argv))
     assert (code, len(seen)) == (0, 1)
-    return seen[0]
+    return cli._parser().parse_args(list(argv)), seen[0]
 
 
 def run_report(capsys, monkeypatch, *argv):
@@ -774,10 +813,47 @@ def test_extension_rows_match_reference():
         expected = json.dumps(
             {"extensions": reference_report.extension_lists(masks, n)},
             indent=2)
-        got = cli._dump_report(
-            {"extensions": cli._array(cli._extension_rows(masks, n))})
+        got = cli._dump_report({"extensions": cli._array(
+            cli._extension_rows(byte_columns(masks, n), len(masks)))})
         assert got == expected, n
-    assert cli._extension_rows([], 0) == cli._extension_rows([], 9) == []
+    assert cli._extension_rows(byte_columns([], 0), 0) == \
+        cli._extension_rows(byte_columns([], 9), 0) == []
+
+
+def test_rows_with_no_member_among_the_first_eight_arguments(
+        capsys, monkeypatch, tmp_path):
+    # arguments 0-7 are undermined together: the second stable extension
+    # has none of them, so its row opens in a later byte column, and the
+    # grounded extension of 18 arguments is empty
+    f = tmp_path / "first-byte.naf"
+    f.write_text("AGENTS: a\n" + "".join(
+        "PREMISE prem a%d: x%d\n" % (i, i) for i in range(8))
+        + "PREMISE prem c: c\nPREMISE prem d: ~c\n" + "".join(
+        "RULE strict r%d: c |- ~x%d\n" % (i, i) for i in range(8))
+        + "SCHEME fcp off\nSCHEME owp off\n")
+    stable = [sum(1 << i for i in (*range(8), 9)),
+              sum(1 << i for i in (8, *range(10, 18)))]
+    for flags, masks in (((), stable),
+                         (("--semantics", "grounded"), [0])):
+        report = run_report(capsys, monkeypatch, str(f), *flags)
+        assert report["extensions"] == \
+            reference_report.extension_lists(masks, 18), flags
+    assert report["extensions"] == [[]]
+
+
+def test_extension_masks_are_transposed_once_per_run(capsys, monkeypatch):
+    # one byte_columns call serves the stable check, the queries and the
+    # JSON rows
+    calls, transpose = [], semantics.byte_columns
+    monkeypatch.setattr(semantics, "byte_columns", lambda masks, n: (
+        calls.append(len(masks)) or transpose(masks, n)))
+    path = str(THEORIES / "many.naf")
+    for flags in (("--json",), (), ("--json", "--semantics", "grounded")):
+        code, out, _ = run_cli(capsys, "run", path, "--query", "p0",
+                               "--query", "t3", *flags)
+        assert code == 0 and "p0" in out, flags
+        assert calls == [1 if "grounded" in flags else 288], flags
+        calls.clear()
 
 
 def test_report_writer_escapes_strings(capsys, monkeypatch):

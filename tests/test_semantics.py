@@ -6,7 +6,8 @@ import pytest
 
 from normargue import (Argument, ArgumentationFramework, Defeat,
                        DefeatKind, TooLarge, acceptance, brute_force_stable, compute_defeats,
-                       construct_arguments, grounded_extension,
+                       construct_arguments, extension_table,
+                       grounded_extension,
                        instantiate_schemes, load_theory, members, parse,
                        parse_theory, stable_extensions, verify_extension)
 
@@ -14,6 +15,7 @@ from helpers import (ABORTION, DOCTOR, KNIFE, disjoint_union,
                      grounded_by_definition, mask_of, random_af,
                      random_theory, run_pipeline)
 from reference_defeats import reference_defeats
+from reference_acceptance import reference_acceptance
 from reference_solver import reference_stable
 from reference_verify import reference_verify
 
@@ -455,10 +457,11 @@ def test_grounded_matches_definition():
 
 def test_acceptance_modes():
     r = run_pipeline(load_theory(KNIFE))
+    table = extension_table(r.extensions, len(r.args))
     f = parse("P_c(K_c(customer) & handle)")
-    assert acceptance(r.args, r.extensions, f) == (True, True)
+    assert acceptance(r.args, table, f) == (True, True)
     g = parse("P_c(K_c(customer) & misuse)")
-    credulous, _ = acceptance(r.args, r.extensions, g)
+    credulous, _ = acceptance(r.args, table, g)
     assert not credulous
 
 
@@ -466,9 +469,43 @@ def test_acceptance_splits_on_multiple_extensions():
     prem = Argument(0, frozenset({"p1"}), (), None, parse("p"), False, True, 0)
     other = Argument(1, frozenset({"p2"}), (), None, parse("q"), False, True, 0)
     exts = [0b01, 0b10]
-    assert acceptance([prem, other], exts, parse("p")) == (True, False)
+    assert acceptance([prem, other], extension_table(exts, 2),
+                      parse("p")) == (True, False)
 
 
 def test_skeptical_over_no_extensions_is_false():
     prem = Argument(0, frozenset({"p1"}), (), None, parse("p"), False, False, 0)
-    assert acceptance([prem], [], parse("p")) == (False, False)
+    assert acceptance([prem], extension_table([], 1),
+                      parse("p")) == (False, False)
+
+
+def test_acceptance_matches_reference():
+    # the table-based verdicts against the mask-scanning reference, for
+    # every conclusion and one that no argument draws, under both
+    # semantics: on random theories, and on random frameworks whose
+    # arguments share a few conclusions, many of them odd cycles with no
+    # stable extension
+    rng = random.Random(2113)
+    runs = []
+    for seed in range(150):
+        theory = random_theory(random.Random(seed))
+        args, _ = construct_arguments(theory)
+        runs.append((args, ArgumentationFramework(
+            len(args), frozenset(compute_defeats(args, theory)))))
+    for _ in range(300):
+        af = random_af(rng, max_n=20)
+        runs.append(([Argument(i, frozenset(), (), None,
+                               parse(rng.choice("pqrs")), False, False, 0)
+                      for i in range(af.n_args)], af))
+    nowhere, verdicts, empty = parse("unconcluded"), set(), 0
+    for args, af in runs:
+        for exts in (stable_extensions(af),
+                     [mask_of(grounded_extension(af))]):
+            empty += not exts
+            table = extension_table(exts, af.n_args)
+            for f in {a.conclusion for a in args} | {nowhere}:
+                got = acceptance(args, table, f)
+                assert got == reference_acceptance(args, exts, f), (exts, f)
+                verdicts.add(got)
+    assert verdicts == {(False, False), (True, False), (True, True)}
+    assert empty > 20, empty

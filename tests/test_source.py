@@ -44,7 +44,7 @@ def test_public_names():
         "Strength", "Theory", "TooLarge", "UnknownAgent", "UnknownOperator",
         "ValidationError", "acceptance", "brute_force_stable", "classify",
         "compute_defeats", "conflict_class", "construct_arguments",
-        "contrary", "correlative", "grounded_extension",
+        "contrary", "correlative", "extension_table", "grounded_extension",
         "instantiate_schemes", "load_theory", "members", "normalize",
         "opposite", "parse", "parse_theory", "position_warnings",
         "print_formula", "stable_extensions", "subformulas", "to_formula",
@@ -163,3 +163,25 @@ def test_formula_repr_names_each_field():
     assert {type(parse(text)) for text in expected} == set(_NODE_TYPES)
     for text, written in expected.items():
         assert repr(parse(text)) == written, text
+
+
+def test_gate_writes_every_run_and_reports_escapes(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "gate", ROOT / "tools" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+
+    def crash(argv):
+        print("partial")
+        raise KeyError(argv[0])
+    assert gate.call(crash, ["x"]) == ("exception", "partial\n",
+                                       "KeyError: 'x'\n")
+    assert gate.call(lambda argv: sys.exit(2), []) == (2, "", "")
+    # the recipe, built in a directory of its own: its runs, and the theory
+    # files it writes there, one per case
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    gate.WORK.mkdir()
+    argvs = list(gate.recipe())
+    assert len(argvs) == 1632 and argvs[0] == ["run", "fixtures/doctor.naf"]
+    assert len(list(gate.WORK.iterdir())) == 1126

@@ -1,0 +1,143 @@
+"""Run the output gate: every command of a fixed recipe through
+normargue.cli.main in-process, one line per run with its argv, its exit
+code and the sha256 of its stdout and of its stderr.
+
+    python tools/gate.py [--src DIR] [--out FILE]
+
+Run it from the root of a checkout, at two commits, and diff the two files:
+a change that keeps the program's output writes the same lines. --src names
+the directory that normargue is imported from (default: src of this
+checkout), so one recipe can run against another checkout's program.
+
+The recipe:
+  - the three fixtures, plain and in weak mode: run as text and JSON, both
+    semantics, --oracle, export as DOT and JSON, and check;
+  - the six tests/theories with their queries, text and JSON;
+  - a missing file and a directory given as the theory;
+  - every case of the three benchmark pools at seeds 1 and 2 with its
+    flags, text and JSON;
+  - the 120 near-limit cases of tests/test_fuzz.py at seed 4111, text and
+    JSON;
+  - the 700 fixture mutants of tests/test_fuzz.py at seed 6151, with their
+    random commands and flags.
+
+Theory files that the recipe makes are written under .gate_work/ in the
+current directory, so that argv and error texts are the same in every
+checkout. Exits 1 when a run ends other than with exit code 0-3 (an escaped
+exception is written as exit code "exception"), and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = Path(".gate_work")
+FIXTURES = ("doctor", "abortion", "knife")
+THEORIES = (("interleaved", "p0 t2"), ("three_way", "x e2 s"),
+            ("many", "p0 t3 x1"), ("wide", "q f z40"), ("empty", "p"),
+            ("none", "m"))
+RUN_MODES = ([], ["--json"], ["--semantics", "grounded"],
+             ["--json", "--semantics", "grounded"], ["--oracle"],
+             ["--json", "--oracle"])
+
+
+def recipe():
+    """Yield the argv of every run, writing theory files under WORK."""
+    import test_fuzz
+    import workloads
+
+    def written(name: str, text: str) -> str:
+        path = WORK / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    for name in FIXTURES:
+        path = "fixtures/%s.naf" % name
+        for weak in ([], ["--weak-mode"]):
+            for mode in RUN_MODES:
+                yield ["run", path, *weak, *mode]
+            yield ["export", path, *weak]
+            yield ["export", path, *weak, "--format", "json"]
+            yield ["check", path, *weak]
+    for name, queries in THEORIES:
+        flags = [f for q in queries.split() for f in ("--query", q)]
+        path = "tests/theories/%s.naf" % name
+        yield ["run", path, "--json", *flags]
+        yield ["run", path, *flags]
+    yield ["run", str(WORK / "missing.naf"), "--json"]
+    yield ["check", str(WORK)]
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2):
+            for k, case in enumerate(workloads.build(workload, seed)):
+                path = ("fixtures/%s" % case.fixture if case.fixture else
+                        written("%s-%d-%03d.naf" % (workload, seed, k),
+                                case.text))
+                yield ["run", path, "--json", *case.flags]
+                yield ["run", path, *case.flags]
+    rng = random.Random(4111)
+    for k in range(120):
+        text, flags = test_fuzz.near_limit_case(rng)
+        path = written("deep-%03d.naf" % k, text)
+        yield ["run", path, "--json", *flags]
+        yield ["run", path, *flags]
+    rng = random.Random(6151)
+    texts = [(ROOT / "fixtures" / ("%s.naf" % name)).read_text()
+             for name in ("doctor", "abortion", "knife")]
+    for k in range(700):
+        text = test_fuzz.mutate(rng, rng.choice(texts))
+        command, flags = test_fuzz.random_flags(rng, text)
+        yield [command, written("mutant-%03d.naf" % k, text), *flags]
+
+
+def call(main, argv: list[str]) -> tuple[object, str, str]:
+    """One run of main: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # an escape is reported, never raised
+            code = "exception"
+            err.write("%s: %s\n" % (type(e).__name__, e))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory to import normargue from")
+    parser.add_argument("--out", help="file to write (default: stdout)")
+    ns = parser.parse_args(argv)
+    sys.path[:0] = [ns.src, str(ROOT / "tests"), str(ROOT / "benchmarks")]
+    from normargue import cli
+
+    WORK.mkdir(exist_ok=True)
+    lines, bad = [], 0
+    for args in recipe():
+        code, out, err = call(cli.main, args)
+        bad += code not in (0, 1, 2, 3)
+        lines.append("%s\t%s\t%s\t%s\n" % (shlex.join(args), code,
+                                           digest(out), digest(err)))
+    with (open(ns.out, "w", encoding="utf-8") if ns.out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        f.writelines(lines)
+    print("%d runs, %d outside exit codes 0-3" % (len(lines), bad),
+          file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
