@@ -213,10 +213,9 @@ def cmd_run(ns) -> int:
     formulas = []
     for k, text in enumerate(ns.query, 1):
         try:
-            f = parse(text)
+            formulas.append(printable(normalize(parse(text), theory.weak_mode)))
         except SyntaxError as e:
             raise type(e)("query %d: %s" % (k, e)) from None
-        formulas.append(printable(normalize(f, theory.weak_mode), "query"))
     args, defeats, af, truncated = _pipeline(theory)
     if ns.semantics == "grounded":
         extensions = [sum(1 << i for i in grounded_extension(af))]

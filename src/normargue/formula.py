@@ -25,7 +25,11 @@ identifiers O and P are reserved for the impersonal modalities and cannot
 be used as atom names; identifiers starting with K_, P_, O_, R_ or Power_
 are likewise taken as modal prefixes. One parser reads all formula text:
 parse a formula, parse_contrary the two formulas of a CONTRARY body
-f ~ g.
+f ~ g. The lexer hands it plain (kind, text, pos) tuples. One path skips
+both: a text that is one identifier, with whitespace around it, and that
+_modal_head reads as no modal head is the atom of that name, found with
+one regular-expression match. The parser asks _modal_head the same
+question of each identifier, so the two paths cannot disagree.
 
 Nodes are interned (hash-consed, Filliatre & Conchon 2006) and built
 positionally: building a node whose class and fields match a live one
@@ -40,7 +44,6 @@ from __future__ import annotations
 import re
 import weakref
 from functools import partial
-from typing import NamedTuple
 
 
 class UnknownOperator(SyntaxError):
@@ -237,13 +240,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+# one identifier, with whitespace around it: a bare atom, unless a head
+_IDENT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*")
 
 
-def _lex(text: str, start: int, end: int) -> list[_Token]:
+def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    """The (kind, text, pos) tokens of text[start:end], whitespace left
+    out; a punctuation mark's kind is the mark itself."""
     tokens = []
     for m in _TOKEN_RE.finditer(text, start, end):
         kind, tok_text, i = m.lastgroup, m.group(), m.start()
@@ -251,43 +254,58 @@ def _lex(text: str, start: int, end: int) -> list[_Token]:
             raise SyntaxError("offset %d: unexpected character %r"
                               % (i, tok_text))
         if kind != "ws":
-            tokens.append(_Token(tok_text if kind == "punct" else kind,
-                                 tok_text, i))
+            tokens.append((tok_text if kind == "punct" else kind, tok_text, i))
     return tokens
+
+
+def _modal_head(ident: str):
+    """The node and agent text of the modal head the parser reads ident
+    as: H, H_ or H_a for a head H of _HEAD, H alone only if in _BARE.
+    None if ident is an atom name."""
+    head, sep, agent = ident.partition("_")
+    node = _BY_HEAD.get(head)
+    if node is None or not (sep or node in _BARE):
+        return None
+    return node, sep, agent
 
 
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
-    """Reads text[start:end] in place, so offsets count from text's start."""
+    """Reads text[start:end] in place, so offsets count from text's start.
+    A token is a (kind, text, pos) tuple from _lex."""
 
     def __init__(self, text: str, start: int = 0, end: int | None = None):
         self.end = len(text) if end is None else end
         self.tokens = _lex(text, start, self.end)
         self.pos = 0
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def kind(self) -> str | None:
+        """The kind of the next token, None at the end."""
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def error(self, expected: set[str]):
         tok = self.peek()
-        offset = tok.pos if tok else self.end
-        found = repr(tok.text) if tok else "end of input"
+        offset = tok[2] if tok else self.end
+        found = repr(tok[1]) if tok else "end of input"
         raise SyntaxError("offset %d: expected one of {%s}, found %s"
                           % (offset, ", ".join(sorted(expected)), found))
 
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+    def take(self, kind: str) -> str:
+        """The text of the next token, which must be of kind."""
+        if self.kind() != kind:
             self.error({kind})
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def level(self, n: int, tok: _Token) -> int:
+    def level(self, n: int, tok: tuple[str, str, int]) -> int:
         """n, the nesting level reached at tok, if within MAX_NESTING."""
         if n > MAX_NESTING:
             raise SyntaxError("offset %d: formula nests deeper than %d levels"
-                              % (tok.pos, MAX_NESTING))
+                              % (tok[2], MAX_NESTING))
         return n
 
     def parse(self) -> Formula:
@@ -307,7 +325,7 @@ class _Parser:
         f, reach = self.unary(depth)
         while True:
             tok = self.peek()
-            op = tok and _BY_SYMBOL.get(tok.text)
+            op = tok and _BY_SYMBOL.get(tok[1])
             if not op or op[1] < least:
                 return f, reach
             node, strength = op
@@ -324,69 +342,70 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             self.error({"formula"})
-        if tok.kind == "ruleref":
+        kind = tok[0]
+        if kind == "ruleref":
             self.pos += 1
-            return RuleAtom(tok.text[1:]), depth
-        if tok.kind == "(":
+            return RuleAtom(tok[1][1:]), depth
+        if kind == "(":
             self.pos += 1
             f, reach = self.binary(self.level(depth + 1, tok))
             self.take(")")
             return f, reach
         make = self.prefix(tok)
         if make is None:
-            return self.atom(tok.text), depth
+            return self.atom(tok[1]), depth
         body, reach = self.unary(self.level(depth + 1, tok))
         return make(body), reach
 
-    def prefix(self, tok: _Token):
+    def prefix(self, tok: tuple[str, str, int]):
         """Read the prefix operator at tok with its agents and return the
         node constructor taking its body; None after reading an atom name."""
-        kind, t = tok.kind, tok.text
+        kind, t, at = tok
         if kind not in ("~", "box", "diamond", "[", "ident"):
             self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
         self.pos += 1
         if kind == "[":  # STIT prefix [a]
-            agent = self.take("ident").text
+            agent = self.take("ident")
             self.take("]")
             return partial(Stit, agent)
-        head, sep, agent = t.partition("_")
-        node = _BY_HEAD.get(head)
-        if node is None or not (sep or node in _BARE):
+        head = _modal_head(t)
+        if head is None:
             return None
+        node, sep, agent = head
         slots = len(node._fields) - 1  # the agents before the body
         if sep and not agent:
             if slots == 1:
                 raise UnknownOperator(
-                    "offset %d: modal prefix %r lacks an agent" % (tok.pos, t))
+                    "offset %d: modal prefix %r lacks an agent" % (at, t))
             agents = self.braced_agents(tok)
         elif slots == 2 and node not in _BARE:
             raise UnknownOperator(
-                "offset %d: power must be written Power_{a,b}" % tok.pos)
+                "offset %d: power must be written Power_{a,b}" % at)
         else:
             agents = (agent,) if sep else ()
         return partial(node, *agents, *[None] * (slots - len(agents)))
 
     def braced_agents(self, tok):
-        if self.peek() is None or self.peek().kind != "{":
+        if self.kind() != "{":
             raise UnknownOperator(
-                "offset %d: %r requires a braced agent list" % (tok.pos, tok.text))
+                "offset %d: %r requires a braced agent list" % (tok[2], tok[1]))
         self.pos += 1
-        first = self.take("ident").text
+        first = self.take("ident")
         self.take(",")
-        second = self.take("ident").text
+        second = self.take("ident")
         self.take("}")
         return first, second
 
     def atom(self, name: str) -> Formula:
         args = ()
-        if self.peek() and self.peek().kind == "(":
+        if self.kind() == "(":
             # lookahead: an argument list is idents only; anything else is a
             # parse error because plain atoms take no formula arguments
             self.pos += 1
-            names = [self.take("ident").text]
-            while self.peek() and self.peek().kind == ",":
+            names = [self.take("ident")]
+            while self.kind() == ",":
                 self.pos += 1
-                names.append(self.take("ident").text)
+                names.append(self.take("ident"))
             self.take(")")
             args = tuple(names)
         return Atom(name, args)
@@ -398,7 +417,12 @@ def parse(text: str, start: int = 0, end: int | None = None) -> Formula:
     a formula nesting deeper than MAX_NESTING levels, or UnknownOperator
     for malformed modal prefixes. The result is not normalized. The level
     it counts on a printed formula is the one printed_nesting reads from
-    the tree."""
+    the tree. A text of one identifier that names no modal head, with
+    whitespace around it, is the atom of that name, read without the
+    lexer or the parser."""
+    m = _IDENT_RE.fullmatch(text, start, len(text) if end is None else end)
+    if m and _modal_head(m.group(1)) is None:
+        return Atom(m.group(1), ())
     return _Parser(text, start, end).parse()
 
 

@@ -7,8 +7,8 @@ read, and translates declared normative positions into premises.
 instantiate_schemes grounds the deontic rule schemes against the
 subformulas already in play.
 
-DSL, one directive per line, `#` (at start of line or after whitespace)
-starts a comment:
+DSL, one directive per line (a line ends at \n, \r\n or \r), `#` (at start
+of line or after whitespace) starts a comment:
 
     AGENTS: doc, par
     PREMISE axiom a1: R_par([doc](K_par(ill)))
@@ -147,9 +147,11 @@ _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 # a directive's head: up to the first whitespace or colon
 _HEAD_RE = re.compile(r"[^\s:]*")
 _STRENGTHS = {"axiom": Strength.AXIOM, "prem": Strength.ORDINARY}
-# each rule kind's separator, and a pattern of it between whitespace
-_SEPARATORS = {RuleKind.STRICT: ("|-", re.compile(r"\s\|-\s")),
-               RuleKind.DEFEASIBLE: ("|~", re.compile(r"\s\|~\s"))}
+# each rule kind by name, with its separator and a pattern of it between
+# whitespace
+_RULE_KINDS = {"strict": (RuleKind.STRICT, "|-", re.compile(r"\s\|-\s")),
+               "defeasible": (RuleKind.DEFEASIBLE, "|~",
+                              re.compile(r"\s\|~\s"))}
 
 
 def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
@@ -222,19 +224,23 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             g = read_texts[key] = normal(parse(line, start, end), lineno)
         return g
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _COMMENT_RE.split(raw, 1)[0].strip()  # comment cut off
+    # lines end at \n, \r\n or \r, and at no other character
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
+        if "#" in line:  # comment cut off
+            line = _COMMENT_RE.split(line, 1)[0]
+        line = line.strip()
         if not line:
             continue
         head = _HEAD_RE.match(line).group()
         try:
-            if head not in _DIRECTIVES:
+            directive = _DIRECTIVES.get(head)
+            if directive is None:
                 raise SyntaxError("unknown directive %r"
                                   % (head or line.split()[0]))
-            syntax, usage = _DIRECTIVES[head]
-            m = syntax.fullmatch(line, len(head))
+            m = directive[0].fullmatch(line, len(head))
             if not m:
-                raise SyntaxError(usage)
+                raise SyntaxError(directive[1])
             if head == "AGENTS":
                 for name in m.group(1).split(","):
                     name = name.strip()
@@ -245,27 +251,27 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                     agents.append(name)
 
             elif head == "PREMISE":
-                declare_id(m.group(2), lineno)
-                premises.append(Premise(m.group(2), read(lineno, m.start(3)),
-                                        _STRENGTHS[m.group(1)]))
+                strength, ident, _ = m.groups()
+                declare_id(ident, lineno)
+                premises.append(Premise(ident, read(lineno, m.start(3)),
+                                        _STRENGTHS[strength]))
 
             elif head == "RULE":
-                kind = RuleKind(m.group(1))
-                declare_id(m.group(2), lineno)
-                sep, sep_re = _SEPARATORS[kind]
-                parts = sep_re.split(m.group(3))
+                kind_name, ident, body = m.groups()
+                kind, sep, sep_re = _RULE_KINDS[kind_name]
+                declare_id(ident, lineno)
+                parts = sep_re.split(body)
                 if len(parts) != 2:
                     raise SyntaxError(
                         "%s rule needs exactly one ' %s ' separator"
-                        % (m.group(1), sep))
-                ants = parts[0].split(";")
-                if not any(a.strip() for a in ants):
+                        % (kind_name, sep))
+                if not parts[0].replace(";", "").strip():
                     raise SyntaxError("rule needs at least one antecedent")
                 antecedents, at = [], m.start(3)
-                for a in ants:  # each antecedent and the ; after it
+                for a in parts[0].split(";"):  # each antecedent and its ;
                     antecedents.append(read(lineno, at, at + len(a)))
                     at += len(a) + 1
-                rules.append(Rule(m.group(2), tuple(antecedents), read(
+                rules.append(Rule(ident, tuple(antecedents), read(
                     lineno, m.end(3) - len(parts[1])), kind))
 
             elif head == "CONTRARY":

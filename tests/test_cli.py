@@ -393,8 +393,8 @@ def test_nesting_limit_shapes(capsys, tmp_path):
                        "once normalized\n" % (lineno, MAX_NESTING))
     code, out, err = run_cli(capsys, "run", str(DOCTOR), "--query", boxes)
     assert code == 2 and not out
-    assert err == ("error: query nests deeper than %d levels once "
-                   "normalized\n" % MAX_NESTING)
+    assert err == ("error: query 1: formula nests deeper than %d levels "
+                   "once normalized\n" % MAX_NESTING)
 
 
 def test_normal_form_too_deep_to_print_exits_2(capsys, tmp_path):
@@ -447,8 +447,8 @@ def test_normal_form_too_deep_to_print_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(DOCTOR), "--json", "--query",
                              "<> K_a " * 25 + "p")
     assert code == 2 and not out
-    assert_one_error_line(err, "query nests deeper than %d levels once "
-                          "normalized" % MAX_NESTING)
+    assert_one_error_line(err, "query 1: formula nests deeper than %d "
+                          "levels once normalized" % MAX_NESTING)
 
 
 def test_scheme_conclusion_too_deep_to_print_exits_2(capsys, tmp_path):
@@ -534,8 +534,8 @@ def test_bad_query_exits_2_before_construction(capsys, monkeypatch,
             ((str(DOCTOR), "--query", "p &"), "error: query 1: offset 3: "
              "expected one of {formula}, found end of input\n"),
             ((str(DOCTOR), "--json", "--query", "p", "--query", "[]" * 100
-              + "p"), "error: query nests deeper than 100 levels once "
-             "normalized\n"),
+              + "p"), "error: query 2: formula nests deeper than 100 "
+             "levels once normalized\n"),
             ((str(big), "--oracle", "--query", "q & ."),
              "error: query 1: offset 4: unexpected character '.'\n")):
         assert run_cli(capsys, "run", *argv) == (2, "", err), argv

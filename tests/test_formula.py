@@ -13,6 +13,7 @@ from normargue.formula import (MAX_NESTING, _cform, _Parser, names_in,
                                parses_back, printed_nesting)
 
 import reference_formula as ref
+import reference_parse
 from helpers import (ABORTION, DOCTOR, KNIFE, conflict_pair, deep_shapes,
                      random_formula, structure)
 
@@ -311,6 +312,52 @@ def test_print_parse_round_trip_random():
     for _ in range(300):
         f = random_formula(rng, depth=4)
         assert parse(str(f)) == f
+
+
+def _outcome(parse_fn, *args):
+    """The node parse_fn reads, or the type and message of its error."""
+    try:
+        return parse_fn(*args)
+    except SyntaxError as e:
+        return type(e), str(e)
+
+
+def test_parse_matches_reference():
+    # the one-identifier path and the tuple tokens read every text as the
+    # full lexer and parser did: the same node, or the same error
+    heads = ["~", "[]", "<>", "K", "P", "O", "R", "Power"]
+    texts = heads + [h + "_" for h in heads] + [h + "_a" for h in heads]
+    texts += ["K_a", "O_a", "P_", "Power_x", "_", "x_y", "_x", "x_", "O_",
+              "Oo", "Pp", "Power_", "Powerx", " p ", "\tp", "p\t ",
+              " \t x_y \t", "\n q1 \n", "", "  ", "@r", "@owp#1", " @r ",
+              "@", "#", "p q", "p(x)", "p (x, y)", "K_a p", "O_{a,b} p",
+              "Power_{a,b} p", "O_{a} p", "1p", "p1", "é", "p\u2028",
+              "\u2028p"]
+    rng = random.Random(2222)
+    alphabet = "pqx_aOPKR~&|-><[](){},@#1 \t"
+    for _ in range(400):
+        text = str(random_formula(rng, depth=rng.randint(0, 4)))
+        texts.append(text)
+        for _ in range(3):  # a character replaced, inserted or deleted
+            i = rng.randrange(len(text) + 1)
+            c = rng.choice(alphabet)
+            texts.append(rng.choice((text[:i] + c + text[i + 1:],
+                                     text[:i] + c + text[i:],
+                                     text[:i] + text[i + 1:])))
+    old = reference_parse.parse
+    for text in texts:
+        assert _outcome(parse, text) == _outcome(old, text), text
+        # slices, so that offsets count from the text's start in both
+        for _ in range(2):
+            start = rng.randint(0, len(text))
+            end = rng.choice((None, rng.randint(start, len(text))))
+            assert (_outcome(parse, text, start, end)
+                    == _outcome(old, text, start, end)), (text, start, end)
+    for text in ("p", " p ", "x_y", "K", "O", "P_"):  # padded in a line
+        line = "PREMISE axiom a: " + text + "  # note"
+        end = line.index("#")
+        assert (_outcome(parse, line, 17, end)
+                == _outcome(old, line, 17, end)), text
 
 
 # ------------------------------------------------------------- normalize

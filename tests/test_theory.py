@@ -166,6 +166,27 @@ def test_crlf_input():
     assert len(t.premises) == 1
 
 
+def test_lines_end_at_line_ends_only(capsys, tmp_path):
+    # \n, \r\n and \r end a line; no other character that splitlines
+    # splits at does, so a comment runs on over it
+    for end in ("\n", "\r\n", "\r"):
+        t = parse_theory("AGENTS: a%sPREMISE axiom p1: p%s" % (end, end))
+        assert [p.id for p in t.premises] == ["p1"], repr(end)
+    for ch in "\u2028\u2029\x85\v\f\x1c\x1d\x1e":
+        text = ("AGENTS: a\nPREMISE axiom p: q # note%sPREMISE axiom x: "
+                "K_b(q)\n" % ch)
+        assert [p.id for p in parse_theory(text).premises] == ["p"], repr(ch)
+        # and an error names the line it is on
+        with pytest.raises(SyntaxError, match="^line 3: unknown directive"):
+            parse_theory("AGENTS: a\nPREMISE axiom p: q%s\nBAD\n" % ch)
+    f = tmp_path / "note.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom p: q # note\u2028PREMISE axiom "
+                 "x: K_b(q)\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr() == (
+        "ok: 1 agents, 1 premises, 0 rules, 0 contraries\n", "")
+
+
 def test_directive_head_ends_at_a_colon():
     t = parse_theory("AGENTS:a\nPREMISE axiom x: K_a p\nCONTRARY:p ~ q")
     assert t.agents == ("a",)
