@@ -39,7 +39,9 @@ The --json report is exactly json.dumps(report, indent=2), and export
 --format json exactly json.dumps(payload, indent=2), but neither object
 is built: _dump_report joins top-level fields handed in already encoded.
 Argument and defeat rows fill fixed templates, with strings encoded by
-json's C encode_basestring_ascii. Extension rows are written column by
+json's C encode_basestring_ascii; the premises field of an argument row
+is made once per distinct premise set in a call, and arguments on equal
+sets share it. Extension rows are written column by
 column: each byte column of the masks maps through a table of token
 strings, one per byte value, each made on first use from the entry with
 the lowest bit cleared; the first column's tokens open the row and the
@@ -126,10 +128,21 @@ def _array(rows: list[str]) -> str:
     return ",\n    ".join(rows)
 
 
+class _Premises(dict):
+    """The encoded premises field of a row per premise id set, each made
+    on first lookup: arguments built on the same premises share it."""
+
+    __slots__ = ()
+
+    def __missing__(self, ids: frozenset[str]) -> str:
+        r = self[ids] = _list([_encode(p) for p in sorted(ids)])
+        return r
+
+
 def _argument_rows(args: list[Argument], texts: list[str]) -> list[str]:
+    premises = _Premises()
     return [_ARGUMENT_ROW % (
-        a.id, _encode(text),
-        _list([_encode(p) for p in sorted(a.premise_ids)]),
+        a.id, _encode(text), premises[a.premise_ids],
         _list(list(map(str, a.sub_args))),
         "null" if a.top_rule is None else _encode(a.top_rule),
         _BOOL[a.defeasible], _BOOL[a.plausible], a.depth)

@@ -17,7 +17,13 @@ ordinary premise, so no attacker ever ranks below its locus.
 
 compute_defeats runs one loop over a table of loci, each with its formula
 and the sub-argument it sits on. An attacker whose conclusion is contrary
-to the formula defeats every argument containing that sub-argument.
+to the formula defeats every argument containing that sub-argument. One
+forward pass gives each argument the set of its sub-arguments where an
+attack lands, from those of its direct sub-arguments (which carry smaller
+ids), the same set object where it adds and merges none; each argument
+then takes the defeats at the sub-arguments in its set. Sub-arguments no
+attack lands on are never carried, so the pass costs about as much as the
+defeats it emits, however deep the arguments are.
 Candidate attackers come from an index by conflict_class and declared
 contrary pairs, and contrary confirms each one. Conclusions are normal
 forms (see Theory), so they are indexed as they are, and each distinct
@@ -137,17 +143,6 @@ def defeat_sort_key(d: Defeat):
     return (d.attacker, d.target, d.kind.value, str(d.locus))
 
 
-def _sub_closure(args: list[Argument]) -> list[set[int]]:
-    # sub-arguments always carry smaller ids, so one forward pass suffices
-    closure: list[set[int]] = []
-    for a in args:
-        c = {a.id}
-        for s in a.sub_args:
-            c |= closure[s]
-        closure.append(c)
-    return closure
-
-
 def compute_defeats(args: list[Argument], theory: Theory) -> set[Defeat]:
     weak = theory.weak_mode
     rules = {r.id: r for r in theory.rules}
@@ -182,9 +177,22 @@ def compute_defeats(args: list[Argument], theory: Theory) -> set[Defeat]:
         for c in by_class.get(classes.get(f, f), ()):
             if contrary(c, f, theory):
                 local[s].extend((a.id, kind, locus) for a in holders[c])
-    closure = _sub_closure(args)
-    return {Defeat(a, b.id, kind, locus) for b in args
-            for s in closure[b.id] for a, kind, locus in local[s]}
+    # below[b]: the sub-arguments of b, b included, where an attack lands,
+    # carried up in one forward pass (sub-arguments carry smaller ids) and
+    # shared where b adds and merges nothing; a set, so one reached along
+    # two paths counts once, and so does, in the result, an undercut of a
+    # rule that b applies in two sub-arguments
+    none: frozenset[int] = frozenset()
+    below: list[frozenset[int]] = []
+    for b, own in zip(args, local):
+        c = none
+        for s in b.sub_args:
+            d = below[s]
+            if d and d is not c:
+                c = c | d if c else d
+        below.append(c | {b.id} if own else c)
+    return {Defeat(a, b, kind, locus) for b, loci in enumerate(below)
+            for s in loci for a, kind, locus in local[s]}
 
 
 # ------------------------------------------------------------ extensions

@@ -1,9 +1,9 @@
 """Shared test utilities: fixture paths, a formula's structure read from
 its fields, a seeded random formula generator and conflict-biased formula
-pairs, random theories built from them,
-deeply nested formula texts, random frameworks and their disjoint unions
-for solver fuzzing, grounded semantics from its definition, and a
-one-call pipeline runner."""
+pairs, random theories built from them, chains of rules whose links share
+sub-arguments, deeply nested formula texts, random frameworks and their
+disjoint unions for solver fuzzing, grounded semantics from its
+definition, and a one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -202,6 +202,28 @@ def random_theory(rng):
         return instantiate_schemes(theory)
     except SchemeRoundsExceeded:
         return theory
+
+
+def chain_text(rng, n):
+    """A chain c0 -> ... -> cn whose links take one or two earlier
+    conclusions, several premises per conclusion, and rules concluding a
+    link's negation, so that pools hold more than one argument."""
+    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off"]
+    for i in range(rng.randint(1, 3)):
+        lines.append("PREMISE %s c0_%d: c0" % (rng.choice(("axiom", "prem")),
+                                               i))
+    for i in range(1, n + 1):
+        ants = ["c%d" % rng.randrange(i) for _ in range(rng.randint(1, 2))]
+        sep = rng.choice(("|-", "|~"))
+        kind = "strict" if sep == "|-" else "defeasible"
+        lines.append("RULE %s r%d: %s %s c%d"
+                     % (kind, i, " ; ".join(ants), sep, i))
+        if rng.random() < 0.3:
+            lines.append("PREMISE prem q%d: c%d" % (i, rng.randrange(i)))
+        if rng.random() < 0.3:
+            lines.append("RULE defeasible n%d: c%d |~ ~c%d"
+                         % (i, rng.randrange(i), i))
+    return "\n".join(lines)
 
 
 def theory_text(theory):

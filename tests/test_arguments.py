@@ -3,7 +3,8 @@ import random
 from normargue import (SchemeRoundsExceeded, classify, construct_arguments,
                        instantiate_schemes, load_theory, parse_theory)
 
-from helpers import ABORTION, DOCTOR, KNIFE, ids_concluding, random_theory
+from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, ids_concluding,
+                     random_theory)
 from reference_construct import reference_construct
 
 
@@ -106,28 +107,6 @@ def test_construction_matches_reference_on_fixtures():
     assert checked == 13  # knife needs two scheme rounds
 
 
-def _chain_text(rng, n):
-    """A chain c0 -> ... -> cn whose links take one or two earlier
-    conclusions, several premises per conclusion, and rules concluding a
-    link's negation, so that pools hold more than one argument."""
-    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off"]
-    for i in range(rng.randint(1, 3)):
-        lines.append("PREMISE %s c0_%d: c0" % (rng.choice(("axiom", "prem")),
-                                               i))
-    for i in range(1, n + 1):
-        ants = ["c%d" % rng.randrange(i) for _ in range(rng.randint(1, 2))]
-        sep = rng.choice(("|-", "|~"))
-        kind = "strict" if sep == "|-" else "defeasible"
-        lines.append("RULE %s r%d: %s %s c%d"
-                     % (kind, i, " ; ".join(ants), sep, i))
-        if rng.random() < 0.3:
-            lines.append("PREMISE prem q%d: c%d" % (i, rng.randrange(i)))
-        if rng.random() < 0.3:
-            lines.append("RULE defeasible n%d: c%d |~ ~c%d"
-                         % (i, rng.randrange(i), i))
-    return "\n".join(lines)
-
-
 def _conflicts_text(rng, k):
     """k mutual rebuts over axioms s_j, some with a strict follow-up."""
     lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off"]
@@ -144,7 +123,7 @@ def test_construction_matches_reference_on_chains_and_conflicts():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 12)
-        for text in (_chain_text(rng, n), _conflicts_text(rng, n)):
+        for text in (chain_text(rng, n), _conflicts_text(rng, n)):
             for depth in (0, 1, 2, n // 2, n + 1):
                 theory = parse_theory(text, max_depth=depth)
                 assert (construct_arguments(theory)

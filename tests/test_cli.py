@@ -878,6 +878,33 @@ def test_report_writer_escapes_strings(capsys, monkeypatch):
     assert rule in {a["top_rule"] for a in report["arguments"]}
 
 
+def test_argument_rows_share_premise_text(capsys, monkeypatch, tmp_path):
+    # two chains from c0, over k axioms b_j that each link in turn takes:
+    # most arguments hold one of a few premise sets, each set a frozenset
+    # of its own, and a second theory, then the first again, get their
+    # own rows
+    paths = []
+    for k, n in ((3, 40), (5, 30)):
+        lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off",
+                 "PREMISE axiom c0a: c0", "PREMISE prem c0b: c0"]
+        lines += ["PREMISE axiom b%d_%d: b%d" % (k, j, j) for j in range(k)]
+        lines += ["RULE strict r%d: c%d ; b%d |- c%d" % (i, i - 1, i % k, i)
+                  for i in range(1, n + 1)]
+        path = tmp_path / ("chain-%d.naf" % k)
+        path.write_text("\n".join(lines) + "\n")
+        paths.append((str(path), "--max-depth", str(n + 1)))
+        _, (_, args, *_) = pipeline_of(monkeypatch, "run", *paths[-1])
+        capsys.readouterr()
+        sets = [a.premise_ids for a in args]
+        assert len(set(map(id, sets))) == len(args) > 3 * len(set(sets))
+    first, second, again = (run_report(capsys, monkeypatch, *argv)["arguments"]
+                            for argv in (*paths, paths[0]))
+    assert first == again != second
+    assert first[-1]["premises"] == ["b3_0", "b3_1", "b3_2", "c0b"]
+    assert second[-1]["premises"] == ["b5_0", "b5_1", "b5_2", "b5_3", "b5_4",
+                                      "c0b"]
+
+
 def test_text_report_lists_every_extension(capsys, tmp_path):
     f = tmp_path / "two.naf"
     f.write_text("AGENTS: a\nPREMISE prem p1: p\nPREMISE prem n1: ~p\n"

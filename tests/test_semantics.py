@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -11,10 +13,10 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        instantiate_schemes, load_theory, members, parse,
                        parse_theory, stable_extensions, verify_extension)
 
-from helpers import (ABORTION, DOCTOR, KNIFE, disjoint_union,
+from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, disjoint_union,
                      grounded_by_definition, mask_of, random_af,
                      random_theory, run_pipeline)
-from reference_defeats import reference_defeats
+from reference_defeats import _sub_closure, reference_defeats
 from reference_acceptance import reference_acceptance
 from reference_solver import reference_stable
 from reference_verify import reference_verify
@@ -177,6 +179,91 @@ def test_defeats_scale_with_declared_pairs():
     got = compute_defeats(args, theory)
     assert time.perf_counter() - t0 < 2.0
     assert len(theory.contraries) == 2000 and len(got) > 900
+
+
+def test_defeats_match_reference_on_chains_sharing_sub_arguments():
+    # links take one or two earlier conclusions, so one sub-argument is
+    # reached along several paths; declared contraries undercut some of
+    # the defeasible rules
+    rng = random.Random(29)
+    kinds, shared = set(), 0
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        text = chain_text(rng, n)
+        soft = re.findall(r"^RULE defeasible (\w+):", text, re.M)
+        lines = [text, "PREMISE axiom u: u"]
+        lines += ["CONTRARY: u ~ @" + r
+                  for r in rng.sample(soft, min(2, len(soft)))]
+        theory = parse_theory("\n".join(lines), max_args=60,
+                              max_depth=rng.randint(1, n + 1))
+        args, _ = construct_arguments(theory)
+        got = compute_defeats(args, theory)
+        assert got == reference_defeats(args, theory)
+        kinds |= {d.kind for d in got}
+        closure = _sub_closure(args)
+        shared += sum(len(a.sub_args) == 2 and bool(
+            closure[a.sub_args[0]] & closure[a.sub_args[1]]) for a in args)
+    assert kinds == set(DefeatKind)
+    assert shared > 200
+
+
+def test_undercut_of_a_rule_applied_twice_in_one_argument_is_one_defeat():
+    theory = parse_theory(
+        "AGENTS: a\nPREMISE axiom p1: p\nPREMISE prem p2: p\n"
+        "PREMISE axiom x: x\nRULE defeasible r: p |~ q\n"
+        "RULE strict s: q ; q |- t\nCONTRARY: x ~ @r\n"
+        "SCHEME fcp off\nSCHEME owp off")
+    args, _ = construct_arguments(theory)
+    # r from p1 and r from p2 are both sub-arguments of argument 6
+    assert [(a.top_rule, a.sub_args) for a in args[3:]] == [
+        ("r", (0,)), ("r", (1,)), ("s", (3, 3)), ("s", (3, 4)),
+        ("s", (4, 4))]
+    got = compute_defeats(args, theory)
+    assert got == reference_defeats(args, theory)
+    assert got == {Defeat(2, b, DefeatKind.UNDERCUT, "r") for b in range(3, 8)}
+
+
+def long_chain_theory(n):
+    """A chain c0 -> ... -> cn of strict links whose every 8th link is
+    defeasible and also takes an ordinary premise. Axiom x rebuts the
+    defeasible link at or just below n/2, axiom y undermines the premise
+    there, and axiom z undercuts the defeasible rule at or just below n/3.
+    Every argument of the chain contains all earlier links."""
+    every = 8
+    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off",
+             "PREMISE axiom c0: c0"]
+    for i in range(1, n + 1):
+        if i % every:
+            lines.append("RULE strict r%d: c%d |- c%d" % (i, i - 1, i))
+        else:
+            lines.append("PREMISE prem q%d: q%d" % (i, i))
+            lines.append("RULE defeasible r%d: c%d ; q%d |~ c%d"
+                         % (i, i - 1, i, i))
+    half, third = n // 2 // every * every, n // 3 // every * every
+    lines += ["PREMISE axiom x: x", "RULE strict kx: x |- ~c%d" % half,
+              "PREMISE axiom y: y", "RULE strict ky: y |- ~q%d" % half,
+              "PREMISE axiom z: z", "CONTRARY: z ~ @r%d" % third]
+    return parse_theory("\n".join(lines), max_depth=n + 1), half, third
+
+
+def test_defeats_scale_with_chain_depth():
+    # the time bound fails a walk of every argument's sub-argument closure,
+    # which takes 0.5-0.9 s on 3,000 links, against about 0.02-0.05 s for
+    # carrying up each argument's sub-arguments where an attack lands
+    theory, _, _ = long_chain_theory(48)
+    args, _ = construct_arguments(theory)
+    assert compute_defeats(args, theory) == reference_defeats(args, theory)
+    n = 3000
+    theory, half, third = long_chain_theory(n)
+    args, _ = construct_arguments(theory)
+    t0 = time.perf_counter()
+    got = compute_defeats(args, theory)
+    assert time.perf_counter() - t0 < 0.25
+    # each attacked locus reaches the chain from its link on, and the
+    # undermined premise's own argument
+    assert collections.Counter(d.kind for d in got) == {
+        DefeatKind.REBUT: n - half + 1, DefeatKind.UNDERMINE: n - half + 2,
+        DefeatKind.UNDERCUT: n - third + 1}
 
 
 # ----------------------------------------------------------------- solving
