@@ -9,9 +9,14 @@ round, so no round enumerates it again. An index from antecedent formula
 to rules limits a round to the rules that use a conclusion added in the
 last one, and an argument made in round r has depth r. An argument is
 defeasible as soon as any rule in it is, and plausible as soon as any
-premise in it is ordinary. Construction stops at the theory's max_depth
-and at max_args arguments; if either cut anything off the second return
-value is True.
+premise in it is ordinary. Its premise ids are the union of its
+sub-arguments' sets. One loop over the sub-arguments of a combination
+reads each of them once for its set and both flags, and keeps a set
+object itself wherever the union adds nothing to it, so that arguments
+on the same premises share one frozenset: a chain holds each distinct
+set once, not a set per link. Construction stops at the theory's
+max_depth and at max_args arguments; if either cut anything off the
+second return value is True.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ def construct_arguments(theory: Theory) -> tuple[list[Argument], bool]:
             last[ant] = j
         repeats.append(pairs)
 
+    new = tuple.__new__  # an Argument without NamedTuple's keyword bind
     by_conclusion: dict[Formula, list[int]] = {}
     start = 0  # first id made in the last round
     for depth in itertools.count(1):
@@ -77,19 +83,23 @@ def construct_arguments(theory: Theory) -> tuple[list[Argument], bool]:
                 continue
             if depth > theory.max_depth:
                 return args, True
+            rule_defeasible = rule.kind is RuleKind.DEFEASIBLE
             for subs in _new_combinations(pools, start, repeats[k]):
                 if len(args) == cap:
                     return args, True
-                args.append(Argument(
-                    len(args),
-                    frozenset().union(*(args[i].premise_ids for i in subs)),
-                    subs,
-                    rule.id,
-                    rule.consequent,
-                    rule.kind is RuleKind.DEFEASIBLE
-                    or any(args[i].defeasible for i in subs),
-                    any(args[i].plausible for i in subs),
-                    depth))
+                held = None
+                defeasible, plausible = rule_defeasible, False
+                for i in subs:
+                    _, ids, _, _, _, sub_defeasible, sub_plausible, _ = args[i]
+                    if held is None:
+                        held = ids
+                    elif not ids <= held:
+                        held = ids if held <= ids else held | ids
+                    defeasible = defeasible or sub_defeasible
+                    plausible = plausible or sub_plausible
+                args.append(new(Argument, (
+                    len(args), held, subs, rule.id, rule.consequent,
+                    defeasible, plausible, depth)))
         start = end
 
 
@@ -100,9 +110,12 @@ def _new_combinations(pools: list[list[int]], start: int,
     each pool ascends). A tuple whose first such id sits at position i
     takes ids < start before i and any id after it, so the products for
     the positions are disjoint and each is sorted, and heapq.merge
-    interleaves them lazily. Where a rule names one formula at several
-    positions, every ordering of the same arguments across them would
-    qualify; only the ascending one, the first of them, is kept."""
+    interleaves them lazily; for one pool they are its new ids, each a
+    one-tuple. Where a rule names one formula at several positions, every
+    ordering of the same arguments across them would qualify; only the
+    ascending one, the first of them, is kept."""
+    if len(pools) == 1:
+        return zip(pools[0][bisect_left(pools[0], start):])
     cuts = [bisect_left(p, start) for p in pools]
     parts = [itertools.product(*(p[:c] for p, c in zip(pools[:i], cuts)),
                                pools[i][cuts[i]:], *pools[i + 1:])

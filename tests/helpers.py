@@ -1,9 +1,10 @@
 """Shared test utilities: fixture paths, a formula's structure read from
 its fields, a seeded random formula generator and conflict-biased formula
 pairs, random theories built from them, chains of rules whose links share
-sub-arguments, deeply nested formula texts, random frameworks and their
-disjoint unions for solver fuzzing, grounded semantics from its
-definition, and a one-call pipeline runner."""
+sub-arguments, a long chain with one rebut, undermine and undercut each,
+deeply nested formula texts, random frameworks and their disjoint unions
+for solver fuzzing, grounded semantics from its definition, and a
+one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
                        Power, Premise, Right, Rule, RuleAtom, RuleKind,
                        SchemeRoundsExceeded, Schemes, Stit, Strength, Theory,
                        And, compute_defeats, construct_arguments,
-                       instantiate_schemes, normalize, stable_extensions)
+                       instantiate_schemes, normalize, parse_theory,
+                       stable_extensions)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOCTOR = FIXTURES / "doctor.naf"
@@ -224,6 +226,37 @@ def chain_text(rng, n):
             lines.append("RULE defeasible n%d: c%d |~ ~c%d"
                          % (i, rng.randrange(i), i))
     return "\n".join(lines)
+
+
+def long_chain_text(n):
+    """A chain c0 -> ... -> cn of strict links whose every 8th link is
+    defeasible and also takes an ordinary premise. Axiom x rebuts the
+    defeasible link at or just below n/2, axiom y undermines the premise
+    there, and axiom z undercuts the defeasible rule at or just below n/3.
+    Every argument of the chain contains all earlier links. Returns the
+    text and those two link numbers."""
+    every = 8
+    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off",
+             "PREMISE axiom c0: c0"]
+    for i in range(1, n + 1):
+        if i % every:
+            lines.append("RULE strict r%d: c%d |- c%d" % (i, i - 1, i))
+        else:
+            lines.append("PREMISE prem q%d: q%d" % (i, i))
+            lines.append("RULE defeasible r%d: c%d ; q%d |~ c%d"
+                         % (i, i - 1, i, i))
+    half, third = n // 2 // every * every, n // 3 // every * every
+    lines += ["PREMISE axiom x: x", "RULE strict kx: x |- ~c%d" % half,
+              "PREMISE axiom y: y", "RULE strict ky: y |- ~q%d" % half,
+              "PREMISE axiom z: z", "CONTRARY: z ~ @r%d" % third]
+    return "\n".join(lines), half, third
+
+
+def long_chain_theory(n):
+    """long_chain_text(n) loaded deep enough for the whole chain, with its
+    two link numbers."""
+    text, half, third = long_chain_text(n)
+    return parse_theory(text, max_depth=n + 1), half, third
 
 
 def theory_text(theory):

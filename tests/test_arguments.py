@@ -4,7 +4,7 @@ from normargue import (SchemeRoundsExceeded, classify, construct_arguments,
                        instantiate_schemes, load_theory, parse_theory)
 
 from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, ids_concluding,
-                     random_theory)
+                     long_chain_theory, random_theory)
 from reference_construct import reference_construct
 
 
@@ -183,6 +183,51 @@ def test_max_args_matches_reference_prefix():
         for cap in sorted({0, 1, n // 2, n - 1, n, n + 1}):
             assert (construct_arguments(theory._replace(max_args=cap))
                     == (args[:cap], truncated or n > cap))
+
+
+def test_max_args_cuts_inside_one_rules_combinations():
+    # caps that land part-way through one rule's new combinations in a
+    # round: a one-antecedent rule over five premises and the rule after
+    # it, and the filtered repeated-antecedent rule of REPEATED in its
+    # third round
+    fan = ("AGENTS: a\n"
+           + "".join("PREMISE prem p%d: p\n" % i for i in range(5))
+           + "RULE strict r: p |- q\nRULE defeasible s: q |~ t\n"
+           "SCHEME fcp off\nSCHEME owp off")
+    for theory, caps, inside in (
+            (parse_theory(fan), range(17), {"r", "s"}),
+            (parse_theory(REPEATED, max_depth=3), (1100, 1300), {"r"})):
+        args, truncated = reference_construct(theory)
+        for cap in caps:
+            assert (construct_arguments(theory._replace(max_args=cap))
+                    == (args[:cap], truncated or len(args) > cap))
+        assert {args[cap].top_rule for cap in caps if 0 < cap < len(args)
+                and args[cap].top_rule == args[cap - 1].top_rule
+                and args[cap].top_rule is not None} == inside
+
+
+def test_construction_shares_premise_sets():
+    # an argument whose sub-arguments add no premise holds one of their
+    # sets, so a chain holds each distinct set once, not once per link
+    chain, _, _ = long_chain_theory(3000)
+    args, truncated = construct_arguments(chain)
+    assert not truncated and len(args) == 3381
+    sets = [a.premise_ids for a in args]
+    assert len(set(map(id, sets))) == len(set(sets)) == 754
+    # 2,625 strict links and kx and ky on the chain; in REPEATED, every
+    # argument whose two sub-arguments rest on nested premise sets
+    for theory, count in ((chain, 2627), (load_theory(KNIFE), 2),
+                          (parse_theory(REPEATED, max_depth=3), 777)):
+        args, _ = construct_arguments(instantiate_schemes(theory))
+        shared = 0
+        for a in args:
+            subs = [args[s].premise_ids for s in a.sub_args]
+            if a.premise_ids in subs:
+                assert any(a.premise_ids is s for s in subs)
+                shared += 1
+        assert shared == count
+    theory, _, _ = long_chain_theory(48)
+    assert construct_arguments(theory) == reference_construct(theory)
 
 
 def test_rules_fired_in_one_round_keep_rule_order():

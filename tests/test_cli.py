@@ -880,9 +880,18 @@ def test_report_writer_escapes_strings(capsys, monkeypatch):
 
 def test_argument_rows_share_premise_text(capsys, monkeypatch, tmp_path):
     # two chains from c0, over k axioms b_j that each link in turn takes:
-    # most arguments hold one of a few premise sets, each set a frozenset
-    # of its own, and a second theory, then the first again, get their
-    # own rows
+    # most arguments hold one of a few premise sets, and a second theory,
+    # then the first again, get their own rows. Construction shares equal
+    # sets, so each argument is given a copy of its own here: equal but
+    # distinct sets must still share row text
+    construct = cli.construct_arguments
+
+    def copied(theory):
+        args, truncated = construct(theory)
+        return [a._replace(premise_ids=frozenset(list(a.premise_ids)))
+                for a in args], truncated
+
+    monkeypatch.setattr(cli, "construct_arguments", copied)
     paths = []
     for k, n in ((3, 40), (5, 30)):
         lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off",

@@ -14,8 +14,8 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        parse_theory, stable_extensions, verify_extension)
 
 from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, disjoint_union,
-                     grounded_by_definition, mask_of, random_af,
-                     random_theory, run_pipeline)
+                     grounded_by_definition, long_chain_theory, mask_of,
+                     random_af, random_theory, run_pipeline)
 from reference_defeats import _sub_closure, reference_defeats
 from reference_acceptance import reference_acceptance
 from reference_solver import reference_stable
@@ -221,29 +221,6 @@ def test_undercut_of_a_rule_applied_twice_in_one_argument_is_one_defeat():
     got = compute_defeats(args, theory)
     assert got == reference_defeats(args, theory)
     assert got == {Defeat(2, b, DefeatKind.UNDERCUT, "r") for b in range(3, 8)}
-
-
-def long_chain_theory(n):
-    """A chain c0 -> ... -> cn of strict links whose every 8th link is
-    defeasible and also takes an ordinary premise. Axiom x rebuts the
-    defeasible link at or just below n/2, axiom y undermines the premise
-    there, and axiom z undercuts the defeasible rule at or just below n/3.
-    Every argument of the chain contains all earlier links."""
-    every = 8
-    lines = ["AGENTS: a", "SCHEME fcp off", "SCHEME owp off",
-             "PREMISE axiom c0: c0"]
-    for i in range(1, n + 1):
-        if i % every:
-            lines.append("RULE strict r%d: c%d |- c%d" % (i, i - 1, i))
-        else:
-            lines.append("PREMISE prem q%d: q%d" % (i, i))
-            lines.append("RULE defeasible r%d: c%d ; q%d |~ c%d"
-                         % (i, i - 1, i, i))
-    half, third = n // 2 // every * every, n // 3 // every * every
-    lines += ["PREMISE axiom x: x", "RULE strict kx: x |- ~c%d" % half,
-              "PREMISE axiom y: y", "RULE strict ky: y |- ~q%d" % half,
-              "PREMISE axiom z: z", "CONTRARY: z ~ @r%d" % third]
-    return parse_theory("\n".join(lines), max_depth=n + 1), half, third
 
 
 def test_defeats_scale_with_chain_depth():

@@ -19,7 +19,11 @@ The recipe:
   - the 120 near-limit cases of tests/test_fuzz.py at seed 4111, text and
     JSON;
   - the 700 fixture mutants of tests/test_fuzz.py at seed 6151, with their
-    random commands and flags.
+    random commands and flags;
+  - construction-heavy theories, text and JSON: the long chain of
+    tests/helpers.py at 200 and 720 links, deep enough for the whole chain,
+    and REPEATED of tests/test_arguments.py at --max-depth 3 with
+    --max-args 1100 (a cap inside one rule's combinations) and 1300.
 
 Theory files that the recipe makes are written under .gate_work/ in the
 current directory, so that argv and error texts are the same in every
@@ -51,6 +55,8 @@ RUN_MODES = ([], ["--json"], ["--semantics", "grounded"],
 
 def recipe():
     """Yield the argv of every run, writing theory files under WORK."""
+    import helpers
+    import test_arguments
     import test_fuzz
     import workloads
 
@@ -95,6 +101,15 @@ def recipe():
         text = test_fuzz.mutate(rng, rng.choice(texts))
         command, flags = test_fuzz.random_flags(rng, text)
         yield [command, written("mutant-%03d.naf" % k, text), *flags]
+    runs = [("long-chain-%d.naf" % n, helpers.long_chain_text(n)[0],
+             ["--max-depth", str(n + 1)]) for n in (200, 720)]
+    runs += [("repeated.naf", test_arguments.REPEATED,
+              ["--max-depth", "3", "--max-args", str(cap)])
+             for cap in (1100, 1300)]
+    for name, text, flags in runs:
+        path = written(name, text)
+        yield ["run", path, "--json", *flags]
+        yield ["run", path, *flags]
 
 
 def call(main, argv: list[str]) -> tuple[object, str, str]:
