@@ -37,7 +37,9 @@ dropped.
 
 The --json report is exactly json.dumps(report, indent=2), and export
 --format json exactly json.dumps(payload, indent=2), but neither object
-is built: _dump_report joins top-level fields handed in already encoded.
+is built: _report_parts returns the parts of the top-level object, its
+keys and their values handed in already encoded, and stdout.writelines
+writes them one by one, with no join.
 Argument and defeat rows fill fixed templates, with strings encoded by
 json's C encode_basestring_ascii; the premises field of an argument row
 is made once per distinct premise set in a call, and arguments on equal
@@ -206,16 +208,17 @@ def _extension_rows(columns: list[bytes], count: int) -> list[str]:
     return rows
 
 
-def _dump_report(fields: dict[str, str]) -> str:
-    """A top-level object in json.dumps(..., indent=2) layout, from its
-    fields' values already encoded at that depth. One join, so that the
-    values, the extensions array among them, are copied once."""
+def _report_parts(fields: dict[str, str]) -> list[str]:
+    """A top-level object in json.dumps(..., indent=2) layout, as the list
+    of its parts in order, from its fields' values already encoded at that
+    depth. The parts are written one by one (writelines), so that the
+    values, the extensions array among them, are never joined again."""
     parts = []
     for key, value in fields.items():
         parts += (',\n  "', key, '": ', value)
     parts[0] = '{\n  "'
     parts.append("\n}")
-    return "".join(parts)
+    return parts
 
 
 def cmd_run(ns) -> int:
@@ -261,8 +264,8 @@ def cmd_run(ns) -> int:
     if ns.json:
         rows = _extension_rows(columns, len(extensions))
         del columns, extensions  # free what the rows were made from,
-        rows = _array(rows)  # and the row list, before the report is joined
-        print(_dump_report({
+        rows = _array(rows)  # and the row list, before the report is printed
+        sys.stdout.writelines([*_report_parts({
             "schema": "1",
             "semantics": _encode(ns.semantics),
             "theory": _json({
@@ -276,7 +279,7 @@ def cmd_run(ns) -> int:
             "extensions": rows,
             "queries": _json(queries),
             "truncated": _BOOL[truncated],
-        }))
+        }), "\n"])
         return 0
 
     lines = [_paint("theory:", "1") + " %d agents, %d premises, %d rules, "
@@ -333,12 +336,12 @@ def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
 def cmd_export(ns) -> int:
     args, defeats, af, truncated = _pipeline(_load(ns))
     if ns.format == "json":
-        print(_dump_report({
+        sys.stdout.writelines([*_report_parts({
             "schema": "1",
             "n_args": "%d" % af.n_args,
             "defeats": _array(_defeat_rows(
                 sorted(defeats, key=defeat_sort_key))),
-        }))
+        }), "\n"])
     else:
         sys.stdout.write(render_dot(
             args, [str(a.conclusion) for a in args], defeats))

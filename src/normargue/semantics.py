@@ -42,25 +42,30 @@ connected components of the defeat graph, so stable_extensions solves
 each component on its own, ORs each labelling's members into one mask and
 returns the products of one labelling per component as masks, ordered as
 their ascending member lists sort, which is the form brute_force_stable
-returns; an argument without defeats is always IN. The product is built
-on ints, each mask carrying its bit-reversed copy above its members, so
-that one sort of ints puts it in that order (see _keyed). Each component is
-searched depth-first over in/out decisions with an explicit stack, and a
-label change rechecks only that argument and its victims.
+returns; an argument without defeats is always IN. Each component is
+searched depth-first over in/out decisions with an explicit stack, the
+lowest undecided argument first and IN before OUT, so its labellings come
+out in that order; a label change rechecks only that argument and its
+victims. The product is built in that order with no sort over it: the
+components fall into blocks of non-overlapping spans of first differing
+arguments, and a nested loop over the blocks in order is exact (see
+stable_extensions). Only a block of components whose spans overlap, rare
+in practice, sorts its own product on keyed ints (see _keyed).
 grounded_extension counts each argument's attackers not yet rejected and
 accepts it when the count reaches zero, in O(n + E). members lists the ids
 of a mask, for the readers that need them.
 
 extension_table transposes the masks once, bit-sliced: byte_columns lays
-byte k of every mask side by side, and each argument's bit becomes one
-int, held[i], holding a 0/1 byte per mask. verify_extension checks member
-masks directly and apart from the solver, from that table and the defeat
-graph alone: an argument is a member exactly when none of its attackers
-is, one xor and an OR over the attackers per argument, for any number of
-masks at once. It transposes the masks it is given, or reads a table
-already made. acceptance reads the table too: the OR of the held ints of
-a conclusion's holders is nonzero when some extension holds one of them
-(credulous) and has a 1 byte per extension when every one does
+byte k of every mask side by side, each column is read once as an int,
+and each argument's bit becomes one int, held[i], holding a 0/1 byte per
+mask, by a shift and a mask of its column's int. verify_extension checks
+member masks directly and apart from the solver, from that table and the
+defeat graph alone: an argument is a member exactly when none of its
+attackers is, one xor and an OR over the attackers per argument, for any
+number of masks at once. It transposes the masks it is given, or reads a
+table already made. acceptance reads the table too: the OR of the held
+ints of a conclusion's holders is nonzero when some extension holds one
+of them (credulous) and has a 1 byte per extension when every one does
 (skeptical). brute_force_stable is an independent cross-check for small
 frameworks, of the order too: it sorts the member lists themselves.
 """
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from enum import Enum
 from typing import NamedTuple
@@ -305,7 +311,8 @@ def _keyed(mask: int, n: int) -> int:
     member list is a prefix of the other, so the lists first differ at the
     least argument that only one of them holds, and the list holding it
     sorts first; reversed, that argument is the highest bit in which the
-    two differ. Keys of disjoint masks OR into the key of their union."""
+    two differ. Keys of disjoint masks OR into the key of their union.
+    Only a merged block of stable_extensions is sorted on these keys."""
     return int(format(mask, "0%db" % n)[::-1], 2) << n | mask
 
 
@@ -313,12 +320,23 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
     """All stable extensions as member masks, ordered as their ascending
     member lists sort. Exact: stable semantics factors over weakly
     connected components, so each component is solved on its own and the
-    extensions are the products of one labelling per component."""
+    extensions are the products of one labelling per component.
+
+    Each component's labellings come in that order already, and any two
+    of them first differ at an argument between lo and hi, the least and
+    the greatest lowest bit of the xor of neighbours in the list. Taken in
+    order of lo, components whose [lo, hi] spans overlap merge into one
+    block, whose product is sorted on keys (see _keyed); blocks do not
+    overlap, so two extensions first differ in the first block where they
+    differ, and the nested product of the blocks in that order is in order
+    with no sort. It is built as the outer blocks' product times the inner
+    blocks', each about the square root of the count long, so that the
+    last loop alone runs once per extension."""
     attackers, victims = af._graph
     n = af.n_args
     label = [_UNDET] * n
-    always = 0  # arguments without defeats, IN in every extension
-    exts = [0]  # keyed masks of the product so far
+    always = 0  # members of every extension
+    spans = []  # (lo, hi, labellings) of each component with two or more
     for part in _components(attackers, victims):
         if len(part) == 1 and not attackers[part[0]] and not victims[part[0]]:
             always |= 1 << part[0]
@@ -326,10 +344,29 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
         found = _stable_labellings(part, attackers, victims, label)
         if not found:
             return []
-        picks = [_keyed(m, n) for m in found]
-        exts = [e | m for e in exts for m in picks]
+        if len(found) == 1:
+            always |= found[0]
+            continue
+        firsts = [(a ^ b) & -(a ^ b) for a, b in zip(found, found[1:])]
+        spans.append((min(firsts), max(firsts), found))
     everyone = (1 << n) - 1
-    return [e & everyone | always for e in sorted(exts, reverse=True)]
+    lists, top = [], 0  # the labellings of each block; the greatest hi
+    for lo, hi, found in sorted(spans, key=operator.itemgetter(0)):
+        if lo < top:  # spans overlap: sort the block's product on keys
+            picks = [_keyed(m, n) for m in found]
+            keyed = [_keyed(e, n) | m for e in lists[-1] for m in picks]
+            lists[-1] = [e & everyone for e in sorted(keyed, reverse=True)]
+        else:
+            lists.append(found)
+        top = max(top, hi)
+    count = math.prod(map(len, lists))
+    outer, inner = [always], [0]
+    for found in lists:
+        if len(outer) ** 2 < count:
+            outer = [a | b for a in outer for b in found]
+        else:
+            inner = [a | b for a in inner for b in found]
+    return [a | b for a in outer for b in inner]
 
 
 def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
@@ -354,10 +391,6 @@ def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
     return frozenset(accepted)
 
 
-# _BIT[j] maps each byte value to bit j of it, as the byte 0 or 1
-_BIT = [bytes(v >> j & 1 for v in range(256)) for j in range(8)]
-
-
 class ExtensionTable(NamedTuple):
     """Extension masks transposed once, by extension_table: byte column k
     of the masks (see byte_columns), and held[i] with one byte per mask, 1
@@ -371,13 +404,14 @@ class ExtensionTable(NamedTuple):
 
 def extension_table(masks: list[int], n: int) -> ExtensionTable:
     """The table of masks over n arguments (each 0 <= m < 2**n), from one
-    byte_columns call: eight constant tables turn each column into the
-    held ints of its eight arguments."""
+    byte_columns call: each column is read as one int once, and the held
+    int of argument 8k + j is column k's int shifted right by j, with all
+    but the lowest bit of each byte cleared."""
     columns = byte_columns(masks, n)
-    held = [int.from_bytes(columns[i >> 3].translate(_BIT[i & 7]), "little")
-            for i in range(n)]
-    return ExtensionTable(columns, held,
-                          int.from_bytes(b"\x01" * len(masks), "little"))
+    everyone = int.from_bytes(b"\x01" * len(masks), "little")
+    ints = [int.from_bytes(c, "little") for c in columns]
+    return ExtensionTable(columns, [ints[i >> 3] >> (i & 7) & everyone
+                                    for i in range(n)], everyone)
 
 
 def verify_extension(af: ArgumentationFramework, *masks: int,

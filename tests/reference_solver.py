@@ -2,7 +2,8 @@
 solver's per-component labellings combined as it did before extensions
 became member masks, one sorted list per product, the lists sorted. It
 gates the order and content of semantics.stable_extensions, whose
-product is built and sorted on ints."""
+product of ints is built in that order, block by block, and sorted only
+inside a block of components whose first differences interleave."""
 
 import itertools
 

@@ -610,14 +610,15 @@ THEORY_QUERIES = {
     "wide": ("q", "f", "z40"),
     "empty": ("p",),
     "none": ("m",),
+    "straddle": ("w", "m", "s"),
 }
 
 
 def test_multi_extension_theories_match_golden_output(capsys):
     # run --json and the text report with queries on theories whose
-    # components interleave, have three labellings, give 288 extensions or
-    # none, or hold 71 arguments or none, byte for byte as tests/golden
-    # holds them
+    # components interleave or straddle one another, have three
+    # labellings, give 288 extensions or none, or hold 71 arguments or
+    # none, byte for byte as tests/golden holds them
     for name, queries in THEORY_QUERIES.items():
         flags = [x for q in queries for x in ("--query", q)]
         for json_flag, suffix in ((("--json",), ".json"), ((), ".txt")):
@@ -813,8 +814,8 @@ def test_extension_rows_match_reference():
         expected = json.dumps(
             {"extensions": reference_report.extension_lists(masks, n)},
             indent=2)
-        got = cli._dump_report({"extensions": cli._array(
-            cli._extension_rows(byte_columns(masks, n), len(masks)))})
+        got = "".join(cli._report_parts({"extensions": cli._array(
+            cli._extension_rows(byte_columns(masks, n), len(masks)))}))
         assert got == expected, n
     assert cli._extension_rows(byte_columns([], 0), 0) == \
         cli._extension_rows(byte_columns([], 9), 0) == []

@@ -12,6 +12,7 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        grounded_extension,
                        instantiate_schemes, load_theory, members, parse,
                        parse_theory, stable_extensions, verify_extension)
+from normargue.semantics import _UNDET, _components, _stable_labellings
 
 from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, disjoint_union,
                      grounded_by_definition, long_chain_theory, mask_of,
@@ -393,6 +394,95 @@ def test_solver_matches_reference_product():
         sizes.append(af.n_args)
         several += len(got) > 1
     assert max(sizes) > 64 and several > 50
+
+
+def test_component_labellings_come_in_member_list_order():
+    # the DFS decides the lowest undecided argument of the sorted part, IN
+    # before OUT, so the labellings of each component come out already in
+    # the order of their member lists: the product relies on it
+    rng = random.Random(2525)
+    seen = 0
+    for k in range(400):
+        # mostly mutual attacks, which give components many labellings
+        n = rng.randint(1, 12)
+        edges = [(a, b) for a in range(n) for b in range(n)
+                 if rng.random() < 0.15]
+        edges += [(b, a) for a, b in edges if rng.random() < 0.8]
+        af = af_of(*edges, n=n)
+        attackers, victims = af._graph
+        label = [_UNDET] * af.n_args
+        for part in _components(attackers, victims):
+            found = _stable_labellings(part, attackers, victims, label)
+            assert found == sorted(found, key=members), (k, part)
+            seen += len(found) > 2
+    assert seen > 100
+
+
+# a mutual pair, and a gadget of four labellings, {0,2}, {0,3}, {1,2} and
+# {1,3,4}, whose first differences span ids that another part can fall
+# between once the ids are shuffled
+GADGETS = (((0, 1), (1, 0)),
+           ((0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (2, 4)))
+
+
+def gadget_union(rng):
+    """A disjoint union of 2-3 gadgets, the four-labelling one drawn three
+    times as often, with shuffled ids; a gadget at times has a
+    self-attacker that one of its arguments attacks. Returns the framework,
+    of at most 13 arguments, and its parts as lists of ids."""
+    while True:
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            edges = rng.choice(GADGETS[:1] + GADGETS[1:] * 3)
+            size = max(map(max, edges)) + 1
+            if rng.random() < 0.1:
+                edges += ((rng.randrange(size), size), (size, size))
+                size += 1
+            parts.append((edges, size))
+        n = sum(size for _, size in parts)
+        if n <= 13:
+            break
+    ids = list(range(n))
+    rng.shuffle(ids)
+    defeats, groups, offset = set(), [], 0
+    for edges, size in parts:
+        defeats |= {Defeat(ids[a + offset], ids[b + offset], DefeatKind.REBUT,
+                           ids[b + offset]) for a, b in edges}
+        groups.append(ids[offset:offset + size])
+        offset += size
+    return ArgumentationFramework(n, frozenset(defeats)), groups
+
+
+def spans_overlap(extensions, groups):
+    """Whether two parts' spans of first differences overlap, read from the
+    extensions alone: each part's labellings are the extensions' distinct
+    restrictions to it, and its span runs from the least to the greatest
+    lowest differing bit over every pair of them."""
+    spans = []
+    for group in groups:
+        part = sum(1 << i for i in group)
+        found = {e & part for e in extensions}
+        firsts = [(a ^ b) & -(a ^ b)
+                  for a, b in itertools.combinations(found, 2)]
+        if firsts:
+            spans.append((min(firsts), max(firsts)))
+    return any(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2)
+               in itertools.combinations(spans, 2))
+
+
+def test_solver_on_gadget_unions_whose_spans_interleave():
+    # shuffled ids interleave the gadgets, so that the spans of two parts
+    # often overlap and the solver must merge them into one sorted block
+    rng = random.Random(6464)
+    merged = 0
+    for k in range(2000):
+        af, groups = gadget_union(rng)
+        expected = brute_force_stable(af)
+        got = stable_extensions(af)
+        assert got == expected, k
+        assert list(map(members, got)) == reference_stable(af), k
+        merged += spans_overlap(expected, groups)
+    assert merged >= 1000, merged
 
 
 def test_members_and_masks():

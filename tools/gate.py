@@ -12,7 +12,8 @@ checkout), so one recipe can run against another checkout's program.
 The recipe:
   - the three fixtures, plain and in weak mode: run as text and JSON, both
     semantics, --oracle, export as DOT and JSON, and check;
-  - the six tests/theories with their queries, text and JSON;
+  - the seven tests/theories with their queries, text and JSON, and the
+    straddle theory with --oracle;
   - a missing file and a directory given as the theory;
   - every case of the three benchmark pools at seeds 1 and 2 with its
     flags, text and JSON;
@@ -23,7 +24,9 @@ The recipe:
   - construction-heavy theories, text and JSON: the long chain of
     tests/helpers.py at 200 and 720 links, deep enough for the whole chain,
     and REPEATED of tests/test_arguments.py at --max-depth 3 with
-    --max-args 1100 (a cap inside one rule's combinations) and 1300.
+    --max-args 1100 (a cap inside one rule's combinations) and 1300;
+  - conflicts_case theories of benchmarks/workloads.py at k = 12 and 13,
+    text and JSON: 4,096 and 8,192 extensions.
 
 Theory files that the recipe makes are written under .gate_work/ in the
 current directory, so that argv and error texts are the same in every
@@ -47,7 +50,7 @@ WORK = Path(".gate_work")
 FIXTURES = ("doctor", "abortion", "knife")
 THEORIES = (("interleaved", "p0 t2"), ("three_way", "x e2 s"),
             ("many", "p0 t3 x1"), ("wide", "q f z40"), ("empty", "p"),
-            ("none", "m"))
+            ("none", "m"), ("straddle", "w m s"))
 RUN_MODES = ([], ["--json"], ["--semantics", "grounded"],
              ["--json", "--semantics", "grounded"], ["--oracle"],
              ["--json", "--oracle"])
@@ -78,6 +81,7 @@ def recipe():
         path = "tests/theories/%s.naf" % name
         yield ["run", path, "--json", *flags]
         yield ["run", path, *flags]
+    yield ["run", "tests/theories/straddle.naf", "--oracle"]
     yield ["run", str(WORK / "missing.naf"), "--json"]
     yield ["check", str(WORK)]
     for workload in workloads.WORKLOADS:
@@ -106,6 +110,9 @@ def recipe():
     runs += [("repeated.naf", test_arguments.REPEATED,
               ["--max-depth", "3", "--max-args", str(cap)])
              for cap in (1100, 1300)]
+    cases = [workloads.conflicts_case(random.Random(k), k, "conflicts-%d" % k)
+             for k in (12, 13)]
+    runs += [(c.name + ".naf", c.text, list(c.flags)) for c in cases]
     for name, text, flags in runs:
         path = written(name, text)
         yield ["run", path, "--json", *flags]
