@@ -25,11 +25,18 @@ identifiers O and P are reserved for the impersonal modalities and cannot
 be used as atom names; identifiers starting with K_, P_, O_, R_ or Power_
 are likewise taken as modal prefixes. One parser reads all formula text:
 parse a formula, parse_contrary the two formulas of a CONTRARY body
-f ~ g. The lexer hands it plain (kind, text, pos) tuples. One path skips
-both: a text that is one identifier, with whitespace around it, and that
-_modal_head reads as no modal head is the atom of that name, found with
-one regular-expression match. The parser asks _modal_head the same
-question of each identifier, so the two paths cannot disagree.
+f ~ g. The lexer hands it plain (kind, text, pos) tuples: a fixed symbol
+(->, [], <>, the parentheses, brackets, braces, comma, ~, & and |) is
+of the kind that is its own text, an identifier of kind "ident" and a
+rule atom of kind "ruleref". The list ends in a sentinel (None, None,
+end), so the parser reads the next token without a bounds test; only an
+expected formula and the expected end of input ask for the end. The
+prefix heads ~, [] and <> are read from the same table as K_a and O_{a,b}.
+One path skips both: a text that is one identifier, with whitespace
+around it, and that _modal_head reads as no modal head is the atom of
+that name, found with one regular-expression match. The parser asks
+_modal_head the same question of each identifier, so the two paths
+cannot disagree.
 
 Nodes are interned (hash-consed, Filliatre & Conchon 2006) and built
 positionally: building a node whose class and fields match a live one
@@ -43,7 +50,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import partial
 
 
 class UnknownOperator(SyntaxError):
@@ -228,12 +234,9 @@ MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<arrow>->)
-      | (?P<box>\[\])
-      | (?P<diamond><>)
       | (?P<ruleref>@[A-Za-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\]{},~&|])
+      | (?P<symbol>->|\[\]|<>|[()\[\]{},~&|])
       | (?P<bad>.)
     """,
     re.VERBOSE,
@@ -244,9 +247,10 @@ _TOKEN_RE = re.compile(
 _IDENT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*")
 
 
-def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+def _lex(text: str, start: int, end: int) -> list[tuple]:
     """The (kind, text, pos) tokens of text[start:end], whitespace left
-    out; a punctuation mark's kind is the mark itself."""
+    out, then the sentinel (None, None, end). A fixed symbol's kind is the
+    symbol itself; the others are "ruleref" and "ident"."""
     tokens = []
     for m in _TOKEN_RE.finditer(text, start, end):
         kind, tok_text, i = m.lastgroup, m.group(), m.start()
@@ -254,7 +258,8 @@ def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
             raise SyntaxError("offset %d: unexpected character %r"
                               % (i, tok_text))
         if kind != "ws":
-            tokens.append((tok_text if kind == "punct" else kind, tok_text, i))
+            tokens.append((tok_text if kind == "symbol" else kind, tok_text, i))
+    tokens.append((None, None, end))
     return tokens
 
 
@@ -269,48 +274,41 @@ def _modal_head(ident: str):
     return node, sep, agent
 
 
+def _level(n: int, at: int) -> int:
+    """n, the nesting level reached at offset at, if within MAX_NESTING."""
+    if n > MAX_NESTING:
+        raise SyntaxError("offset %d: formula nests deeper than %d levels"
+                          % (at, MAX_NESTING))
+    return n
+
+
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
     """Reads text[start:end] in place, so offsets count from text's start.
-    A token is a (kind, text, pos) tuple from _lex."""
+    A token is a (kind, text, pos) tuple from _lex; the list ends in the
+    sentinel, whose kind None matches no kind the parser asks for."""
 
     def __init__(self, text: str, start: int = 0, end: int | None = None):
-        self.end = len(text) if end is None else end
-        self.tokens = _lex(text, start, self.end)
+        self.tokens = _lex(text, start, len(text) if end is None else end)
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def kind(self) -> str | None:
-        """The kind of the next token, None at the end."""
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
     def error(self, expected: set[str]):
-        tok = self.peek()
-        offset = tok[2] if tok else self.end
-        found = repr(tok[1]) if tok else "end of input"
+        kind, t, at = self.tokens[self.pos]
+        found = "end of input" if kind is None else repr(t)
         raise SyntaxError("offset %d: expected one of {%s}, found %s"
-                          % (offset, ", ".join(sorted(expected)), found))
+                          % (at, ", ".join(sorted(expected)), found))
 
     def take(self, kind: str) -> str:
         """The text of the next token, which must be of kind."""
-        if self.kind() != kind:
+        if self.tokens[self.pos][0] != kind:
             self.error({kind})
         self.pos += 1
         return self.tokens[self.pos - 1][1]
 
-    def level(self, n: int, tok: tuple[str, str, int]) -> int:
-        """n, the nesting level reached at tok, if within MAX_NESTING."""
-        if n > MAX_NESTING:
-            raise SyntaxError("offset %d: formula nests deeper than %d levels"
-                              % (tok[2], MAX_NESTING))
-        return n
-
     def parse(self) -> Formula:
         f, _ = self.binary(0)
-        if self.peek() is not None:
+        if self.tokens[self.pos][0] is not None:
             self.error({"end of input"})
         return f
 
@@ -324,86 +322,72 @@ class _Parser:
         least; & and | group to the left, -> to the right."""
         f, reach = self.unary(depth)
         while True:
-            tok = self.peek()
-            op = tok and _BY_SYMBOL.get(tok[1])
-            if not op or op[1] < least:
+            kind, _, at = self.tokens[self.pos]
+            op = _BY_SYMBOL.get(kind)
+            if op is None or op[1] < least:
                 return f, reach
             node, strength = op
             self.pos += 1
             if node is Implies:
-                g, g_reach = self.binary(self.level(depth + 1, tok), strength)
+                g, g_reach = self.binary(_level(depth + 1, at), strength)
                 reach = max(reach + 1, g_reach)
             else:
                 g, g_reach = self.binary(depth, strength + 1)
                 reach = max(reach, g_reach) + 1
-            f, reach = node(f, g), self.level(reach, tok)
+            f, reach = node(f, g), _level(reach, at)
 
     def unary(self, depth: int):
-        tok = self.peek()
-        if tok is None:
-            self.error({"formula"})
-        kind = tok[0]
+        """An atom, a parenthesized formula, or a prefix operator with its
+        agents and body."""
+        kind, t, at = self.tokens[self.pos]
+        if kind not in ("ident", "~", "(", "[]", "<>", "[", "ruleref"):
+            self.error({"formula"} if kind is None else
+                       {"~", "(", "[]", "<>", "[", "@", "identifier"})
+        self.pos += 1
         if kind == "ruleref":
-            self.pos += 1
-            return RuleAtom(tok[1][1:]), depth
+            return RuleAtom(t[1:]), depth
         if kind == "(":
-            self.pos += 1
-            f, reach = self.binary(self.level(depth + 1, tok))
+            f, reach = self.binary(_level(depth + 1, at))
             self.take(")")
             return f, reach
-        make = self.prefix(tok)
-        if make is None:
-            return self.atom(tok[1]), depth
-        body, reach = self.unary(self.level(depth + 1, tok))
-        return make(body), reach
-
-    def prefix(self, tok: tuple[str, str, int]):
-        """Read the prefix operator at tok with its agents and return the
-        node constructor taking its body; None after reading an atom name."""
-        kind, t, at = tok
-        if kind not in ("~", "box", "diamond", "[", "ident"):
-            self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
-        self.pos += 1
         if kind == "[":  # STIT prefix [a]
-            agent = self.take("ident")
+            node, agents = Stit, (self.take("ident"),)
             self.take("]")
-            return partial(Stit, agent)
-        head = _modal_head(t)
-        if head is None:
-            return None
-        node, sep, agent = head
-        slots = len(node._fields) - 1  # the agents before the body
-        if sep and not agent:
-            if slots == 1:
+        else:  # ~, [] and <> are heads too
+            head = _modal_head(t)
+            if head is None:
+                return self.atom(t), depth
+            node, sep, agent = head
+            slots = len(node._fields) - 1  # the agents before the body
+            if sep and not agent:
+                if slots == 1:
+                    raise UnknownOperator(
+                        "offset %d: modal prefix %r lacks an agent" % (at, t))
+                if self.tokens[self.pos][0] != "{":
+                    raise UnknownOperator(
+                        "offset %d: %r requires a braced agent list" % (at, t))
+                self.pos += 1
+                first = self.take("ident")
+                self.take(",")
+                agents = first, self.take("ident")
+                self.take("}")
+            elif slots == 2 and node not in _BARE:
                 raise UnknownOperator(
-                    "offset %d: modal prefix %r lacks an agent" % (at, t))
-            agents = self.braced_agents(tok)
-        elif slots == 2 and node not in _BARE:
-            raise UnknownOperator(
-                "offset %d: power must be written Power_{a,b}" % at)
-        else:
-            agents = (agent,) if sep else ()
-        return partial(node, *agents, *[None] * (slots - len(agents)))
-
-    def braced_agents(self, tok):
-        if self.kind() != "{":
-            raise UnknownOperator(
-                "offset %d: %r requires a braced agent list" % (tok[2], tok[1]))
-        self.pos += 1
-        first = self.take("ident")
-        self.take(",")
-        second = self.take("ident")
-        self.take("}")
-        return first, second
+                    "offset %d: power must be written Power_{a,b}" % at)
+            else:
+                agents = (agent,) if sep else ()
+                agents += (None,) * (slots - len(agents))
+        body, reach = self.unary(_level(depth + 1, at))
+        return node(*agents, body), reach
 
     def atom(self, name: str) -> Formula:
         args = ()
-        if self.kind() == "(":
+        if self.tokens[self.pos][0] == "(":
             # lookahead: an argument list is idents only; anything else is a
             # parse error because plain atoms take no formula arguments
             self.pos += 1
             names = [self.take("ident")]
-            while self.kind() == ",":
+            while self.tokens[self.pos][0] == ",":
                 self.pos += 1
                 names.append(self.take("ident"))
             self.take(")")

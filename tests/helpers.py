@@ -13,9 +13,9 @@ from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
                        Diamond, Formula, Implies, Know, Not, Oblig, Or, Perm,
                        Power, Premise, Right, Rule, RuleAtom, RuleKind,
                        SchemeRoundsExceeded, Schemes, Stit, Strength, Theory,
-                       And, compute_defeats, construct_arguments,
-                       instantiate_schemes, normalize, parse_theory,
+                       And, instantiate_schemes, normalize, parse_theory,
                        stable_extensions)
+from normargue.cli import _pipeline
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOCTOR = FIXTURES / "doctor.naf"
@@ -282,9 +282,7 @@ def run_pipeline(theory):
     """Ground, build, defeat and solve a theory from load_theory or
     parse_theory."""
     theory = instantiate_schemes(theory)
-    args, truncated = construct_arguments(theory)
-    defeats = compute_defeats(args, theory)
-    af = ArgumentationFramework(len(args), frozenset(defeats))
+    args, defeats, af, truncated = _pipeline(theory)
     return SimpleNamespace(theory=theory, args=args, defeats=defeats, af=af,
                            extensions=stable_extensions(af),
                            truncated=truncated)

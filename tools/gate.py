@@ -15,6 +15,14 @@ The recipe:
   - the seven tests/theories with their queries, text and JSON, and the
     straddle theory with --oracle;
   - a missing file and a directory given as the theory;
+  - the CASES below: a modal prefix without its agent, a power not
+    written Power_{a,b}, printing p(x,y), @r and parenthesized operands
+    of a connective, an O_a s / O_a ~s clash, a self-directed POSITION,
+    each loader error, the fcp box-right and weak_closure schemes,
+    extension rows that need mending (no member among arguments 0-7),
+    stable and grounded, and --oracle on 21 arguments (exit code 3);
+  - the seventh theory of tests/helpers.py's random_theory at seed 11,
+    on which the solver forces an attacker IN, text and JSON;
   - every case of the three benchmark pools at seeds 1 and 2 with its
     flags, text and JSON;
   - the 120 near-limit cases of tests/test_fuzz.py at seed 4111, text and
@@ -54,6 +62,43 @@ THEORIES = (("interleaved", "p0 t2"), ("three_way", "x e2 s"),
 RUN_MODES = ([], ["--json"], ["--semantics", "grounded"],
              ["--json", "--semantics", "grounded"], ["--oracle"],
              ["--json", "--oracle"])
+_SCHEMES_OFF = "SCHEME fcp off\nSCHEME owp off\n"
+_ATOMS = ["PREMISE prem a%d: p%d\n" % (i, i) for i in range(21)]
+_NEGATIONS = ["PREMISE prem b%d: ~p%d\n" % (i, i) for i in range(8)]
+# (file, text, runs): the parser's and printer's rarer branches, each
+# loader error, two scheme branches, rows to mend and the oracle's cap
+CASES = (
+    ("prefix-lacks-agent.naf", "AGENTS: a\nPREMISE prem p1: K_ p\n",
+     [["check"]]),
+    ("power-unbraced.naf", "AGENTS: a, b\nPREMISE prem p1: Power_a p\n",
+     [["check"]]),
+    ("printing.naf", "AGENTS: a\nPREMISE prem p1: p(x, y)\n"
+     "PREMISE prem p2: (p | q) & r\nPREMISE prem p3: p & (q | r)\n"
+     "PREMISE prem o1: O_a s\nPREMISE prem o2: O_a ~s\n"
+     "RULE defeasible r: p(x, y) |~ t\n"
+     "RULE defeasible u: p(x, y) |~ ~@r\n" + _SCHEMES_OFF,
+     [["run", "--json"], ["run", "--query", "@r", "--query", "(p | q) & r"]]),
+    ("self-directed.naf", "AGENTS: a\nPOSITION duty(a, a): p\n", [["check"]]),
+    ("duplicate-id.naf", "AGENTS: a\nPREMISE prem p1: p\nPREMISE prem p1: q\n",
+     [["check"]]),
+    ("duplicate-agent.naf", "AGENTS: a, a\n", [["check"]]),
+    ("no-antecedent.naf", "AGENTS: a\nRULE strict r1: ; |- p\n", [["check"]]),
+    ("unknown-position.naf", "AGENTS: a, b\nPOSITION privilege(a, b): p\n",
+     [["check"]]),
+    ("dangling-rule-atom.naf", "AGENTS: a\nPREMISE prem p1: ~@r\n",
+     [["check"]]),
+    ("fcp-box-right.naf", "AGENTS: a\nPREMISE prem p1: P_a p\n"
+     "PREMISE axiom b1: [](q -> p)\nSCHEME owp off\n", [["run", "--json"]]),
+    ("weak-closure.naf", "AGENTS: a\nPREMISE prem p1: P_a p\n"
+     "PREMISE axiom b1: [](p -> q)\n" + _SCHEMES_OFF
+     + "SCHEME weak_closure on\n", [["run", "--json"]]),
+    # the extension of all eight negations, and the empty grounded one,
+    # have no member among arguments 0-7
+    ("negations.naf", "AGENTS: a\n" + "".join(_ATOMS[:8] + _NEGATIONS)
+     + _SCHEMES_OFF, [["run", "--json"],
+                      ["run", "--json", "--semantics", "grounded"]]),
+    ("oracle-21.naf", "AGENTS: a\n" + "".join(_ATOMS), [["run", "--oracle"]]),
+)
 
 
 def recipe():
@@ -84,6 +129,20 @@ def recipe():
     yield ["run", "tests/theories/straddle.naf", "--oracle"]
     yield ["run", str(WORK / "missing.naf"), "--json"]
     yield ["check", str(WORK)]
+    for name, text, runs in CASES:
+        path = written(name, text)
+        for command, *flags in runs:
+            yield [command, path, *flags]
+    # the seventh random theory at seed 11 makes the solver force an
+    # attacker IN
+    rng = random.Random(11)
+    for _ in range(7):
+        theory = helpers.random_theory(rng)
+    path = written("random-11-7.naf", helpers.theory_text(theory))
+    flags = ["--max-depth", str(theory.max_depth)]
+    flags += ["--weak-mode"] * theory.weak_mode
+    yield ["run", path, "--json", *flags]
+    yield ["run", path, *flags]
     for workload in workloads.WORKLOADS:
         for seed in (1, 2):
             for k, case in enumerate(workloads.build(workload, seed)):
