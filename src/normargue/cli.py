@@ -40,8 +40,9 @@ The --json report is exactly json.dumps(report, indent=2), and export
 is built: _report_parts returns the parts of the top-level object, its
 keys and their values handed in already encoded, and stdout.writelines
 writes them one by one, with no join.
-Argument and defeat rows fill fixed templates, with strings encoded by
-json's C encode_basestring_ascii; the premises field of an argument row
+The theory summary and the argument, defeat and query rows fill fixed
+templates, with strings encoded by json's C encode_basestring_ascii, so
+the report makes no json.dumps call; the premises field of an argument row
 is made once per distinct premise set in a call, and arguments on equal
 sets share it. Extension rows are written column by
 column: each byte column of the masks maps through a table of token
@@ -49,10 +50,9 @@ strings, one per byte value, each made on first use from the entry with
 the lowest bit cleared; the first column's tokens open the row and the
 last one's close it, and each row joins its entries from every column.
 Only the rows with no member among arguments 0-7 are mended afterwards.
-Only the theory summary and the queries go through json.dumps. The text
-report decodes each mask into its ids and is printed by one join of its
-lines. Each argument's conclusion is printed once, for the JSON rows, the
-text report and the DOT labels alike.
+The text report decodes each mask into its ids and is printed by one
+join of its lines. Each argument's conclusion is printed once, for the
+JSON rows, the text report and the DOT labels alike.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ _ARGUMENT_ROW = ('{\n      "id": %d,\n      "conclusion": %s,\n'
                  '      "plausible": %s,\n      "depth": %d\n    }')
 _DEFEAT_ROW = ('{\n      "attacker": %d,\n      "target": %d,\n'
                '      "kind": "%s",\n      "locus": %s\n    }')
-
-
-def _json(v) -> str:
-    """v as json encodes it for a field of the top-level object (encoded
-    JSON holds no raw newline inside a string)."""
-    return json.dumps(v, indent=2).replace("\n", "\n  ")
+_QUERY_ROW = ('{\n      "formula": %s,\n      "credulous": %s,\n'
+              '      "skeptical": %s\n    }')
+# the theory summary, an object field of the top-level object: its fields
+# sit at 4 spaces and the items of its agents list at 6
+_THEORY = ('{\n    "agents": %s,\n    "premises": %d,\n    "rules": %d,\n'
+           '    "contraries": %d\n  }')
 
 
 def _list(items: list[str]) -> str:
@@ -251,11 +251,7 @@ def cmd_run(ns) -> int:
                                                 len(expected)),
                       file=sys.stderr)
                 return 1
-    queries = []
-    for f in formulas:
-        credulous, skeptical = acceptance(args, table, f)
-        queries.append({"formula": str(f), "credulous": credulous,
-                        "skeptical": skeptical})
+    queries = [(str(f), *acceptance(args, table, f)) for f in formulas]
     columns = table.columns
     del table  # the rows read the columns alone: free held before them
 
@@ -268,16 +264,17 @@ def cmd_run(ns) -> int:
         sys.stdout.writelines([*_report_parts({
             "schema": "1",
             "semantics": _encode(ns.semantics),
-            "theory": _json({
-                "agents": list(theory.agents),
-                "premises": len(theory.premises),
-                "rules": len(theory.rules),
-                "contraries": len(theory.contraries),
-            }),
+            "theory": _THEORY % (
+                "[\n      %s\n    ]" % ",\n      ".join(
+                    map(_encode, theory.agents)) if theory.agents else "[]",
+                len(theory.premises), len(theory.rules),
+                len(theory.contraries)),
             "arguments": _array(_argument_rows(args, texts)),
             "defeats": _array(_defeat_rows(sorted_defeats)),
             "extensions": rows,
-            "queries": _json(queries),
+            "queries": _array([_QUERY_ROW % (
+                _encode(text), _BOOL[credulous], _BOOL[skeptical])
+                for text, credulous, skeptical in queries]),
             "truncated": _BOOL[truncated],
         }), "\n"])
         return 0
@@ -314,8 +311,8 @@ def cmd_run(ns) -> int:
                          % (k, ", ".join(map(str, ids))))
             lines += map(line.__getitem__, ids)
     lines += ["query %s: credulous=%s skeptical=%s" % (
-        q["formula"], "yes" if q["credulous"] else "no",
-        "yes" if q["skeptical"] else "no") for q in queries]
+        text, "yes" if credulous else "no", "yes" if skeptical else "no")
+        for text, credulous, skeptical in queries]
     print("\n".join(lines))
     return 0
 

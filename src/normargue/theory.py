@@ -5,7 +5,10 @@ declared contrary pairs, and scheme toggles, every formula in normal form.
 The loader validates the file, normalizes each formula as its line is
 read, and translates declared normative positions into premises.
 instantiate_schemes grounds the deontic rule schemes against the
-subformulas already in play.
+subformulas already in play, as a semi-naive fixpoint: the pool of
+subformulas grows by the rules each round adds, indexed by what each
+scheme matches on, and a round joins only the pairs with a side new
+since the round before.
 
 DSL, one directive per line (a line ends at \n, \r\n or \r), `#` (at start
 of line or after whitespace) starts a comment:
@@ -34,9 +37,9 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .formula import (_PREFIX_TYPES, And, Box, Formula, Implies, Know, Not,
-                      Oblig, Perm, _immutable, names_in, normalize, parse,
-                      parse_contrary, printable, subformulas)
+from .formula import (_BINARY_TYPES, _PREFIX_TYPES, And, Box, Formula,
+                      Implies, Know, Not, Oblig, Perm, _immutable, names_in,
+                      normalize, parse, parse_contrary, printable)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -336,6 +339,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
 def _check_rule_refs(rules, refs):
     """Raise DanglingRuleAtom at the first (name, line) of refs whose name
     is no defeasible rule's id."""
+    if not refs:
+        return
     defeasible_ids = {r.id for r in rules if r.kind is RuleKind.DEFEASIBLE}
     for name, lineno in refs:
         if name not in defeasible_ids:
@@ -346,33 +351,70 @@ def _check_rule_refs(rules, refs):
 
 # ------------------------------------------------------- scheme grounding
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The operands of the & chain at f, with nested &s flattened."""
-    out, todo = [], [f]
+def _conjuncts(f: And) -> tuple[Formula, ...]:
+    """The distinct operands of the & chain at f, nested &s flattened, in
+    order."""
+    out, todo = {}, [f]
     while todo:
         x = todo.pop()
         if isinstance(x, And):
             todo += (x.right, x.left)
         else:
-            out.append(x)
-    return out
+            out[x] = None
+    return tuple(out)
 
 
-def _ordered_subformulas(theory: Theory, rules) -> list[Formula]:
-    """Every subformula of the premises and rules, first appearance first."""
-    tops = [p.formula for p in theory.premises]
-    for r in rules:
-        tops.extend(r.antecedents)
-        tops.append(r.consequent)
-    return list(dict.fromkeys(sub for top in tops for sub in subformulas(top)))
+class _Side:
+    """One side of a scheme join: its formulas ranked in the order the join
+    visits them and filed under their keys, and those added since the side
+    was last aged, with their keys."""
+
+    __slots__ = ("index", "rank", "new", "start")
+
+    def __init__(self):
+        self.index: dict[object, list[Formula]] = {}
+        self.rank: dict[Formula, int] = {}
+        self.new: list[tuple[Formula, tuple]] = []
+        self.start = 0  # the rank of the first new formula
+
+    def add(self, f: Formula, keys: tuple) -> None:
+        self.rank[f] = len(self.rank)
+        for key in keys:
+            self.index.setdefault(key, []).append(f)
+        self.new.append((f, keys))
+
+    def age(self) -> None:
+        self.start = len(self.rank)
+        self.new = []
 
 
-def _modal_ands(pool: list[Formula]) -> list[Formula]:
-    """And nodes occurring below a modal operator, in pool order."""
-    return list(dict.fromkeys(
-        sub for f in pool if isinstance(f, _PREFIX_TYPES)
-        and not isinstance(f, Not)
-        for sub in subformulas(f.f) if isinstance(sub, And)))
+def _join(outer: _Side, inner: _Side) -> list[tuple[Formula, Formula]]:
+    """The pairs (o, i) of an o of outer, filed under one key, and an i of
+    inner filed under that key, of which at least one is new, in the order
+    of o's rank and then of i's: the pairs of an old o, sorted, and then
+    those of each new o in turn, read off inner's index in rank order. No
+    two pairs share both ranks, so the sort never compares formulas."""
+    orank, start = outer.rank, outer.start
+    old = []
+    if start:
+        irank = inner.rank
+        for i, keys in inner.new:
+            r = irank[i]
+            for key in keys:
+                for o in outer.index.get(key, ()):
+                    if orank[o] >= start:
+                        break
+                    old.append((orank[o], r, o, i))
+        old.sort()
+    pairs = [(o, i) for _, _, o, i in old]
+    for o, (key,) in outer.new:
+        pairs += [(o, i) for i in inner.index.get(key, ())]
+    return pairs
+
+
+def _tops(rules) -> list[Formula]:
+    """The antecedents and consequent of each rule, in order."""
+    return [f for r in rules for f in (*r.antecedents, r.consequent)]
 
 
 def instantiate_schemes(theory: Theory) -> Theory:
@@ -381,8 +423,21 @@ def instantiate_schemes(theory: Theory) -> Theory:
     Raises SchemeRoundsExceeded if a further round would still add rules,
     and SyntaxError for a consequent that does not parse back (printable).
     Adding nothing returns the theory unchanged. With every scheme off no
-    round runs and no pool is built; the theory's @<scheme>#k references,
-    which then name no rule, still raise DanglingRuleAtom."""
+    pool is built; the theory's @<scheme>#k references, which then name no
+    rule, still raise DanglingRuleAtom.
+
+    Grounding is a semi-naive fixpoint. The pool, every subformula of the
+    premises and rules, grows by walking only the rules the last round
+    added, never below a formula already in it, and each formula is filed,
+    as it enters, on the sides of the joins it can take part in (see
+    _Side). A conjunction is filed when it is first seen under a modal
+    operator: the body of each new modal formula is walked down to the
+    formulas seen under one before, which may be in the pool already.
+    Each scheme joins only the pairs with a side new since the last round,
+    in the order of the nested loop over the pool that would join them
+    all, so that ids and rules are that loop's: a pair joined before adds
+    nothing again. With no permission, unary obligation of a negated body
+    or knowledge in the pool, nothing can match and no round runs."""
     s = theory.schemes
     if not any(s):
         _check_rule_refs(theory.rules, theory.pending_rule_refs)
@@ -390,81 +445,127 @@ def instantiate_schemes(theory: Theory) -> Theory:
     rules = list(theory.rules)
     existing = {(r.kind, r.antecedents, r.consequent) for r in rules}
     counters = dict.fromkeys(s._fields, 0)
+    new: list[Rule] = []
 
-    def one_round() -> list[Rule]:
-        new: list[Rule] = []
+    def add(scheme: str, kind: RuleKind, antecedents, consequent):
+        consequent = normalize(consequent, theory.weak_mode)
+        key = (kind, tuple(antecedents), consequent)
+        if key in existing:
+            return
+        existing.add(key)
+        counters[scheme] += 1
+        rid = "%s#%d" % (scheme, counters[scheme])
+        new.append(Rule(rid, tuple(antecedents), printable(
+            consequent, "the consequent of " + rid), kind))
 
-        def add(scheme: str, kind: RuleKind, antecedents, consequent):
-            consequent = normalize(consequent, theory.weak_mode)
-            key = (kind, tuple(antecedents), consequent)
-            if key in existing:
-                return
-            existing.add(key)
-            counters[scheme] += 1
-            rid = "%s#%d" % (scheme, counters[scheme])
-            new.append(Rule(rid, tuple(antecedents), printable(
-                consequent, "the consequent of " + rid), kind))
+    pool: set[Formula] = set()
+    modal: set[Formula] = set()  # the formulas seen under a modal operator
+    # permissions by body and by bearer, boxed implications by each side,
+    # unary obligations of a negated body by bearer and by what they
+    # forbid, conjunctions seen under a modal operator and ~[]~ over a
+    # conjunction by their conjuncts
+    sides = (perms, perm_agents, boxes_right, boxes_left, obligs,
+             forbidden, ands, diamonds) = tuple(_Side() for _ in range(8))
+    knows: list[Formula] = []
 
-        pool = _ordered_subformulas(theory, rules)
-        perms = [f for f in pool if isinstance(f, Perm)]
-        boxes = [f for f in pool if isinstance(f, Box)]
-        obligs = [f for f in pool if isinstance(f, Oblig) and f.toward is None]
+    def walk(tops: list[Formula]) -> None:
+        """Add the subformulas of tops that are not yet in the pool, in
+        pre-order, after aging every side."""
+        for side in sides:
+            side.age()
+        knows.clear()
+        todo = tops[::-1]
+        while todo:
+            x = todo.pop()
+            if x in pool:
+                continue
+            pool.add(x)
+            t = type(x)
+            if t in _PREFIX_TYPES:
+                todo.append(x.f)
+                if t is Not:
+                    b = x.f
+                    if (type(b) is Box and type(b.f) is Not
+                            and type(b.f.f) is And):
+                        diamonds.add(x, _conjuncts(b.f.f))
+                    continue
+                if x.f not in modal:
+                    mark(x.f)
+                if t is Perm:
+                    perms.add(x, (x.f,))
+                    perm_agents.add(x, (x.agent,))
+                elif t is Box:
+                    if type(x.f) is Implies:
+                        boxes_right.add(x, (x.f.right,))
+                        boxes_left.add(x, (x.f.left,))
+                elif t is Oblig:
+                    if x.toward is None and type(x.f) is Not:
+                        obligs.add(x, (x.agent,))
+                        forbidden.add(x, (x.f.f,))
+                elif t is Know:
+                    knows.append(x)
+            elif t in _BINARY_TYPES:
+                todo += (x.right, x.left)
+
+    def mark(f: Formula) -> None:
+        """Mark f and its subformulas as seen under a modal operator, and
+        file each conjunction among them on first sight."""
+        todo = [f]
+        while todo:
+            x = todo.pop()
+            if x in modal:
+                continue
+            modal.add(x)
+            t = type(x)
+            if t in _PREFIX_TYPES:
+                todo.append(x.f)
+            elif t in _BINARY_TYPES:
+                todo += (x.right, x.left)
+                if t is And:
+                    ands.add(x, _conjuncts(x))
+
+    def joined() -> list[Rule]:
+        """The rules of the pairs with a side new since the last walk."""
+        new.clear()
         if s.fcp:
-            for p in perms:
-                for b in boxes:
-                    if isinstance(b.f, Implies) and b.f.right == p.f:
-                        add("fcp", RuleKind.DEFEASIBLE, [p, b],
-                            Perm(p.agent, b.f.left))
+            for p, b in _join(perms, boxes_right):
+                add("fcp", RuleKind.DEFEASIBLE, [p, b],
+                    Perm(p.agent, b.f.left))
             # free choice over covered alternatives: a conjunction seen
             # under some modality that contains the permitted formula
-            ands = ([(n, _conjuncts(n)) for n in _modal_ands(pool)]
-                    if perms else [])
-            for p in perms:
-                for n, conjuncts in ands:
-                    if p.f in conjuncts:
-                        add("fcp", RuleKind.DEFEASIBLE, [p], Perm(p.agent, n))
+            for p, n in _join(perms, ands):
+                add("fcp", RuleKind.DEFEASIBLE, [p], Perm(p.agent, n))
         if s.owp:
-            for p in perms:
-                for o in obligs:
-                    if o.agent == p.agent and isinstance(o.f, Not):
-                        add("owp", RuleKind.DEFEASIBLE, [p, o],
-                            Box(Implies(p.f, o.f)))
+            for p, o in _join(perm_agents, obligs):
+                add("owp", RuleKind.DEFEASIBLE, [p, o],
+                    Box(Implies(p.f, o.f)))
             # prohibition form: a prohibited conjunct poisons the whole
             # possible conjunction, yielding the denial of its permission
-            diamonds = [f for f in pool
-                        if isinstance(f, Not) and isinstance(f.f, Box)
-                        and isinstance(f.f.f, Not)]
-            for o in obligs:
-                if not isinstance(o.f, Not):
-                    continue
-                psi = o.f.f
-                for d in diamonds:
-                    n = d.f.f.f
-                    if isinstance(n, And) and psi in _conjuncts(n):
-                        add("owp", RuleKind.STRICT, [o, d],
-                            Not(Perm(o.agent, n)))
+            for o, d in _join(forbidden, diamonds):
+                add("owp", RuleKind.STRICT, [o, d],
+                    Not(Perm(o.agent, d.f.f.f)))
         if s.weak_closure:
-            for p in perms:
-                for b in boxes:
-                    if isinstance(b.f, Implies) and b.f.left == p.f:
-                        add("weak_closure", RuleKind.DEFEASIBLE, [p, b],
-                            Perm(p.agent, b.f.right))
+            for p, b in _join(perms, boxes_left):
+                add("weak_closure", RuleKind.DEFEASIBLE, [p, b],
+                    Perm(p.agent, b.f.right))
         if s.k_truth:
-            for k in pool:
-                if isinstance(k, Know):
-                    add("k_truth", RuleKind.STRICT, [k], k.f)
+            for k in knows:
+                add("k_truth", RuleKind.STRICT, [k], k.f)
         return new
 
-    for _ in range(theory.max_depth):
-        new = one_round()
-        if not new:
-            break
-        rules.extend(new)
-    else:
-        if one_round():
-            raise SchemeRoundsExceeded(
-                "scheme grounding still adds rules after %d rounds, the cap "
-                "set by --max-depth; raise --max-depth" % theory.max_depth)
+    walk([p.formula for p in theory.premises] + _tops(rules))
+    if perms.rank or obligs.rank or knows:
+        for _ in range(theory.max_depth):
+            if not joined():
+                break
+            rules += new
+            walk(_tops(new))
+        else:
+            if joined():
+                raise SchemeRoundsExceeded(
+                    "scheme grounding still adds rules after %d rounds, the "
+                    "cap set by --max-depth; raise --max-depth"
+                    % theory.max_depth)
 
     _check_rule_refs(rules, theory.pending_rule_refs)
     if len(rules) == len(theory.rules) and not theory.pending_rule_refs:

@@ -11,7 +11,7 @@ from normargue import (And, Atom, Box, DanglingRuleAtom, Diamond,
                        Strength, Theory, UnknownAgent, UnknownOperator,
                        ValidationError,
                        instantiate_schemes, load_theory, normalize, parse,
-                       parse_theory, print_formula)
+                       parse_theory, print_formula, subformulas)
 from normargue import theory as theory_module
 from normargue.cli import main
 from normargue.formula import parse_contrary
@@ -636,6 +636,157 @@ def test_scheme_rounds_exceeded_names_the_cap():
     assert "3 rounds" in str(err.value) and "--max-depth" in str(err.value)
     t = instantiate_schemes(parse_theory(text, max_depth=4))
     assert [r.id for r in t.rules] == ["fcp#1", "fcp#2", "fcp#3", "fcp#4"]
+
+
+# Later-round joins: in each theory below, the newer side of a matching
+# pair enters the pool with a rule that grounding made, in round 2 or later,
+# so only a join that reads the pool's new formulas against its old ones
+# (or the reverse) finds it. The rules must be the reference's, ids pinned.
+
+def later_rounds(theory, ids):
+    """The rules grounding adds to theory, by id, after checking them
+    against the reference and their ids against ids."""
+    t = instantiate_schemes(theory)
+    assert t.rules == reference_instantiate_schemes(theory).rules
+    added = t.rules[len(theory.rules):]
+    assert [r.id for r in added] == ids
+    return {r.id: r for r in added}
+
+
+def unwritten(theory, f):
+    """Whether f is in no premise or rule of theory, so that only a
+    generated rule can bring it into the pool."""
+    tops = [p.formula for p in theory.premises] + [
+        g for r in theory.rules for g in (*r.antecedents, r.consequent)]
+    return all(f not in subformulas(top) for top in tops)
+
+
+def with_premise(text, f):
+    """The theory of text with one more premise, f, left as it is: a loaded
+    theory is in normal form, and then no scheme consequent holds a formula
+    that is new below its top node, so a Know, a ~[]~ conjunction or a
+    conjunction under a modal operator can enter the pool after round 1
+    only as the normal form of what a theory built in code left unnormal."""
+    t = parse_theory(text)
+    return t._replace(premises=t.premises + (
+        Premise("x", f, Strength.AXIOM),))
+
+
+def test_later_round_fcp_box_right():
+    # owp makes two boxes in round 1, and fcp meets them in round 2 with
+    # the permissions of their right sides, in the permissions' order,
+    # which is not the boxes' order
+    t = parse_theory("AGENTS: a, c\nPREMISE axiom c1: P_c ~y\n"
+                     "PREMISE axiom c2: P_c ~z\nPREMISE axiom p: P_a x\n"
+                     "PREMISE axiom o1: O_a ~z\nPREMISE axiom o2: O_a ~y\n")
+    rules = later_rounds(t, ["owp#1", "owp#2", "fcp#1", "fcp#2"])
+    for fcp, owp, perm in (("fcp#1", "owp#2", "P_c ~y"),
+                           ("fcp#2", "owp#1", "P_c ~z")):
+        box = rules[fcp].antecedents[1]
+        assert box == rules[owp].consequent and unwritten(t, box)
+        assert rules[fcp].antecedents[0] == parse(perm)
+        assert str(rules[fcp].consequent) == "P_c(x)"
+
+
+def test_later_round_fcp_conjunction():
+    # fcp makes P_a q in round 1, and meets q & m under K in round 2
+    t = parse_theory("AGENTS: a\nPREMISE axiom p: P_a p\n"
+                     "PREMISE axiom b: [](q -> p)\nPREMISE axiom k: K_a(q & m)\n"
+                     "SCHEME owp off\n")
+    rules = later_rounds(t, ["fcp#1", "fcp#2"])
+    assert rules["fcp#2"].antecedents == (rules["fcp#1"].consequent,)
+    assert str(rules["fcp#2"].consequent) == "P_a(q & m)"
+
+
+def test_later_round_owp():
+    # fcp makes P_a q in round 1, and owp meets it with O_a ~s in round 2
+    t = parse_theory("AGENTS: a\nPREMISE axiom p: P_a p\n"
+                     "PREMISE axiom b: [](q -> p)\nPREMISE axiom o: O_a ~s\n")
+    rules = later_rounds(t, ["fcp#1", "owp#1", "owp#2"])
+    perm = rules["owp#2"].antecedents[0]
+    assert perm == rules["fcp#1"].consequent and unwritten(t, perm)
+    assert str(rules["owp#2"].consequent) == "[](q -> ~s)"
+
+
+def test_later_round_owp_prohibition():
+    # fcp's P_a <>(q & m), normalized, brings ~[]~(q & m) in round 2, where
+    # owp meets it with O_b ~q; the permission it denies, new in round 3,
+    # meets O_b ~q there
+    t = with_premise("AGENTS: a, b\nPREMISE axiom p: P_a r\n"
+                     "PREMISE axiom o: O_b ~q\n",
+                     Box(Implies(Diamond(parse("q & m")), Atom("r"))))
+    rules = later_rounds(t, ["fcp#1", "owp#1", "owp#2"])
+    diamond = rules["owp#1"].antecedents[1]
+    assert diamond == parse("~[]~(q & m)") and unwritten(t, diamond)
+    assert rules["owp#1"].kind is RuleKind.STRICT
+    assert str(rules["owp#1"].consequent) == "~P_b(q & m)"
+    assert str(rules["owp#2"].consequent) == "[](q & m -> ~q)"
+
+
+def test_later_round_weak_closure():
+    t = parse_theory("AGENTS: a\nPREMISE axiom p: P_a q\n"
+                     "PREMISE axiom b: [](q -> r)\nPREMISE axiom c: [](r -> u)\n"
+                     "SCHEME fcp off\nSCHEME owp off\n"
+                     "SCHEME weak_closure on\n")
+    rules = later_rounds(t, ["weak_closure#1", "weak_closure#2"])
+    assert rules["weak_closure#2"].antecedents[0] == \
+        rules["weak_closure#1"].consequent
+    assert str(rules["weak_closure#2"].consequent) == "P_a(u)"
+
+
+def test_later_round_k_truth():
+    # fcp's P_a K_b ~~p, normalized, brings K_b p in round 2
+    t = with_premise("AGENTS: a, b\nPREMISE axiom p: P_a r\n"
+                     "SCHEME owp off\nSCHEME k_truth on\n",
+                     Box(Implies(Know("b", Not(Not(Atom("p")))), Atom("r"))))
+    rules = later_rounds(t, ["fcp#1", "k_truth#1", "k_truth#2"])
+    know = rules["k_truth#2"].antecedents[0]
+    assert know == parse("K_b p") and unwritten(t, know)
+    assert rules["k_truth#2"].consequent == Atom("p")
+
+
+def test_later_round_conjunction_first_under_a_modal_operator():
+    # q & m is a premise of its own, under no modal operator, until fcp's
+    # P_a(~~q & m), normalized, puts it under P_a in round 2: then it joins
+    # the conjunctions, and fcp meets it with P_a q
+    t = with_premise("AGENTS: a\nPREMISE axiom c: q & m\n"
+                     "PREMISE axiom p: P_a r\nPREMISE axiom q: P_a q\n"
+                     "SCHEME owp off\n",
+                     Box(Implies(And(Not(Not(Atom("q"))), Atom("m")),
+                                 Atom("r"))))
+    rules = later_rounds(t, ["fcp#1", "fcp#2"])
+    assert str(rules["fcp#1"].consequent) == "P_a(q & m)"
+    assert str(rules["fcp#2"].antecedents[0]) == "P_a(q)"
+    assert rules["fcp#2"].consequent == rules["fcp#1"].consequent
+
+
+def closure_chains(n):
+    """n each of P_a(q_i), [](q_i -> r_i) and [](r_i -> u_i), weak_closure
+    alone on: grounding adds 2n rules in two rounds."""
+    return parse_theory("AGENTS: a\n" + "".join(
+        "PREMISE axiom p%d: P_a(q%d)\nPREMISE axiom b%d: [](q%d -> r%d)\n"
+        "PREMISE axiom c%d: [](r%d -> u%d)\n" % ((i,) * 8)
+        for i in range(n)) + "SCHEME fcp off\nSCHEME owp off\n"
+        "SCHEME weak_closure on\n")
+
+
+def test_grounding_joins_grow_with_the_pairs_that_match(monkeypatch):
+    # every pair grounding joins matches, and none is joined twice, so
+    # doubling the chains doubles the pairs; joining each permission with
+    # each box would quadruple them
+    join, counts = theory_module._join, []
+
+    def counting(outer, inner):
+        pairs = join(outer, inner)
+        counts[-1] += len(pairs)
+        return pairs
+
+    monkeypatch.setattr(theory_module, "_join", counting)
+    for n in (100, 200):
+        counts.append(0)
+        t = closure_chains(n)
+        assert len(instantiate_schemes(t).rules) == 2 * n
+    assert counts == [200, 400]
 
 
 def test_negative_max_depth_rejected():

@@ -19,6 +19,9 @@ The recipe:
     written Power_{a,b}, printing p(x,y), @r and parenthesized operands
     of a connective, an O_a s / O_a ~s clash, a self-directed POSITION,
     each loader error, the fcp box-right and weak_closure schemes,
+    grounding over several rounds (an fcp chain past the default cap and
+    within --max-depth 4, a weak_closure chain, k_truth over a nested K,
+    and an owp prohibition of a conjunction that fcp permits),
     extension rows that need mending (no member among arguments 0-7),
     stable and grounded, and --oracle on 21 arguments (exit code 3);
   - the seventh theory of tests/helpers.py's random_theory at seed 11,
@@ -66,7 +69,8 @@ _SCHEMES_OFF = "SCHEME fcp off\nSCHEME owp off\n"
 _ATOMS = ["PREMISE prem a%d: p%d\n" % (i, i) for i in range(21)]
 _NEGATIONS = ["PREMISE prem b%d: ~p%d\n" % (i, i) for i in range(8)]
 # (file, text, runs): the parser's and printer's rarer branches, each
-# loader error, two scheme branches, rows to mend and the oracle's cap
+# loader error, the scheme branches and their later rounds, rows to mend
+# and the oracle's cap
 CASES = (
     ("prefix-lacks-agent.naf", "AGENTS: a\nPREMISE prem p1: K_ p\n",
      [["check"]]),
@@ -92,6 +96,23 @@ CASES = (
     ("weak-closure.naf", "AGENTS: a\nPREMISE prem p1: P_a p\n"
      "PREMISE axiom b1: [](p -> q)\n" + _SCHEMES_OFF
      + "SCHEME weak_closure on\n", [["run", "--json"]]),
+    # multi-round grounding: fcp up four boxes, one rule a round, past the
+    # default cap (exit 2) and within --max-depth 4; weak_closure up two;
+    # k_truth over a nested K; and the owp prohibition of a conjunction
+    # that fcp permits, whose permission owp meets again in round 2 (and,
+    # in weak mode, whose consequent is an obligation new in round 2)
+    ("fcp-chain.naf", "AGENTS: a\nPREMISE axiom base: P_a(p0)\n" + "".join(
+        "PREMISE axiom b%d: [](p%d -> p%d)\n" % (i, i + 1, i)
+        for i in range(4)),
+     [["check"], ["run", "--json", "--max-depth", "4"]]),
+    ("weak-closure-chain.naf", "AGENTS: a\nPREMISE prem p1: P_a q\n"
+     "PREMISE axiom b1: [](q -> r)\nPREMISE axiom b2: [](r -> u)\n"
+     + _SCHEMES_OFF + "SCHEME weak_closure on\n", [["run", "--json"]]),
+    ("k-truth-nested.naf", "AGENTS: a, b\nPREMISE prem k1: K_a K_b p\n"
+     + _SCHEMES_OFF + "SCHEME k_truth on\n", [["run", "--json"]]),
+    ("owp-prohibition.naf", "AGENTS: a\nPREMISE prem p1: P_a q\n"
+     "PREMISE axiom o1: O_a ~r\nPREMISE prem d1: <>(q & r)\n",
+     [["run", "--json"], ["run", "--json", "--weak-mode"]]),
     # the extension of all eight negations, and the empty grounded one,
     # have no member among arguments 0-7
     ("negations.naf", "AGENTS: a\n" + "".join(_ATOMS[:8] + _NEGATIONS)
