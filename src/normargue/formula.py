@@ -27,7 +27,7 @@ are likewise taken as modal prefixes. One parser reads all formula text:
 parse a formula, parse_contrary the two formulas of a CONTRARY body
 f ~ g. The lexer hands it plain (kind, text, pos) tuples: a fixed symbol
 (->, [], <>, the parentheses, brackets, braces, comma, ~, & and |) is
-of the kind that is its own text, an identifier of kind "ident" and a
+of the kind that is its own text, an identifier of kind "identifier" and a
 rule atom of kind "ruleref". The list ends in a sentinel (None, None,
 end), so the parser reads the next token without a bounds test; only an
 expected formula and the expected end of input ask for the end. The
@@ -235,7 +235,7 @@ MAX_NESTING = 100
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<ruleref>@[A-Za-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<symbol>->|\[\]|<>|[()\[\]{},~&|])
       | (?P<bad>.)
     """,
@@ -250,7 +250,7 @@ _IDENT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*")
 def _lex(text: str, start: int, end: int) -> list[tuple]:
     """The (kind, text, pos) tokens of text[start:end], whitespace left
     out, then the sentinel (None, None, end). A fixed symbol's kind is the
-    symbol itself; the others are "ruleref" and "ident"."""
+    symbol itself; the others are "ruleref" and "identifier"."""
     tokens = []
     for m in _TOKEN_RE.finditer(text, start, end):
         kind, tok_text, i = m.lastgroup, m.group(), m.start()
@@ -340,7 +340,7 @@ class _Parser:
         """An atom, a parenthesized formula, or a prefix operator with its
         agents and body."""
         kind, t, at = self.tokens[self.pos]
-        if kind not in ("ident", "~", "(", "[]", "<>", "[", "ruleref"):
+        if kind not in ("identifier", "~", "(", "[]", "<>", "[", "ruleref"):
             self.error({"formula"} if kind is None else
                        {"~", "(", "[]", "<>", "[", "@", "identifier"})
         self.pos += 1
@@ -351,7 +351,7 @@ class _Parser:
             self.take(")")
             return f, reach
         if kind == "[":  # STIT prefix [a]
-            node, agents = Stit, (self.take("ident"),)
+            node, agents = Stit, (self.take("identifier"),)
             self.take("]")
         else:  # ~, [] and <> are heads too
             head = _modal_head(t)
@@ -367,9 +367,9 @@ class _Parser:
                     raise UnknownOperator(
                         "offset %d: %r requires a braced agent list" % (at, t))
                 self.pos += 1
-                first = self.take("ident")
+                first = self.take("identifier")
                 self.take(",")
-                agents = first, self.take("ident")
+                agents = first, self.take("identifier")
                 self.take("}")
             elif slots == 2 and node not in _BARE:
                 raise UnknownOperator(
@@ -386,10 +386,10 @@ class _Parser:
             # lookahead: an argument list is idents only; anything else is a
             # parse error because plain atoms take no formula arguments
             self.pos += 1
-            names = [self.take("ident")]
+            names = [self.take("identifier")]
             while self.tokens[self.pos][0] == ",":
                 self.pos += 1
-                names.append(self.take("ident"))
+                names.append(self.take("identifier"))
             self.take(")")
             args = tuple(names)
         return Atom(name, args)

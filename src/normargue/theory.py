@@ -6,9 +6,10 @@ The loader validates the file, normalizes each formula as its line is
 read, and translates declared normative positions into premises.
 instantiate_schemes grounds the deontic rule schemes against the
 subformulas already in play, as a semi-naive fixpoint: the pool of
-subformulas grows by the rules each round adds, indexed by what each
-scheme matches on, and a round joins only the pairs with a side new
-since the round before.
+subformulas grows by one walk over the rules each round adds, which files
+each formula by what each scheme matches on and notes whether it has been
+seen under a modal operator, and a round joins only the pairs with a side
+new since the round before.
 
 DSL, one directive per line (a line ends at \n, \r\n or \r), `#` (at start
 of line or after whitespace) starts a comment:
@@ -367,15 +368,14 @@ def _conjuncts(f: And) -> tuple[Formula, ...]:
 class _Side:
     """One side of a scheme join: its formulas ranked in the order the join
     visits them and filed under their keys, and those added since the side
-    was last aged, with their keys."""
+    was last aged, with their keys: they rank last."""
 
-    __slots__ = ("index", "rank", "new", "start")
+    __slots__ = ("index", "rank", "new")
 
     def __init__(self):
         self.index: dict[object, list[Formula]] = {}
         self.rank: dict[Formula, int] = {}
         self.new: list[tuple[Formula, tuple]] = []
-        self.start = 0  # the rank of the first new formula
 
     def add(self, f: Formula, keys: tuple) -> None:
         self.rank[f] = len(self.rank)
@@ -384,7 +384,6 @@ class _Side:
         self.new.append((f, keys))
 
     def age(self) -> None:
-        self.start = len(self.rank)
         self.new = []
 
 
@@ -394,7 +393,8 @@ def _join(outer: _Side, inner: _Side) -> list[tuple[Formula, Formula]]:
     of o's rank and then of i's: the pairs of an old o, sorted, and then
     those of each new o in turn, read off inner's index in rank order. No
     two pairs share both ranks, so the sort never compares formulas."""
-    orank, start = outer.rank, outer.start
+    orank = outer.rank
+    start = len(orank) - len(outer.new)  # the rank of the first new o
     old = []
     if start:
         irank = inner.rank
@@ -427,13 +427,14 @@ def instantiate_schemes(theory: Theory) -> Theory:
     rule, still raise DanglingRuleAtom.
 
     Grounding is a semi-naive fixpoint. The pool, every subformula of the
-    premises and rules, grows by walking only the rules the last round
-    added, never below a formula already in it, and each formula is filed,
-    as it enters, on the sides of the joins it can take part in (see
-    _Side). A conjunction is filed when it is first seen under a modal
-    operator: the body of each new modal formula is walked down to the
-    formulas seen under one before, which may be in the pool already.
-    Each scheme joins only the pairs with a side new since the last round,
+    premises and rules, grows by one walk over the rules the last round
+    added, and each formula is filed, as it enters, on the sides of the
+    joins it can take part in (see _Side). The pool also notes whether
+    each formula has been seen under a modal operator, a prefix other
+    than ~, and the walk goes below a formula already in it only the
+    first time it sees it under one: that is when a conjunction is filed
+    on the conjunctions, in the pre-order of its first such sight. Each
+    scheme joins only the pairs with a side new since the last round,
     in the order of the nested loop over the pool that would join them
     all, so that ids and rules are that loop's: a pair joined before adds
     nothing again. With no permission, unary obligation of a negated body
@@ -458,8 +459,9 @@ def instantiate_schemes(theory: Theory) -> Theory:
         new.append(Rule(rid, tuple(antecedents), printable(
             consequent, "the consequent of " + rid), kind))
 
-    pool: set[Formula] = set()
-    modal: set[Formula] = set()  # the formulas seen under a modal operator
+    # each formula in the pool, and whether it has been seen under a prefix
+    # operator other than ~ (a modal operator)
+    pool: dict[Formula, bool] = {}
     # permissions by body and by bearer, boxed implications by each side,
     # unary obligations of a negated body by bearer and by what they
     # forbid, conjunctions seen under a modal operator and ~[]~ over a
@@ -470,28 +472,30 @@ def instantiate_schemes(theory: Theory) -> Theory:
 
     def walk(tops: list[Formula]) -> None:
         """Add the subformulas of tops that are not yet in the pool, in
-        pre-order, after aging every side."""
+        pre-order, after aging every side. A formula is filed on its sides
+        when it enters the pool, and walked again the first time it is seen
+        under a modal operator, when a conjunction is filed on ands."""
         for side in sides:
             side.age()
         knows.clear()
-        todo = tops[::-1]
+        todo = [(f, False) for f in reversed(tops)]
         while todo:
-            x = todo.pop()
-            if x in pool:
+            x, modal = todo.pop()
+            seen = pool.get(x)
+            if seen is not None and (seen or not modal):
                 continue
-            pool.add(x)
+            pool[x] = modal
             t = type(x)
             if t in _PREFIX_TYPES:
-                todo.append(x.f)
+                todo.append((x.f, modal or t is not Not))
+                if seen is not None:
+                    continue
                 if t is Not:
                     b = x.f
                     if (type(b) is Box and type(b.f) is Not
                             and type(b.f.f) is And):
                         diamonds.add(x, _conjuncts(b.f.f))
-                    continue
-                if x.f not in modal:
-                    mark(x.f)
-                if t is Perm:
+                elif t is Perm:
                     perms.add(x, (x.f,))
                     perm_agents.add(x, (x.agent,))
                 elif t is Box:
@@ -505,23 +509,8 @@ def instantiate_schemes(theory: Theory) -> Theory:
                 elif t is Know:
                     knows.append(x)
             elif t in _BINARY_TYPES:
-                todo += (x.right, x.left)
-
-    def mark(f: Formula) -> None:
-        """Mark f and its subformulas as seen under a modal operator, and
-        file each conjunction among them on first sight."""
-        todo = [f]
-        while todo:
-            x = todo.pop()
-            if x in modal:
-                continue
-            modal.add(x)
-            t = type(x)
-            if t in _PREFIX_TYPES:
-                todo.append(x.f)
-            elif t in _BINARY_TYPES:
-                todo += (x.right, x.left)
-                if t is And:
+                todo += ((x.right, modal), (x.left, modal))
+                if modal and t is And:
                     ands.add(x, _conjuncts(x))
 
     def joined() -> list[Rule]:

@@ -28,7 +28,7 @@ _TOKEN_RE = re.compile(
       | (?P<box>\[\])
       | (?P<diamond><>)
       | (?P<ruleref>@[A-Za-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[()\[\]{},~&|])
       | (?P<bad>.)
     """,
@@ -141,11 +141,11 @@ class _Parser:
         """Read the prefix operator at tok with its agents and return the
         node constructor taking its body; None after reading an atom name."""
         kind, t = tok.kind, tok.text
-        if kind not in ("~", "box", "diamond", "[", "ident"):
+        if kind not in ("~", "box", "diamond", "[", "identifier"):
             self.error({"~", "(", "[]", "<>", "[", "@", "identifier"})
         self.pos += 1
         if kind == "[":  # STIT prefix [a]
-            agent = self.take("ident").text
+            agent = self.take("identifier").text
             self.take("]")
             return partial(Stit, agent)
         head, sep, agent = t.partition("_")
@@ -170,9 +170,9 @@ class _Parser:
             raise UnknownOperator(
                 "offset %d: %r requires a braced agent list" % (tok.pos, tok.text))
         self.pos += 1
-        first = self.take("ident").text
+        first = self.take("identifier").text
         self.take(",")
-        second = self.take("ident").text
+        second = self.take("identifier").text
         self.take("}")
         return first, second
 
@@ -182,10 +182,10 @@ class _Parser:
             # lookahead: an argument list is idents only; anything else is a
             # parse error because plain atoms take no formula arguments
             self.pos += 1
-            names = [self.take("ident").text]
+            names = [self.take("identifier").text]
             while self.peek() and self.peek().kind == ",":
                 self.pos += 1
-                names.append(self.take("ident").text)
+                names.append(self.take("identifier").text)
             self.take(")")
             args = tuple(names)
         return Atom(name, args)

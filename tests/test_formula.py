@@ -113,7 +113,7 @@ def test_head_grammar():
         "O_{a,b,c} p": (SyntaxError,
                         "offset 6: expected one of {}}, found ','"),
         "O_{a,} p": (SyntaxError,
-                     "offset 5: expected one of {ident}, found '}'"),
+                     "offset 5: expected one of {identifier}, found '}'"),
         "O_{a} p": (SyntaxError, "offset 4: expected one of {,}, found '}'"),
         "[a p": (SyntaxError, "offset 3: expected one of {]}, found 'p'"),
         "K p": (SyntaxError,

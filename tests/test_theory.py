@@ -662,11 +662,14 @@ def unwritten(theory, f):
 
 
 def with_premise(text, f):
-    """The theory of text with one more premise, f, left as it is: a loaded
-    theory is in normal form, and then no scheme consequent holds a formula
-    that is new below its top node, so a Know, a ~[]~ conjunction or a
-    conjunction under a modal operator can enter the pool after round 1
-    only as the normal form of what a theory built in code left unnormal."""
+    """The theory of text with one more premise, f, left as it is. A scheme
+    consequent can hold a formula new below its top node: owp's box holds
+    a new implication, its prohibition a new permission. But in no loaded
+    theory, which is in normal form, of these tests or the output gate
+    does a Know, a ~[]~ conjunction or a conjunction newly under a modal
+    operator enter the pool after round 1. The tests below that need one
+    there leave f unnormal, so that a consequent made from it normalizes
+    to one."""
     t = parse_theory(text)
     return t._replace(premises=t.premises + (
         Premise("x", f, Strength.AXIOM),))

@@ -21,7 +21,8 @@ The recipe:
     each loader error, the fcp box-right and weak_closure schemes,
     grounding over several rounds (an fcp chain past the default cap and
     within --max-depth 4, a weak_closure chain, k_truth over a nested K,
-    and an owp prohibition of a conjunction that fcp permits),
+    an owp prohibition of a conjunction that fcp permits, and an owp box
+    that meets an old and a new permission under one key),
     extension rows that need mending (no member among arguments 0-7),
     stable and grounded, and --oracle on 21 arguments (exit code 3);
   - the seventh theory of tests/helpers.py's random_theory at seed 11,
@@ -113,6 +114,13 @@ CASES = (
     ("owp-prohibition.naf", "AGENTS: a\nPREMISE prem p1: P_a q\n"
      "PREMISE axiom o1: O_a ~r\nPREMISE prem d1: <>(q & r)\n",
      [["run", "--json"], ["run", "--json", "--weak-mode"]]),
+    # owp's box [](q -> ~s) of round 1 meets, in round 2, an old and a new
+    # permission of ~s under one key, so the join of old permissions stops
+    # at the first new one
+    ("fcp-old-and-new-perms.naf", "AGENTS: a, c, d\n"
+     "PREMISE axiom c1: P_c ~s\nPREMISE axiom p: P_d y\n"
+     "PREMISE axiom b: [](~s -> y)\nPREMISE axiom pa: P_a q\n"
+     "PREMISE axiom o: O_a ~s\n", [["run", "--json"]]),
     # the extension of all eight negations, and the empty grounded one,
     # have no member among arguments 0-7
     ("negations.naf", "AGENTS: a\n" + "".join(_ATOMS[:8] + _NEGATIONS)
