@@ -232,19 +232,23 @@ MAX_NESTING = 100
 
 # ---------------------------------------------------------------- lexing
 
+# an ASCII name: an identifier in a formula, and an id, an agent name or a
+# POSITION party in a theory
+_ASCII_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<ruleref>@[A-Za-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)
-      | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ruleref>@%s(?:\#[0-9]+)?)
+      | (?P<identifier>%s)
       | (?P<symbol>->|\[\]|<>|[()\[\]{},~&|])
       | (?P<bad>.)
-    """,
+    """ % (_ASCII_NAME, _ASCII_NAME),
     re.VERBOSE,
 )
 
 
 # one identifier, with whitespace around it: a bare atom, unless a head
-_IDENT_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*")
+_IDENT_RE = re.compile(r"\s*(%s)\s*" % _ASCII_NAME)
 
 
 def _lex(text: str, start: int, end: int) -> list[tuple]:

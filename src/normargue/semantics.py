@@ -50,7 +50,8 @@ victims. The product is built in that order with no sort over it: the
 components fall into blocks of non-overlapping spans of first differing
 arguments, and a nested loop over the blocks in order is exact (see
 stable_extensions). Only a block of components whose spans overlap, rare
-in practice, sorts its own product on keyed ints (see _keyed).
+in practice, sorts its own product, keyed on each mask's bits read from
+argument 0 up.
 grounded_extension counts each argument's attackers not yet rejected and
 accepts it when the count reaches zero, in O(n + E). members lists the ids
 of a mask, for the readers that need them.
@@ -303,19 +304,6 @@ def _stable_labellings(part: list[int], attackers, victims,
             return found
 
 
-def _keyed(mask: int, n: int) -> int:
-    """A mask over n arguments with its bits reversed put above bit n.
-    Keyed masks of distinct stable extensions, sorted descending, are in
-    the order of the extensions' ascending member lists. Exact because
-    distinct stable extensions are incomparable under inclusion: neither
-    member list is a prefix of the other, so the lists first differ at the
-    least argument that only one of them holds, and the list holding it
-    sorts first; reversed, that argument is the highest bit in which the
-    two differ. Keys of disjoint masks OR into the key of their union.
-    Only a merged block of stable_extensions is sorted on these keys."""
-    return int(format(mask, "0%db" % n)[::-1], 2) << n | mask
-
-
 def stable_extensions(af: ArgumentationFramework) -> list[int]:
     """All stable extensions as member masks, ordered as their ascending
     member lists sort. Exact: stable semantics factors over weakly
@@ -326,15 +314,15 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
     of them first differ at an argument between lo and hi, the least and
     the greatest lowest bit of the xor of neighbours in the list. Taken in
     order of lo, components whose [lo, hi] spans overlap merge into one
-    block, whose product is sorted on keys (see _keyed); blocks do not
+    block, whose product is sorted on its masks' bits read from argument
+    0 up, descending, as brute_force_stable sorts on members; blocks do not
     overlap, so two extensions first differ in the first block where they
     differ, and the nested product of the blocks in that order is in order
     with no sort. It is built as the outer blocks' product times the inner
     blocks', each about the square root of the count long, so that the
     last loop alone runs once per extension."""
     attackers, victims = af._graph
-    n = af.n_args
-    label = [_UNDET] * n
+    label = [_UNDET] * af.n_args
     always = 0  # members of every extension
     spans = []  # (lo, hi, labellings) of each component with two or more
     for part in _components(attackers, victims):
@@ -349,13 +337,21 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
             continue
         firsts = [(a ^ b) & -(a ^ b) for a, b in zip(found, found[1:])]
         spans.append((min(firsts), max(firsts), found))
-    everyone = (1 << n) - 1
     lists, top = [], 0  # the labellings of each block; the greatest hi
-    for lo, hi, found in sorted(spans, key=operator.itemgetter(0)):
-        if lo < top:  # spans overlap: sort the block's product on keys
-            picks = [_keyed(m, n) for m in found]
-            keyed = [_keyed(e, n) | m for e in lists[-1] for m in picks]
-            lists[-1] = [e & everyone for e in sorted(keyed, reverse=True)]
+    # each lo is the bit of an argument of its own component, so no two are
+    # equal and the sort never compares labellings
+    for lo, hi, found in sorted(spans):
+        if lo < top:
+            # spans overlap: sort the block's product, descending, on each
+            # mask's bits from argument 0 up to its highest member. Exact
+            # because distinct stable extensions are incomparable under
+            # inclusion: the least argument that only one of them holds is
+            # below the highest member of the other, so the two keys first
+            # differ there, and the one holding it, whose member list sorts
+            # first, has the greater key
+            lists[-1] = sorted([e | m for e in lists[-1] for m in found],
+                               key=lambda m: format(m, "b")[::-1],
+                               reverse=True)
         else:
             lists.append(found)
         top = max(top, hi)

@@ -38,9 +38,9 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .formula import (_BINARY_TYPES, _PREFIX_TYPES, And, Box, Formula,
-                      Implies, Know, Not, Oblig, Perm, _immutable, names_in,
-                      normalize, parse, parse_contrary, printable)
+from .formula import (_ASCII_NAME, _BINARY_TYPES, _PREFIX_TYPES, And, Box,
+                      Formula, Implies, Know, Not, Oblig, Perm, _immutable,
+                      names_in, normalize, parse, parse_contrary, printable)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -127,7 +127,7 @@ class Theory(_TheoryFields):
 
 
 # an id, an agent name or a POSITION party: ASCII, as in formulas
-_NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+_NAME = "(%s)" % _ASCII_NAME
 _NAME_RE = re.compile(_NAME)
 _TOGGLES = "|".join(Schemes._fields)
 # each directive's syntax from the end of its head to the end of the line,
@@ -366,9 +366,9 @@ def _conjuncts(f: And) -> tuple[Formula, ...]:
 
 
 class _Side:
-    """One side of a scheme join: its formulas ranked in the order the join
-    visits them and filed under their keys, and those added since the side
-    was last aged, with their keys: they rank last."""
+    """One input of a scheme: its formulas ranked in the order the scheme
+    visits them and filed under their keys, and those the last walk
+    added, with their keys: they rank last."""
 
     __slots__ = ("index", "rank", "new")
 
@@ -383,30 +383,24 @@ class _Side:
             self.index.setdefault(key, []).append(f)
         self.new.append((f, keys))
 
-    def age(self) -> None:
-        self.new = []
-
 
 def _join(outer: _Side, inner: _Side) -> list[tuple[Formula, Formula]]:
     """The pairs (o, i) of an o of outer, filed under one key, and an i of
     inner filed under that key, of which at least one is new, in the order
     of o's rank and then of i's: the pairs of an old o, sorted, and then
-    those of each new o in turn, read off inner's index in rank order. No
-    two pairs share both ranks, so the sort never compares formulas."""
+    those of each new o in turn, read off inner's index in rank order."""
     orank = outer.rank
     start = len(orank) - len(outer.new)  # the rank of the first new o
-    old = []
+    pairs = []
     if start:
         irank = inner.rank
         for i, keys in inner.new:
-            r = irank[i]
             for key in keys:
                 for o in outer.index.get(key, ()):
                     if orank[o] >= start:
                         break
-                    old.append((orank[o], r, o, i))
-        old.sort()
-    pairs = [(o, i) for _, _, o, i in old]
+                    pairs.append((o, i))
+        pairs.sort(key=lambda pair: (orank[pair[0]], irank[pair[1]]))
     for o, (key,) in outer.new:
         pairs += [(o, i) for i in inner.index.get(key, ())]
     return pairs
@@ -465,19 +459,18 @@ def instantiate_schemes(theory: Theory) -> Theory:
     # permissions by body and by bearer, boxed implications by each side,
     # unary obligations of a negated body by bearer and by what they
     # forbid, conjunctions seen under a modal operator and ~[]~ over a
-    # conjunction by their conjuncts
-    sides = (perms, perm_agents, boxes_right, boxes_left, obligs,
-             forbidden, ands, diamonds) = tuple(_Side() for _ in range(8))
-    knows: list[Formula] = []
+    # conjunction by their conjuncts, and knowledge under no key
+    sides = (perms, perm_agents, boxes_right, boxes_left, obligs, forbidden,
+             ands, diamonds, knows) = tuple(_Side() for _ in range(9))
 
     def walk(tops: list[Formula]) -> None:
         """Add the subformulas of tops that are not yet in the pool, in
-        pre-order, after aging every side. A formula is filed on its sides
-        when it enters the pool, and walked again the first time it is seen
-        under a modal operator, when a conjunction is filed on ands."""
+        pre-order, after emptying every side's new. A formula is filed on
+        its sides when it enters the pool, and walked again the first time
+        it is seen under a modal operator, when a conjunction is filed on
+        ands."""
         for side in sides:
-            side.age()
-        knows.clear()
+            side.new = []
         todo = [(f, False) for f in reversed(tops)]
         while todo:
             x, modal = todo.pop()
@@ -507,7 +500,7 @@ def instantiate_schemes(theory: Theory) -> Theory:
                         obligs.add(x, (x.agent,))
                         forbidden.add(x, (x.f.f,))
                 elif t is Know:
-                    knows.append(x)
+                    knows.add(x, ())
             elif t in _BINARY_TYPES:
                 todo += ((x.right, modal), (x.left, modal))
                 if modal and t is And:
@@ -538,12 +531,12 @@ def instantiate_schemes(theory: Theory) -> Theory:
                 add("weak_closure", RuleKind.DEFEASIBLE, [p, b],
                     Perm(p.agent, b.f.right))
         if s.k_truth:
-            for k in knows:
+            for k, _ in knows.new:
                 add("k_truth", RuleKind.STRICT, [k], k.f)
         return new
 
     walk([p.formula for p in theory.premises] + _tops(rules))
-    if perms.rank or obligs.rank or knows:
+    if perms.rank or obligs.rank or knows.rank:
         for _ in range(theory.max_depth):
             if not joined():
                 break

@@ -554,6 +554,22 @@ def test_exit_3_on_oracle_too_large(capsys, tmp_path):
     assert code == 0
 
 
+def test_exit_1_on_oracle_mismatch(capsys, monkeypatch, tmp_path):
+    # two defeasible rules rebut each other: two stable extensions. A
+    # solver that finds only the first still passes the stable check, so
+    # the oracle is what catches it
+    f = tmp_path / "rebuttal.naf"
+    f.write_text("AGENTS: a\nPREMISE axiom s1: s\n"
+                 "RULE defeasible u: s |~ p\nRULE defeasible v: s |~ ~p\n"
+                 "SCHEME fcp off\nSCHEME owp off\n")
+    assert run_cli(capsys, "run", str(f), "--oracle")[0] == 0
+    solve = cli.stable_extensions
+    monkeypatch.setattr(cli, "stable_extensions", lambda af: solve(af)[:1])
+    assert run_cli(capsys, "run", str(f), "--oracle") == (
+        1, "", "oracle mismatch: solver found 1 extensions, "
+        "brute force found 2\n")
+
+
 def test_undercut_gated_flag(capsys):
     # every attack is a defeat, so no flag gates undercuts
     with pytest.raises(SystemExit) as exit_:

@@ -485,6 +485,30 @@ def test_solver_on_gadget_unions_whose_spans_interleave():
     assert merged >= 1000, merged
 
 
+def straddle_af(k, pad=0):
+    """A four-labelling part, 0<->1 and L<->L+1 with c = L+2 attacked by 1
+    and L+1, whose span from 0 to L straddles k mutual pairs at 2..2k+1
+    and pad isolated arguments after them, L = 2k+2+pad. Returns the
+    framework, with 4 * 2**k extensions in one merged block, and its
+    parts as lists of ids."""
+    far, pairs = 2 * k + 2 + pad, range(2, 2 * k + 2, 2)
+    edges = [(0, 1), (1, 0), (far, far + 1), (far + 1, far), (1, far + 2),
+             (far + 1, far + 2)]
+    edges += [(i, i + 1) for i in pairs] + [(i + 1, i) for i in pairs]
+    groups = [[0, 1, far, far + 1, far + 2]] + [[i, i + 1] for i in pairs]
+    return af_of(*edges, n=far + 3), groups
+
+
+def test_solver_on_a_merged_block_wider_than_a_machine_word():
+    # 85 arguments, so the merged block sorts masks that run past bit 64
+    af, groups = straddle_af(5, pad=70)
+    assert af.n_args == 85
+    got = stable_extensions(af)
+    assert len(got) == 128
+    assert list(map(members, got)) == reference_stable(af)
+    assert spans_overlap(got, groups)
+
+
 def test_members_and_masks():
     assert members(0) == []
     assert members(0b1011) == [0, 1, 3]
