@@ -24,6 +24,11 @@ stable extensions only), 3 framework too large for the brute-force
 oracle. All output is deterministic; ANSI color is used only on a
 terminal and can be switched off with NORMARGUE_COLOR=0.
 
+Defeats are sorted once, by semantics.defeat_sort_key in _pipeline, and
+every report lists them in that order: the run report, text and JSON,
+and export, DOT and JSON. The framework keeps the frozenset that
+compute_defeats returns.
+
 Extensions travel as member masks (bit i set for argument i, see
 semantics) from the solver to the report. Each --query is parsed and
 print-checked right after the theory loads, so that a bad query fails
@@ -89,10 +94,12 @@ def _load(ns) -> Theory:
 
 
 def _pipeline(theory: Theory):
+    """Build the arguments and the framework of a grounded theory, and
+    sort its defeats by defeat_sort_key: the one order every report lists
+    them in. Returns (arguments, sorted defeats, framework, truncated)."""
     args, truncated = construct_arguments(theory)
-    defeats = compute_defeats(args, theory)
-    af = ArgumentationFramework(len(args), frozenset(defeats))
-    return args, defeats, af, truncated
+    af = ArgumentationFramework(len(args), compute_defeats(args, theory))
+    return args, sorted(af.defeats, key=defeat_sort_key), af, truncated
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -254,7 +261,6 @@ def cmd_run(ns) -> int:
     del table  # the rows read the columns alone: free held before them
 
     texts = [str(a.conclusion) for a in args]
-    sorted_defeats = sorted(defeats, key=defeat_sort_key)
     if ns.json:
         rows = _extension_rows(columns, len(extensions))
         del columns, extensions  # free what the rows were made from,
@@ -268,7 +274,7 @@ def cmd_run(ns) -> int:
                 len(theory.premises), len(theory.rules),
                 len(theory.contraries)),
             "arguments": _array(_argument_rows(args, texts)),
-            "defeats": _array(_defeat_rows(sorted_defeats)),
+            "defeats": _array(_defeat_rows(defeats)),
             "extensions": rows,
             "queries": _array([_QUERY_ROW % (
                 _encode(text), _BOOL[credulous], _BOOL[skeptical])
@@ -293,8 +299,8 @@ def cmd_run(ns) -> int:
         via = "" if a.top_rule is None else " via %s" % a.top_rule
         lines.append("  %d%s: %s [%s, %s]%s" % (a.id, star, text, kind,
                                                 firmness, via))
-    lines.append(_paint("defeats (%d):" % len(sorted_defeats), "1"))
-    lines += ["  %s" % (d,) for d in sorted_defeats]
+    lines.append(_paint("defeats (%d):" % len(defeats), "1"))
+    lines += ["  %s" % (d,) for d in defeats]
     if ns.semantics == "grounded":
         lines.append(_paint("grounded extension:", "1"))
         lines += ["  %d: %s" % (i, texts[i]) for i in members(extensions[0])]
@@ -316,12 +322,15 @@ def cmd_run(ns) -> int:
 
 
 def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
+    """The DOT graph of the arguments, labelled with their conclusions'
+    texts, and of the defeats (a list of Defeat), one edge each in the
+    order given."""
     lines = ["digraph arguments {", "  rankdir=LR;"]
     for a, text in zip(args, texts):
         star = "*" if a.top_rule is None else ""
         label = ("%d%s: %s" % (a.id, star, text)).replace('"', '\\"')
         lines.append('  n%d [label="%s"];' % (a.id, label))
-    for d in sorted(defeats, key=defeat_sort_key):
+    for d in defeats:
         lines.append("  n%d -> n%d [style=%s];"
                      % (d.attacker, d.target, _EDGE_STYLE[d.kind]))
     lines.append("}")
@@ -334,8 +343,7 @@ def cmd_export(ns) -> int:
         sys.stdout.writelines([*_report_parts({
             "schema": "1",
             "n_args": "%d" % af.n_args,
-            "defeats": _array(_defeat_rows(
-                sorted(defeats, key=defeat_sort_key))),
+            "defeats": _array(_defeat_rows(defeats)),
         }), "\n"])
     else:
         sys.stdout.write(render_dot(

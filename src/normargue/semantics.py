@@ -150,7 +150,8 @@ def defeat_sort_key(d: Defeat):
     return (d.attacker, d.target, d.kind.value, str(d.locus))
 
 
-def compute_defeats(args: list[Argument], theory: Theory) -> set[Defeat]:
+def compute_defeats(args: list[Argument],
+                    theory: Theory) -> frozenset[Defeat]:
     weak = theory.weak_mode
     rules = {r.id: r for r in theory.rules}
     loci = []  # (kind, locus, formula, locus sub-argument id)
@@ -198,8 +199,8 @@ def compute_defeats(args: list[Argument], theory: Theory) -> set[Defeat]:
             if d and d is not c:
                 c = c | d if c else d
         below.append(c | {b.id} if own else c)
-    return {Defeat(a, b, kind, locus) for b, loci in enumerate(below)
-            for s in loci for a, kind, locus in local[s]}
+    return frozenset(Defeat(a, b, kind, locus) for b, loci in enumerate(below)
+                     for s in loci for a, kind, locus in local[s])
 
 
 # ------------------------------------------------------------ extensions

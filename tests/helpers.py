@@ -3,8 +3,8 @@ its fields, a seeded random formula generator and conflict-biased formula
 pairs, random theories built from them, chains of rules whose links share
 sub-arguments, a long chain with one rebut, undermine and undercut each,
 deeply nested formula texts, random frameworks and their disjoint unions
-for solver fuzzing, grounded semantics from its definition, and a
-one-call pipeline runner."""
+for solver fuzzing, grounded semantics from its definition, the golden
+theory table, and a one-call pipeline runner."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +21,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOCTOR = FIXTURES / "doctor.naf"
 ABORTION = FIXTURES / "abortion.naf"
 KNIFE = FIXTURES / "knife.naf"
+THEORIES = Path(__file__).resolve().parent / "theories"
 
 ATOMS = ("p", "q", "r", "s")
 AGENTS = ("a", "b")
@@ -278,12 +279,20 @@ def theory_text(theory):
     return "\n".join(lines) + "\n"
 
 
+def theory_queries() -> dict[str, tuple[str, ...]]:
+    """The golden theory table, THEORIES / "queries.txt": the queries that
+    each theory's golden reports in tests/golden answer, by name, in the
+    table's order."""
+    lines = (THEORIES / "queries.txt").read_text("utf-8").splitlines()
+    return {name: tuple(queries) for name, *queries in map(str.split, lines)}
+
+
 def run_pipeline(theory):
     """Ground, build, defeat and solve a theory from load_theory or
     parse_theory."""
     theory = instantiate_schemes(theory)
-    args, defeats, af, truncated = _pipeline(theory)
-    return SimpleNamespace(theory=theory, args=args, defeats=defeats, af=af,
+    args, _, af, truncated = _pipeline(theory)
+    return SimpleNamespace(theory=theory, args=args, defeats=af.defeats, af=af,
                            extensions=stable_extensions(af),
                            truncated=truncated)
 

@@ -19,11 +19,10 @@ from normargue.formula import MAX_NESTING
 from normargue.semantics import byte_columns
 
 import reference_report
-from helpers import (ABORTION, DOCTOR, KNIFE, deep_shapes, random_theory,
-                     run_pipeline)
+from helpers import (ABORTION, DOCTOR, KNIFE, THEORIES, deep_shapes,
+                     random_theory, run_pipeline, theory_queries)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-THEORIES = Path(__file__).resolve().parent / "theories"
 
 
 def run_cli(capsys, *argv):
@@ -618,24 +617,16 @@ def test_run_json_matches_golden_output(capsys):
                 assert out == (GOLDEN / (name + ".json")).read_text(), name
 
 
-# query flags of the multi-extension theories in tests/theories
-THEORY_QUERIES = {
-    "interleaved": ("p0", "t2"),
-    "three_way": ("x", "e2", "s"),
-    "many": ("p0", "t3", "x1"),
-    "wide": ("q", "f", "z40"),
-    "empty": ("p",),
-    "none": ("m",),
-    "straddle": ("w", "m", "s"),
-}
-
-
 def test_multi_extension_theories_match_golden_output(capsys):
     # run --json and the text report with queries on theories whose
     # components interleave or straddle one another, have three
     # labellings, give 288 extensions or none, or hold 71 arguments or
-    # none, byte for byte as tests/golden holds them
-    for name, queries in THEORY_QUERIES.items():
+    # none, byte for byte as tests/golden holds them; the golden table
+    # has one line for each theory
+    table = theory_queries()
+    assert sorted(table) == sorted(
+        path.stem for path in THEORIES.glob("*.naf"))
+    for name, queries in table.items():
         flags = [x for q in queries for x in ("--query", q)]
         for json_flag, suffix in ((("--json",), ".json"), ((), ".txt")):
             code, out, err = run_cli(capsys, "run",
@@ -652,7 +643,7 @@ def test_output_does_not_depend_on_the_hash_seed():
     # seeds prints what tests/golden holds
     src = str(Path(cli.__file__).resolve().parents[1])
     runs = [(path, ()) for path in (DOCTOR, ABORTION, KNIFE)] + [
-        (THEORIES / (name + ".naf"), THEORY_QUERIES[name])
+        (THEORIES / (name + ".naf"), theory_queries()[name])
         for name in ("many", "wide")]
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)

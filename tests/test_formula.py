@@ -534,8 +534,18 @@ def test_contrary_dual_collision():
     assert contrary(f, g)
     assert contrary(g, f)
     assert not contrary(f, parse("[](K_c(customer) -> ~handle)"))
-    # plain propositional dual
-    assert contrary(parse("[](p -> q)"), parse("<>(p & ~q)"))
+    # duals under [], K and O: the dual collision compares implication-free
+    # forms, but the obligation clash compares normal-form bodies, where an
+    # implication stays, so two obligations of one bearer clash only when
+    # one body negates the other as normalized
+    for f, g, clash in (("[](p -> q)", "<>(p & ~q)", True),
+                        ("K_a(p -> q)", "~K_a ~(p & ~q)", True),
+                        ("O_a(p -> q)", "O_a ~(p -> q)", True),
+                        ("O_a(p -> q)", "O_a(p & ~q)", False),
+                        ("O_a [](p -> q)", "O_a <>(p & ~q)", False)):
+        f, g = parse(f), parse(g)
+        assert contrary(f, g) == contrary(g, f) == clash, (f, g)
+        assert ref.contrary(f, g) == ref.contrary(g, f) == clash, (f, g)
 
 
 def test_contrary_declared_pairs():

@@ -187,3 +187,18 @@ def test_gate_writes_every_run_and_reports_escapes(monkeypatch, tmp_path):
     assert argvs[-1] == ["run", ".gate_work/conflicts-13.naf", "--query",
                          "p0", "--query", "~p12", "--query", "s0"]
     assert len(list(gate.WORK.iterdir())) == 1150
+
+
+def test_traffic_runs_every_pool_case_with_exit_code_0(monkeypatch, capsys):
+    # tools/traffic.py runs the --json runs of the gate's pool runs, and
+    # each ends with exit code 0; sys.path and sys.dont_write_bytecode,
+    # which it sets, are restored afterwards
+    spec = importlib.util.spec_from_file_location(
+        "traffic", ROOT / "tools" / "traffic.py")
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    assert traffic.main() == 0
+    assert capsys.readouterr() == (
+        "", "312 runs, 0 not ending with exit code 0\n")

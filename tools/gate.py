@@ -12,8 +12,9 @@ checkout), so one recipe can run against another checkout's program.
 The recipe:
   - the three fixtures, plain and in weak mode: run as text and JSON, both
     semantics, --oracle, export as DOT and JSON, and check;
-  - the seven tests/theories with their queries, text and JSON, and the
-    straddle theory with --oracle;
+  - each theory of tests/theories with the queries of its line in the
+    golden theory table, tests/theories/queries.txt, text and JSON, and
+    the straddle theory with --oracle;
   - a missing file and a directory given as the theory;
   - the CASES below: a modal prefix without its agent, a power not
     written Power_{a,b}, printing p(x,y), @r and parenthesized operands
@@ -28,7 +29,7 @@ The recipe:
   - the seventh theory of tests/helpers.py's random_theory at seed 11,
     on which the solver forces an attacker IN, text and JSON;
   - every case of the three benchmark pools at seeds 1 and 2 with its
-    flags, text and JSON;
+    flags (pool_runs, which tools/traffic.py runs too), text and JSON;
   - the 120 near-limit cases of tests/test_fuzz.py at seed 4111, text and
     JSON;
   - the 700 fixture mutants of tests/test_fuzz.py at seed 6151, with their
@@ -60,9 +61,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = Path(".gate_work")
 FIXTURES = ("doctor", "abortion", "knife")
-THEORIES = (("interleaved", "p0 t2"), ("three_way", "x e2 s"),
-            ("many", "p0 t3 x1"), ("wide", "q f z40"), ("empty", "p"),
-            ("none", "m"), ("straddle", "w m s"))
 RUN_MODES = ([], ["--json"], ["--semantics", "grounded"],
              ["--json", "--semantics", "grounded"], ["--oracle"],
              ["--json", "--oracle"])
@@ -130,6 +128,21 @@ CASES = (
 )
 
 
+def pool_runs(written):
+    """Yield (path, flags) for every case of the three benchmark pools of
+    benchmarks/workloads.py at seeds 1 and 2, in order: a fixture's path
+    under fixtures/, or the path that written(name, text) returns for a
+    theory that a pool makes."""
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2):
+            for k, case in enumerate(workloads.build(workload, seed)):
+                yield ("fixtures/%s" % case.fixture if case.fixture else
+                       written("%s-%d-%03d.naf" % (workload, seed, k),
+                               case.text)), case.flags
+
+
 def recipe():
     """Yield the argv of every run, writing theory files under WORK."""
     import helpers
@@ -150,8 +163,8 @@ def recipe():
             yield ["export", path, *weak]
             yield ["export", path, *weak, "--format", "json"]
             yield ["check", path, *weak]
-    for name, queries in THEORIES:
-        flags = [f for q in queries.split() for f in ("--query", q)]
+    for name, queries in helpers.theory_queries().items():
+        flags = [f for q in queries for f in ("--query", q)]
         path = "tests/theories/%s.naf" % name
         yield ["run", path, "--json", *flags]
         yield ["run", path, *flags]
@@ -172,14 +185,9 @@ def recipe():
     flags += ["--weak-mode"] * theory.weak_mode
     yield ["run", path, "--json", *flags]
     yield ["run", path, *flags]
-    for workload in workloads.WORKLOADS:
-        for seed in (1, 2):
-            for k, case in enumerate(workloads.build(workload, seed)):
-                path = ("fixtures/%s" % case.fixture if case.fixture else
-                        written("%s-%d-%03d.naf" % (workload, seed, k),
-                                case.text))
-                yield ["run", path, "--json", *case.flags]
-                yield ["run", path, *case.flags]
+    for path, flags in pool_runs(written):
+        yield ["run", path, "--json", *flags]
+        yield ["run", path, *flags]
     rng = random.Random(4111)
     for k in range(120):
         text, flags = test_fuzz.near_limit_case(rng)

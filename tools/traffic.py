@@ -1,5 +1,6 @@
-"""Run the benchmark traffic: every case of the three benchmark pools of
-benchmarks/workloads.py at seeds 1 and 2, each as the benchmark runs it,
+"""Run the benchmark traffic: the --json runs of the output gate's pool runs
+(tools/gate.py's pool_runs: every case of the three benchmark pools of
+benchmarks/workloads.py at seeds 1 and 2), each as the benchmark runs it,
 normargue.cli.main(["run", FILE, "--json", *flags]), in-process, with its
 output dropped.
 
@@ -25,26 +26,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main() -> int:
     sys.dont_write_bytecode = True  # no __pycache__ under benchmarks/
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
-    import workloads
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"),
+                    str(ROOT / "tools")]
+    from gate import pool_runs
     from normargue import cli
 
     runs = failed = 0
     with tempfile.TemporaryDirectory() as work:
-        for workload in workloads.WORKLOADS:
-            for seed in (1, 2):
-                for k, case in enumerate(workloads.build(workload, seed)):
-                    if case.fixture:
-                        path = ROOT / "fixtures" / case.fixture
-                    else:
-                        path = Path(work) / ("%s-%d-%03d.naf"
-                                             % (workload, seed, k))
-                        path.write_text(case.text, encoding="utf-8")
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main(["run", str(path), "--json",
-                                         *case.flags])
-                    runs += 1
-                    failed += code != 0
+        def written(name: str, text: str) -> Path:
+            path = Path(work) / name
+            path.write_text(text, encoding="utf-8")
+            return path
+
+        for path, flags in pool_runs(written):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", str(ROOT / path), "--json", *flags])
+            runs += 1
+            failed += code != 0
     print("%d runs, %d not ending with exit code 0" % (runs, failed),
           file=sys.stderr)
     return 1 if failed else 0
