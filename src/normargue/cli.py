@@ -9,8 +9,10 @@
 Shared flags: --weak-mode, --max-depth N (argument and scheme depth,
 default 3), --max-args N (argument count, default 100000: construction
 keeps the first N arguments in id order). A report whose construction
-either cap cut short says truncated; the text note names the argument
-cap when the result holds exactly N arguments, and the depth otherwise.
+either cap cut short says so: the JSON of run and of export ends in
+"truncated": true (false otherwise), and run's text report and export's
+DOT graph carry a note, in DOT a // comment, that names the argument cap
+when the result holds exactly N arguments, and the depth otherwise.
 Every attack is a defeat (see semantics), so no flag sets preferences.
 
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
@@ -286,12 +288,8 @@ def cmd_run(ns) -> int:
     lines = [_paint("theory:", "1") + " %d agents, %d premises, %d rules, "
              "%d contraries" % (len(theory.agents), len(theory.premises),
                                 len(theory.rules), len(theory.contraries))]
-    if truncated and len(args) == theory.max_args:
-        lines.append("note: construction truncated at %d arguments "
-                     "(--max-args)" % theory.max_args)
-    elif truncated:
-        lines.append("note: construction truncated at depth %d"
-                     % theory.max_depth)
+    if truncated:
+        lines.append(_truncation_note(theory, len(args)))
     lines.append(_paint("arguments (%d):" % len(args), "1"))
     for a, text in zip(args, texts):
         kind, firmness = classify(a)
@@ -321,11 +319,25 @@ def cmd_run(ns) -> int:
     return 0
 
 
-def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
+def _truncation_note(theory: Theory, n_args: int) -> str:
+    """The note on a construction that a cap cut short at n_args
+    arguments: the argument cap when it holds exactly that many, and the
+    depth otherwise."""
+    if n_args == theory.max_args:
+        return ("note: construction truncated at %d arguments (--max-args)"
+                % theory.max_args)
+    return "note: construction truncated at depth %d" % theory.max_depth
+
+
+def render_dot(args: list[Argument], texts: list[str], defeats,
+               note: str | None = None) -> str:
     """The DOT graph of the arguments, labelled with their conclusions'
     texts, and of the defeats (a list of Defeat), one edge each in the
-    order given."""
+    order given; a note, if given, is a // comment line after the
+    graph's opening line."""
     lines = ["digraph arguments {", "  rankdir=LR;"]
+    if note is not None:
+        lines.insert(1, "  // " + note)
     for a, text in zip(args, texts):
         star = "*" if a.top_rule is None else ""
         label = ("%d%s: %s" % (a.id, star, text)).replace('"', '\\"')
@@ -338,16 +350,19 @@ def render_dot(args: list[Argument], texts: list[str], defeats) -> str:
 
 
 def cmd_export(ns) -> int:
-    args, defeats, af, truncated = _pipeline(_load(ns))
+    theory = _load(ns)
+    args, defeats, af, truncated = _pipeline(theory)
     if ns.format == "json":
         sys.stdout.writelines([*_report_parts({
             "schema": "1",
             "n_args": "%d" % af.n_args,
             "defeats": _array(_defeat_rows(defeats)),
+            "truncated": _BOOL[truncated],
         }), "\n"])
     else:
         sys.stdout.write(render_dot(
-            args, [str(a.conclusion) for a in args], defeats))
+            args, [str(a.conclusion) for a in args], defeats,
+            _truncation_note(theory, len(args)) if truncated else None))
     return 0
 
 

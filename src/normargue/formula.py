@@ -33,10 +33,10 @@ end), so the parser reads the next token without a bounds test; only an
 expected formula and the expected end of input ask for the end. The
 prefix heads ~, [] and <> are read from the same table as K_a and O_{a,b}.
 One path skips both: a text that is one identifier, with whitespace
-around it, and that _modal_head reads as no modal head is the atom of
-that name, found with one regular-expression match. The parser asks
-_modal_head the same question of each identifier, so the two paths
-cannot disagree.
+around it and at most one ~ before it, whose identifier _modal_head reads
+as no modal head, is the atom of that name or its negation, found with
+one regular-expression match. The parser asks _modal_head the same
+question of each identifier, so the two paths cannot disagree.
 
 Nodes are interned (hash-consed, Filliatre & Conchon 2006) and built
 positionally: building a node whose class and fields match a live one
@@ -247,8 +247,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-# one identifier, with whitespace around it: a bare atom, unless a head
-_IDENT_RE = re.compile(r"\s*(%s)\s*" % _ASCII_NAME)
+# one identifier, with whitespace around it and at most one ~ before it: a
+# bare atom or its negation, unless the identifier is a head
+_IDENT_RE = re.compile(r"\s*(~\s*)?(%s)\s*" % _ASCII_NAME)
 
 
 def _lex(text: str, start: int, end: int) -> list[tuple]:
@@ -406,11 +407,12 @@ def parse(text: str, start: int = 0, end: int | None = None) -> Formula:
     for malformed modal prefixes. The result is not normalized. The level
     it counts on a printed formula is the one printed_nesting reads from
     the tree. A text of one identifier that names no modal head, with
-    whitespace around it, is the atom of that name, read without the
-    lexer or the parser."""
+    whitespace around it and at most one ~ before it, is the atom of that
+    name or Not of it, read without the lexer or the parser."""
     m = _IDENT_RE.fullmatch(text, start, len(text) if end is None else end)
-    if m and _modal_head(m.group(1)) is None:
-        return Atom(m.group(1), ())
+    if m and _modal_head(m.group(2)) is None:
+        atom = Atom(m.group(2), ())
+        return Not(atom) if m.group(1) else atom
     return _Parser(text, start, end).parse()
 
 

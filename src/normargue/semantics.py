@@ -37,23 +37,29 @@ force all read it.
 
 Extensions are stable (conflict-free, defeating every outsider). Each
 extension is carried as one int, its member mask: bit i is set when
-argument i is a member. Stable semantics factors over the weakly
-connected components of the defeat graph, so stable_extensions solves
-each component on its own, ORs each labelling's members into one mask and
-returns the products of one labelling per component as masks, ordered as
-their ascending member lists sort, which is the form brute_force_stable
-returns; an argument without defeats is always IN. Each component is
-searched depth-first over in/out decisions with an explicit stack, the
-lowest undecided argument first and IN before OUT, so its labellings come
-out in that order; a label change rechecks only that argument and its
-victims. The product is built in that order with no sort over it: the
-components fall into blocks of non-overlapping spans of first differing
-arguments, and a nested loop over the blocks in order is exact (see
-stable_extensions). Only a block of components whose spans overlap, rare
-in practice, sorts its own product, keyed on each mask's bits read from
-argument 0 up.
-grounded_extension counts each argument's attackers not yet rejected and
-accepts it when the count reaches zero, in O(n + E). members lists the ids
+argument i is a member. stable_extensions first runs the counting pass
+of the grounded labelling, in O(n + E), which counts each argument's
+attackers not yet OUT and puts it IN when the count reaches zero, and
+whatever it attacks OUT. Every stable extension holds the IN arguments
+and none of the OUT ones (Dung 1995), the base case of SCC-recursive
+solving (Baroni, Giacomin & Guida 2005), so an acyclic framework, which
+leaves nothing undecided, is solved by that pass alone. The undecided
+arguments attack only each other and OUT arguments, so stable semantics
+factors over the weakly connected components among them:
+stable_extensions solves each component on its own, ORs each
+labelling's members into one mask and returns the grounded IN set with
+the products of one labelling per component as masks, ordered as their
+ascending member lists sort, which is the form brute_force_stable
+returns. Each component is searched depth-first over in/out decisions
+with an explicit stack, the lowest undecided argument first and IN before
+OUT, so its labellings come out in that order; a label change rechecks
+only that argument and its victims. The product is built in that order
+with no sort over it: the components fall into blocks of non-overlapping
+spans of first differing arguments, and a nested loop over the blocks in
+order is exact (see stable_extensions). Only a block of components whose
+spans overlap, rare in practice, sorts its own product, keyed on each
+mask's bits read from argument 0 up.
+grounded_extension is the IN set of the same pass. members lists the ids
 of a mask, for the readers that need them.
 
 extension_table transposes the masks once, bit-sliced: byte_columns lays
@@ -208,10 +214,13 @@ def compute_defeats(args: list[Argument],
 _UNDET, _IN, _OUT = 0, 1, 2
 
 
-def _components(attackers, victims) -> list[list[int]]:
+def _components(attackers, victims,
+                label: list[int] | None = None) -> list[list[int]]:
     """Weakly connected components of the defeat graph, each sorted, in
-    order of their least member."""
-    seen = [False] * len(attackers)
+    order of their least member; given label, only of the subgraph of the
+    arguments it leaves _UNDET."""
+    seen = ([False] * len(attackers) if label is None
+            else [v != _UNDET for v in label])
     parts = []
     for root in range(len(attackers)):
         if seen[root]:
@@ -235,7 +244,9 @@ def _stable_labellings(part: list[int], attackers, victims,
     masks. Depth-first over decisions with an explicit stack of frames
     (trail mark, position of the decided argument, its value); after every
     decision only the changed arguments and their victims are rechecked.
-    label must be _UNDET on part; other components' labels are never read."""
+    label must be _UNDET on part, and arguments outside part hold grounded
+    labels (or _UNDET, when part is a whole weak component): an OUT
+    attacker counts as out, and no label outside part is ever changed."""
     trail: list[int] = []
 
     def propagate(work: list[int]) -> bool:
@@ -307,9 +318,14 @@ def _stable_labellings(part: list[int], attackers, victims,
 
 def stable_extensions(af: ArgumentationFramework) -> list[int]:
     """All stable extensions as member masks, ordered as their ascending
-    member lists sort. Exact: stable semantics factors over weakly
-    connected components, so each component is solved on its own and the
-    extensions are the products of one labelling per component.
+    member lists sort. Exact: every stable extension holds the grounded
+    extension and none of the arguments it defeats (Dung 1995), and the
+    arguments the grounded labelling leaves undecided attack only each
+    other and OUT ones, so stable semantics factors over the weakly
+    connected components of the undecided arguments: each is solved on its
+    own and the extensions are the grounded IN set with the products of
+    one labelling per component. An acyclic framework leaves none, and is
+    decided with no search.
 
     Each component's labellings come in that order already, and any two
     of them first differ at an argument between lo and hi, the least and
@@ -323,13 +339,10 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
     blocks', each about the square root of the count long, so that the
     last loop alone runs once per extension."""
     attackers, victims = af._graph
-    label = [_UNDET] * af.n_args
-    always = 0  # members of every extension
+    label = _grounded_labels(af)
+    always = sum(1 << i for i, v in enumerate(label) if v == _IN)
     spans = []  # (lo, hi, labellings) of each component with two or more
-    for part in _components(attackers, victims):
-        if len(part) == 1 and not attackers[part[0]] and not victims[part[0]]:
-            always |= 1 << part[0]
-            continue
+    for part in _components(attackers, victims, label):
         found = _stable_labellings(part, attackers, victims, label)
         if not found:
             return []
@@ -366,26 +379,33 @@ def stable_extensions(af: ArgumentationFramework) -> list[int]:
     return [a | b for a in outer for b in inner]
 
 
-def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
-    """Least fixpoint, in O(n + E): accept an argument once every attacker
-    is rejected, and reject whatever an accepted argument attacks."""
+def _grounded_labels(af: ArgumentationFramework) -> list[int]:
+    """The grounded labelling, _IN, _OUT or _UNDET per argument, in
+    O(n + E): an argument is IN once every attacker is OUT, and OUT once
+    an attacker is IN."""
     attackers, victims = af._graph
-    live = [len(a) for a in attackers]  # attackers not yet rejected
-    rejected = [False] * af.n_args
-    accepted: set[int] = set()
-    work = [i for i in range(af.n_args) if not live[i]]
+    live = [len(a) for a in attackers]  # attackers not yet OUT
+    label = [_UNDET] * af.n_args
+    work = [i for i, k in enumerate(live) if not k]
     while work:
         i = work.pop()
-        accepted.add(i)
+        label[i] = _IN
         for v in victims[i]:
-            if rejected[v]:
+            if label[v] == _OUT:
                 continue
-            rejected[v] = True
+            label[v] = _OUT
             for w in victims[v]:
                 live[w] -= 1
                 if not live[w]:
                     work.append(w)
-    return frozenset(accepted)
+    return label
+
+
+def grounded_extension(af: ArgumentationFramework) -> frozenset[int]:
+    """The IN set of the grounded labelling (see _grounded_labels): the
+    least fixpoint, which accepts an argument once every attacker is
+    rejected and rejects whatever an accepted argument attacks."""
+    return frozenset(i for i, v in enumerate(_grounded_labels(af)) if v == _IN)
 
 
 class ExtensionTable(NamedTuple):

@@ -38,9 +38,10 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .formula import (_ASCII_NAME, _BINARY_TYPES, _PREFIX_TYPES, And, Box,
-                      Formula, Implies, Know, Not, Oblig, Perm, _immutable,
-                      names_in, normalize, parse, parse_contrary, printable)
+from .formula import (_ASCII_NAME, _BINARY_TYPES, _LEAF_TYPES, _PREFIX_TYPES,
+                      And, Box, Formula, Implies, Know, Not, Oblig, Perm,
+                      RuleAtom, _immutable, names_in, normalize, parse,
+                      parse_contrary, printable)
 from .hohfeld import NormativePosition, PositionKind, position_warnings, to_formula
 
 
@@ -172,7 +173,10 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                  max_args: int = 100_000) -> Theory:
     """Parse and validate a theory from DSL text. Every formula is
     normalized as its line is read, and its normal form must parse back
-    (see printable). Each distinct formula text of a premise or rule,
+    (see printable); a leaf, an atom or a rule atom, is its own normal form
+    and is kept as read, with no normalize or printable call, and of the
+    leaves only rule atoms reach the closing walk that checks agent names
+    and rule references. Each distinct formula text of a premise or rule,
     stripped, is parsed, normalized and checked once per call; a repeat
     reuses that normal form, so loading costs per distinct text. A
     directive's head runs up to the first whitespace or colon, and the rest
@@ -211,7 +215,14 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
     def normal(f: Formula, lineno: int) -> Formula:
         """f in normal form, which must parse back (see printable): each
         distinct normal form is checked once, at the first line that has
-        it, whether or not normalization rewrote f."""
+        it, whether or not normalization rewrote f. A leaf is its own
+        normal form and parses back, so it is returned as it is; only a
+        rule atom is filed, for the closing walk's reference check."""
+        t = type(f)
+        if t in _LEAF_TYPES:
+            if t is RuleAtom:
+                formula_lines.setdefault(f, lineno)
+            return f
         g = normalize(f, weak_mode)
         if g not in formula_lines:
             formula_lines[g] = lineno
@@ -228,6 +239,7 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             g = read_texts[key] = normal(parse(line, start, end), lineno)
         return g
 
+    new = tuple.__new__  # a Premise or Rule without NamedTuple's keyword bind
     # lines end at \n, \r\n or \r, and at no other character
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, 1):
@@ -257,8 +269,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
             elif head == "PREMISE":
                 strength, ident, _ = m.groups()
                 declare_id(ident, lineno)
-                premises.append(Premise(ident, read(lineno, m.start(3)),
-                                        _STRENGTHS[strength]))
+                premises.append(new(Premise, (
+                    ident, read(lineno, m.start(3)), _STRENGTHS[strength])))
 
             elif head == "RULE":
                 kind_name, ident, body = m.groups()
@@ -275,8 +287,8 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                 for a in parts[0].split(";"):  # each antecedent and its ;
                     antecedents.append(read(lineno, at, at + len(a)))
                     at += len(a) + 1
-                rules.append(Rule(ident, tuple(antecedents), read(
-                    lineno, m.end(3) - len(parts[1])), kind))
+                rules.append(new(Rule, (ident, tuple(antecedents), read(
+                    lineno, m.end(3) - len(parts[1])), kind)))
 
             elif head == "CONTRARY":
                 f, g = parse_contrary(line, m.start(1))
@@ -301,9 +313,9 @@ def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
                                 for w in position_warnings(pos))
                 # pos#k cannot clash with an id, which has no #
                 n_positions += 1
-                premises.append(Premise(
+                premises.append(new(Premise, (
                     "pos#%d" % n_positions, normal(to_formula(pos), lineno),
-                    _STRENGTHS[tag.group(1)] if tag else Strength.AXIOM))
+                    _STRENGTHS[tag.group(1)] if tag else Strength.AXIOM)))
         except (SyntaxError, ValidationError) as e:
             raise type(e)("line %d: %s" % (lineno, e)) from None
 

@@ -68,8 +68,9 @@ def report(theory, args, defeats, af, truncated, semantics, query_texts):
     }
 
 
-def export_payload(af, defeats):
+def export_payload(af, defeats, truncated):
     """The payload of `export --format json`."""
     return {"schema": 1, "n_args": af.n_args,
             "defeats": [defeat_dict(d)
-                        for d in sorted(defeats, key=defeat_sort_key)]}
+                        for d in sorted(defeats, key=defeat_sort_key)],
+            "truncated": truncated}

@@ -166,9 +166,23 @@ def test_max_args_flag(capsys, tmp_path):
     assert "note: construction truncated at depth 1" in out
     code, out, _ = run_cli(capsys, "run", str(f), "--json", "--max-args", "3")
     assert json.loads(out)["truncated"] is False
+    # export reports truncation as run does: a JSON field, a DOT comment
+    note = "note: construction truncated at 1 arguments (--max-args)"
     code, out, _ = run_cli(capsys, "export", str(f), "--format", "json",
                            "--max-args", "1")
-    assert code == 0 and json.loads(out)["n_args"] == 1
+    payload = json.loads(out)
+    assert code == 0 and payload["n_args"] == 1
+    assert list(payload)[-1] == "truncated" and payload["truncated"] is True
+    code, out, _ = run_cli(capsys, "export", str(f), "--max-args", "1")
+    assert code == 0 and out.splitlines()[:2] == [
+        "digraph arguments {", "  // " + note]
+    code, out, _ = run_cli(capsys, "export", str(f), "--max-depth", "1")
+    assert out.splitlines()[1] == \
+        "  // note: construction truncated at depth 1"
+    code, out, _ = run_cli(capsys, "export", str(f), "--format", "json")
+    assert json.loads(out)["truncated"] is False
+    code, out, _ = run_cli(capsys, "export", str(f))
+    assert code == 0 and "//" not in out
 
 # ------------------------------------------------------------------ export
 
@@ -751,10 +765,10 @@ def run_report(capsys, monkeypatch, *argv):
     shared = ["--max-depth", str(ns.max_depth),
               "--max-args", str(ns.max_args)]
     shared += ["--weak-mode"] * ns.weak_mode
-    _, (_, _, defeats, af, _) = pipeline_of(
+    _, (_, _, defeats, af, truncated) = pipeline_of(
         monkeypatch, "export", ns.theory, "--format", "json", *shared)
     out, err = capsys.readouterr()
-    payload = reference_report.export_payload(af, defeats)
+    payload = reference_report.export_payload(af, defeats, truncated)
     assert err == "" and out == json.dumps(payload, indent=2) + "\n"
     return report
 

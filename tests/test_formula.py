@@ -333,6 +333,10 @@ def test_parse_matches_reference():
               "@", "#", "p q", "p(x)", "p (x, y)", "K_a p", "O_{a,b} p",
               "Power_{a,b} p", "O_{a} p", "1p", "p1", "é", "p\u2028",
               "\u2028p"]
+    # the one-identifier path also reads one ~ before the identifier
+    negated = ["~p", "~ p", " ~p ", "~\tp", "~O", "~P", "~K_a", "~Power",
+               "~p(x)", "~~p", "~@r", "~", "~ "]
+    texts += negated
     rng = random.Random(2222)
     alphabet = "pqx_aOPKR~&|-><[](){},@#1 \t"
     for _ in range(400):
@@ -353,7 +357,7 @@ def test_parse_matches_reference():
             end = rng.choice((None, rng.randint(start, len(text))))
             assert (_outcome(parse, text, start, end)
                     == _outcome(old, text, start, end)), (text, start, end)
-    for text in ("p", " p ", "x_y", "K", "O", "P_"):  # padded in a line
+    for text in ("p", " p ", "x_y", "K", "O", "P_", *negated):  # in a line
         line = "PREMISE axiom a: " + text + "  # note"
         end = line.index("#")
         assert (_outcome(parse, line, 17, end)

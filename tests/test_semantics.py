@@ -12,7 +12,9 @@ from normargue import (Argument, ArgumentationFramework, Defeat,
                        grounded_extension,
                        instantiate_schemes, load_theory, members, parse,
                        parse_theory, stable_extensions, verify_extension)
-from normargue.semantics import _UNDET, _components, _stable_labellings
+from normargue import semantics
+from normargue.semantics import (_UNDET, _components, _grounded_labels,
+                                 _stable_labellings)
 
 from helpers import (ABORTION, DOCTOR, KNIFE, chain_text, disjoint_union,
                      grounded_by_definition, long_chain_theory, mask_of,
@@ -357,21 +359,55 @@ def random_union(rng):
             return af
 
 
+def bridged_union(rng, draw=random_af):
+    """A disjoint union of 2-4 frameworks draw(rng, max_n=6), random_af's
+    by default, with an unattacked argument u and an argument v that u
+    attacks and that attacks one argument of each nonempty part, at most
+    20 arguments in all (brute force's cap), u and v last. v joins the
+    parts into one weak component, which falls apart once the grounded
+    labelling puts v OUT."""
+    while True:
+        parts = [draw(rng, max_n=6) for _ in range(rng.randint(2, 4))]
+        n = sum(af.n_args for af in parts)
+        if n <= 18:
+            break
+    u, v = n, n + 1
+    edges, offset = [(u, v)], 0
+    for af in parts:
+        if af.n_args:
+            edges.append((v, offset + rng.randrange(af.n_args)))
+        offset += af.n_args
+    return ArgumentationFramework(n + 2, disjoint_union(*parts).defeats | {
+        Defeat(a, b, DefeatKind.REBUT, b) for a, b in edges})
+
+
+def bridge_splits(af):
+    """Whether the weak component of a bridged_union's v holds two or more
+    weak components of the arguments the grounded labelling leaves
+    undecided, which the solver then solves one by one."""
+    bridged = next(p for p in _components(*af._graph) if af.n_args - 1 in p)
+    return sum(p[0] in bridged for p in
+               _components(*af._graph, _grounded_labels(af))) > 1
+
+
 def test_solver_against_brute_force_on_disjoint_unions():
     rng = random.Random(4321)
-    for k in range(300):
-        af = random_union(rng)
+    split = 0
+    for k in range(600):
+        af = random_union(rng) if k < 300 else bridged_union(rng)
         got = stable_extensions(af)
         assert got == brute_force_stable(af), k
         for e in got:
             assert verify_extension(af, e), (k, e)
+        split += k >= 300 and bridge_splits(af)
+    assert split > 40
 
 
-def with_extensions(rng, max_n=12):
-    """A random framework with at least one stable extension."""
+def with_extensions(rng, max_n=12, least=1):
+    """A random framework with at least least stable extensions."""
     while True:
         af = random_af(rng, max_n)
-        if stable_extensions(af):
+        if len(stable_extensions(af)) >= least:
             return af
 
 
@@ -394,6 +430,34 @@ def test_solver_matches_reference_product():
         sizes.append(af.n_args)
         several += len(got) > 1
     assert max(sizes) > 64 and several > 50
+    split = 0
+    for k in range(200):
+        af = bridged_union(rng, lambda rng, max_n: with_extensions(
+            rng, max_n, least=2))
+        got = stable_extensions(af)
+        assert list(map(members, got)) == reference_stable(af), k
+        split += bridge_splits(af) and len(got) > 1
+    assert split > 100
+
+
+def test_grounded_labelling_spares_acyclic_frameworks_the_search(
+        monkeypatch):
+    # the grounded labelling decides an acyclic framework in full, so the
+    # search is never entered; three disjoint mutual pairs take one each
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _stable_labellings(*args)
+
+    monkeypatch.setattr(semantics, "_stable_labellings", counted)
+    assert stable_extensions(af_of((0, 1), (1, 2))) == [0b101]
+    r = run_pipeline(long_chain_theory(720)[0])
+    assert len(r.extensions) == 1 and r.af.n_args > 720
+    assert calls == []
+    pairs = af_of((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
+    assert len(stable_extensions(pairs)) == 8
+    assert calls == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_component_labellings_come_in_member_list_order():

@@ -183,10 +183,10 @@ def test_gate_writes_every_run_and_reports_escapes(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     gate.WORK.mkdir()
     argvs = list(gate.recipe())
-    assert len(argvs) == 1671 and argvs[0] == ["run", "fixtures/doctor.naf"]
+    assert len(argvs) == 1677 and argvs[0] == ["run", "fixtures/doctor.naf"]
     assert argvs[-1] == ["run", ".gate_work/conflicts-13.naf", "--query",
                          "p0", "--query", "~p12", "--query", "s0"]
-    assert len(list(gate.WORK.iterdir())) == 1150
+    assert len(list(gate.WORK.iterdir())) == 1153
 
 
 def test_traffic_runs_every_pool_case_with_exit_code_0(monkeypatch, capsys):

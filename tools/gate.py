@@ -25,7 +25,10 @@ The recipe:
     an owp prohibition of a conjunction that fcp permits, and an owp box
     that meets an old and a new permission under one key),
     extension rows that need mending (no member among arguments 0-7),
-    stable and grounded, and --oracle on 21 arguments (exit code 3);
+    stable and grounded, --oracle on 21 arguments (exit code 3), two
+    mutual rebuts linked only through an argument that the grounded
+    labelling puts OUT, a component it leaves undecided that has one
+    stable labelling, and negated atoms written ~ p;
   - the seventh theory of tests/helpers.py's random_theory at seed 11,
     on which the solver forces an attacker IN, text and JSON;
   - every case of the three benchmark pools at seeds 1 and 2 with its
@@ -125,6 +128,27 @@ CASES = (
      + _SCHEMES_OFF, [["run", "--json"],
                       ["run", "--json", "--semantics", "grounded"]]),
     ("oracle-21.naf", "AGENTS: a\n" + "".join(_ATOMS), [["run", "--oracle"]]),
+    # two mutual rebuts whose only link is the ordinary premise f, contrary
+    # to p1 and to p2 and undermined by the axiom ~f: once the grounded
+    # labelling puts f OUT, the pairs are solved apart
+    ("bridge-out.naf", "AGENTS: a\nPREMISE axiom s: s\n"
+     "RULE defeasible d1: s |~ p1\nRULE defeasible e1: s |~ ~p1\n"
+     "RULE defeasible d2: s |~ p2\nRULE defeasible e2: s |~ ~p2\n"
+     "PREMISE prem f1: f\nPREMISE axiom g: ~f\n"
+     "CONTRARY: f ~ p1\nCONTRARY: f ~ p2\n" + _SCHEMES_OFF,
+     [["run"], ["run", "--json"]]),
+    # a component the grounded labelling leaves undecided with one stable
+    # labelling: ~q rebuts q and undercuts x, which undercuts itself
+    ("one-labelling.naf", "AGENTS: a\nPREMISE axiom s: s\n"
+     "RULE defeasible d: s |~ x\nRULE defeasible a1: s |~ q\n"
+     "RULE defeasible b1: s |~ ~q\nCONTRARY: x ~ @d\nCONTRARY: ~q ~ @d\n"
+     + _SCHEMES_OFF, [["run"], ["run", "--json"]]),
+    # negated atoms written with whitespace after the ~
+    ("spaced-negations.naf", "AGENTS: a\nPREMISE prem n1: ~ p\n"
+     "PREMISE axiom n2: ~\tq\nRULE defeasible r1: ~ p |~ ~ r\n"
+     "RULE strict r2: ~  q ; ~ p |- r\nPREMISE prem n3: ~ r\n"
+     + _SCHEMES_OFF, [["run", "--json"],
+                      ["run", "--query", "~ p", "--query", " ~r "]]),
 )
 
 
