@@ -285,9 +285,7 @@ def cmd_run(ns) -> int:
         }), "\n"])
         return 0
 
-    lines = [_paint("theory:", "1") + " %d agents, %d premises, %d rules, "
-             "%d contraries" % (len(theory.agents), len(theory.premises),
-                                len(theory.rules), len(theory.contraries))]
+    lines = [_paint("theory:", "1") + " " + _summary(theory)]
     if truncated:
         lines.append(_truncation_note(theory, len(args)))
     lines.append(_paint("arguments (%d):" % len(args), "1"))
@@ -317,6 +315,13 @@ def cmd_run(ns) -> int:
         for text, credulous, skeptical in queries]
     print("\n".join(lines))
     return 0
+
+
+def _summary(theory: Theory) -> str:
+    """The counts of a theory, as the text report and check print them."""
+    return "%d agents, %d premises, %d rules, %d contraries" % (
+        len(theory.agents), len(theory.premises), len(theory.rules),
+        len(theory.contraries))
 
 
 def _truncation_note(theory: Theory, n_args: int) -> str:
@@ -370,9 +375,7 @@ def cmd_check(ns) -> int:
     theory = _load(ns)
     for w in theory.warnings:
         print("warning: %s" % w)
-    print("ok: %d agents, %d premises, %d rules, %d contraries"
-          % (len(theory.agents), len(theory.premises), len(theory.rules),
-             len(theory.contraries)))
+    print("ok: " + _summary(theory))
     return 0
 
 

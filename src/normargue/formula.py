@@ -493,10 +493,8 @@ def print_formula(f: Formula) -> str:
 def printed_nesting(f: Formula) -> int:
     """The nesting level parse reaches on print_formula(f), read from the
     tree without printing: each operator puts its operands one level
-    deeper, and the parentheses _WRAP puts around one a level more. A
-    leaf is at level 0, read without a walk."""
-    if type(f) in _LEAF_TYPES:
-        return 0
+    deeper, and the parentheses _WRAP puts around one a level more, so a
+    leaf is at level 0."""
     deepest, todo = 0, [(f, 0)]
     while todo:
         x, level = todo.pop()
@@ -644,10 +642,8 @@ def contrary(f: Formula, g: Formula, theory=None) -> bool:
 
 def names_in(f: Formula) -> tuple[set[str], set[str]]:
     """The agent names mentioned by modal operators in f and the rule
-    names of its rule atoms, from one walk; an atom names none."""
+    names of its rule atoms, from one walk, which finds none in an atom."""
     agents, rules = set(), set()
-    if type(f) is Atom:
-        return agents, rules
     for x in subformulas(f):
         if type(x) is RuleAtom:
             rules.add(x.rule_name)

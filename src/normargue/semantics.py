@@ -45,15 +45,17 @@ and none of the OUT ones (Dung 1995), the base case of SCC-recursive
 solving (Baroni, Giacomin & Guida 2005), so an acyclic framework, which
 leaves nothing undecided, is solved by that pass alone. The undecided
 arguments attack only each other and OUT arguments, so stable semantics
-factors over the weakly connected components among them:
+factors over the weakly connected components among them (_components, on
+the arguments the labelling leaves undecided):
 stable_extensions solves each component on its own, ORs each
 labelling's members into one mask and returns the grounded IN set with
 the products of one labelling per component as masks, ordered as their
 ascending member lists sort, which is the form brute_force_stable
 returns. Each component is searched depth-first over in/out decisions
 with an explicit stack, the lowest undecided argument first and IN before
-OUT, so its labellings come out in that order; a label change rechecks
-only that argument and its victims. The product is built in that order
+OUT, so its labellings come out in that order; the grounded labels force
+nothing before the first decision, and a label change rechecks only that
+argument and its victims. The product is built in that order
 with no sort over it: the components fall into blocks of non-overlapping
 spans of first differing arguments, and a nested loop over the blocks in
 order is exact (see stable_extensions). Only a block of components whose
@@ -214,13 +216,11 @@ def compute_defeats(args: list[Argument],
 _UNDET, _IN, _OUT = 0, 1, 2
 
 
-def _components(attackers, victims,
-                label: list[int] | None = None) -> list[list[int]]:
-    """Weakly connected components of the defeat graph, each sorted, in
-    order of their least member; given label, only of the subgraph of the
-    arguments it leaves _UNDET."""
-    seen = ([False] * len(attackers) if label is None
-            else [v != _UNDET for v in label])
+def _components(attackers, victims, label: list[int]) -> list[list[int]]:
+    """Weakly connected components of the subgraph of the defeat graph on
+    the arguments label leaves _UNDET, each sorted, in order of their least
+    member."""
+    seen = [v != _UNDET for v in label]
     parts = []
     for root in range(len(attackers)):
         if seen[root]:
@@ -246,7 +246,12 @@ def _stable_labellings(part: list[int], attackers, victims,
     decision only the changed arguments and their victims are rechecked.
     label must be _UNDET on part, and arguments outside part hold grounded
     labels (or _UNDET, when part is a whole weak component): an OUT
-    attacker counts as out, and no label outside part is ever changed."""
+    attacker counts as out, and no label outside part is ever changed.
+    No pass opens the search: on the grounded labelling an undecided
+    argument has no IN attacker and an undecided one, so nothing is forced
+    before the first decision, and on any labels each argument is checked
+    again once it and its last attacker are labelled, so every labelling
+    found is stable."""
     trail: list[int] = []
 
     def propagate(work: list[int]) -> bool:
@@ -292,8 +297,7 @@ def _stable_labellings(part: list[int], attackers, victims,
 
     found = []
     stack: list[tuple[int, int, int]] = []
-    pos = 0  # part[:pos] is labelled
-    ok = propagate(list(part))
+    pos, ok = 0, True  # part[:pos] is labelled; no check has failed
     while True:
         if ok:
             while pos < len(part) and label[part[pos]] != _UNDET:

@@ -159,14 +159,13 @@ _RULE_KINDS = {"strict": (RuleKind.STRICT, "|-", re.compile(r"\s\|-\s")),
                               re.compile(r"\s\|~\s"))}
 
 
-def load_theory(path, *, weak_mode: bool = False, max_depth: int = 3,
-                max_args: int = 100_000) -> Theory:
+def load_theory(path, **options) -> Theory:
     """Read the theory file at path, UTF-8 with or without a byte-order
-    mark, and parse it with parse_theory."""
+    mark, and parse it with parse_theory, which takes the keyword options
+    weak_mode (default False), max_depth (3) and max_args (100_000)."""
     with open(path, encoding="utf-8-sig") as f:
         text = f.read()
-    return parse_theory(text, weak_mode=weak_mode, max_depth=max_depth,
-                        max_args=max_args)
+    return parse_theory(text, **options)
 
 
 def parse_theory(text: str, *, weak_mode: bool = False, max_depth: int = 3,
@@ -444,7 +443,8 @@ def instantiate_schemes(theory: Theory) -> Theory:
     in the order of the nested loop over the pool that would join them
     all, so that ids and rules are that loop's: a pair joined before adds
     nothing again. With no permission, unary obligation of a negated body
-    or knowledge in the pool, nothing can match and no round runs."""
+    or knowledge in the pool, every join is empty, so the first round adds
+    nothing and ends the grounding, at max_depth 0 too."""
     s = theory.schemes
     if not any(s):
         _check_rule_refs(theory.rules, theory.pending_rule_refs)
@@ -548,18 +548,16 @@ def instantiate_schemes(theory: Theory) -> Theory:
         return new
 
     walk([p.formula for p in theory.premises] + _tops(rules))
-    if perms.rank or obligs.rank or knows.rank:
-        for _ in range(theory.max_depth):
-            if not joined():
-                break
-            rules += new
-            walk(_tops(new))
-        else:
-            if joined():
-                raise SchemeRoundsExceeded(
-                    "scheme grounding still adds rules after %d rounds, the "
-                    "cap set by --max-depth; raise --max-depth"
-                    % theory.max_depth)
+    for _ in range(theory.max_depth):
+        if not joined():
+            break
+        rules += new
+        walk(_tops(new))
+    else:
+        if joined():
+            raise SchemeRoundsExceeded(
+                "scheme grounding still adds rules after %d rounds, the cap "
+                "set by --max-depth; raise --max-depth" % theory.max_depth)
 
     _check_rule_refs(rules, theory.pending_rule_refs)
     if len(rules) == len(theory.rules) and not theory.pending_rule_refs:

@@ -492,9 +492,10 @@ def test_normal_forms_are_walked_not_rebuilt():
 
 
 def test_leaves_are_their_own_forms():
-    # atoms and rule atoms come back from normalize, _cform and
-    # printed_nesting without a walk; vars holds their fields only, and a
-    # leaf only ever normalized itself gets no cache slot
+    # atoms and rule atoms come back from normalize and _cform without a
+    # walk, and printed_nesting's walk puts them at level 0; vars holds
+    # their fields only, and a leaf only ever normalized itself gets no
+    # cache slot
     for leaf in (Atom("p"), Atom("f", ("x", "y")), RuleAtom("r1")):
         assert normalize(leaf) is leaf and normalize(leaf, True) is leaf
         assert _cform(leaf) is leaf and printed_nesting(leaf) == 0

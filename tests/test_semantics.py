@@ -385,7 +385,8 @@ def bridge_splits(af):
     """Whether the weak component of a bridged_union's v holds two or more
     weak components of the arguments the grounded labelling leaves
     undecided, which the solver then solves one by one."""
-    bridged = next(p for p in _components(*af._graph) if af.n_args - 1 in p)
+    bridged = next(p for p in _components(*af._graph, [_UNDET] * af.n_args)
+                   if af.n_args - 1 in p)
     return sum(p[0] in bridged for p in
                _components(*af._graph, _grounded_labels(af))) > 1
 
@@ -475,7 +476,7 @@ def test_component_labellings_come_in_member_list_order():
         af = af_of(*edges, n=n)
         attackers, victims = af._graph
         label = [_UNDET] * af.n_args
-        for part in _components(attackers, victims):
+        for part in _components(attackers, victims, label):
             found = _stable_labellings(part, attackers, victims, label)
             assert found == sorted(found, key=members), (k, part)
             seen += len(found) > 2

@@ -29,6 +29,20 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_reference_oracles_import_no_private_names():
+    # an oracle that imports the internals it checks would check them
+    # against themselves
+    found = []
+    for path in sorted((ROOT / "tests").glob("reference_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s: %s.%s" % (path.name, node.module, alias.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "normargue"
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_public_names():
     # submodules are left out: they become attributes of the package only
     # once something imports them

@@ -566,6 +566,20 @@ def test_every_scheme_off_returns_the_theory_itself():
         "line 3: @fcp#1 does not name a defeasible rule"
 
 
+def test_no_permission_obligation_or_knowledge_grounds_nothing():
+    # every scheme on, with boxed implications, a conjunction under a modal
+    # operator and a ~[]~ conjunction in the pool, but no P, O or K: every
+    # join is empty, so the first round adds nothing, and at max_depth 0
+    # the check after the last round adds nothing either
+    on = "".join("SCHEME %s on\n" % name for name in Schemes._fields)
+    for depth in (3, 0):
+        t = parse_theory("AGENTS: c\nPREMISE axiom pd: [](m -> q)\n"
+                         "PREMISE axiom pe: <>(q & m)\n"
+                         "RULE defeasible r1: [c](q & m) |~ [](q -> m)\n"
+                         + on, max_depth=depth)
+        assert all(t.schemes) and instantiate_schemes(t) is t
+
+
 def test_instantiation_idempotent():
     t = instantiate_schemes(load_theory(KNIFE))
     assert instantiate_schemes(t) == t
