@@ -15,6 +15,13 @@ DOT graph carry a note, in DOT a // comment, that names the argument cap
 when the result holds exactly N arguments, and the depth otherwise.
 Every attack is a defeat (see semantics), so no flag sets preferences.
 
+The commands and flags are one table, _COMMANDS, with two readers.
+_read_argv reads the argv that real calls pass: a command, its theory and
+flags spelled in full with valid values. It returns the namespace that
+argparse would, and a call it reads imports no argparse. Any other argv
+goes to _parser, argparse built from the same table, so every help text
+and error is argparse's own.
+
 Exit codes: 0 ok, 1 oracle disagreement or an extension failing its
 stable check, 2 parse or validation error (also a missing file, a
 formula nesting deeper than formula.MAX_NESTING levels, the normal form
@@ -48,8 +55,9 @@ is built: _report_parts returns the parts of the top-level object, its
 keys and their values handed in already encoded, and stdout.writelines
 writes them one by one, with no join.
 The theory summary and the argument, defeat and query rows fill fixed
-templates, with strings encoded by json's C encode_basestring_ascii, so
-the report makes no json.dumps call; the premises field of an argument row
+templates, with strings encoded by _json.encode_basestring_ascii (the C
+function that json.encoder uses), so the report makes no json.dumps call
+and cli imports no json; the premises field of an argument row
 is made by a function cached per call (functools.cache), once per
 distinct premise set, and arguments on equal sets share it. Extension
 rows are written column by column: each byte column of the masks maps
@@ -65,11 +73,11 @@ JSON rows, the text report and the DOT labels alike.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
+import types
+from _json import encode_basestring_ascii as _encode
 
 from .arguments import Argument, classify, construct_arguments
 from .formula import normalize, parse, printable
@@ -104,7 +112,6 @@ def _pipeline(theory: Theory):
     return args, sorted(af.defeats, key=defeat_sort_key), af, truncated
 
 
-_encode = json.encoder.encode_basestring_ascii
 _BOOL = ("false", "true")
 
 # Rows of a top-level array in json.dumps(..., indent=2) layout: the object
@@ -379,51 +386,115 @@ def cmd_check(ns) -> int:
     return 0
 
 
+# The commands and their flags, read by _read_argv and by _parser alike:
+# per command its function, its help and its flags in order, each flag its
+# option string and the keywords of its argparse.add_argument call. Every
+# flag is a switch (action store_true), an int (type int), a repeatable
+# value (action append) or a choice (choices).
+_SHARED = (
+    ("--weak-mode", dict(action="store_true",
+                         help="normalize P_a f to ~O_a ~f")),
+    ("--max-depth", dict(type=int, default=3, metavar="N",
+                         help="argument and scheme depth cap (default 3)")),
+    ("--max-args", dict(type=int, default=100_000, metavar="N",
+                        help="argument count cap (default 100000)")),
+)
+_COMMANDS = {
+    "run": (cmd_run, "build arguments, defeats and extensions", _SHARED + (
+        ("--json", dict(action="store_true",
+                        help="emit a JSON report instead of text")),
+        ("--query", dict(action="append", default=[], metavar="F",
+                         help="formula to test for acceptance (repeatable)")),
+        ("--semantics", dict(choices=("stable", "grounded"),
+                             default="stable")),
+        ("--oracle", dict(action="store_true",
+                          help="cross-check stable extensions by brute "
+                               "force")),
+    )),
+    "export": (cmd_export, "print the defeat graph", _SHARED + (
+        ("--format", dict(choices=("dot", "json"), default="dot")),
+    )),
+    "check": (cmd_check, "validate a theory file", _SHARED),
+}
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace that _parser().parse_args(argv) returns, for an argv
+    of a command, its one theory and flags, each spelled in full and with
+    a valid value that does not start with "-"; None for any other argv
+    (help, an abbreviated or unknown flag, --flag=value, a value such as
+    -1, a missing or second theory, a bad int or choice), which argparse
+    then parses, reports and exits on."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, flags = command
+    ns = {"command": argv[0], "theory": None}
+    options = {}
+    for option, kw in flags:
+        dest = option[2:].replace("-", "_")
+        options[option] = dest, kw
+        ns[dest] = [] if kw.get("action") == "append" else \
+            kw.get("default", False)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if ns["theory"] is not None:
+                return None
+            ns["theory"] = token
+            continue
+        if token not in options:
+            return None
+        dest, kw = options[token]
+        action = kw.get("action")
+        if action == "store_true":
+            ns[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if action == "append":
+            ns[dest].append(value)
+        elif "type" in kw:
+            try:
+                ns[dest] = kw["type"](value)
+            except ValueError:
+                return None
+        elif value in kw["choices"]:
+            ns[dest] = value
+        else:
+            return None
+    if ns["theory"] is None:
+        return None
+    ns["func"] = func
+    return types.SimpleNamespace(**ns)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and kept for the
-    process: parse_args leaves it as it was and fills a new namespace on
-    every call."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("theory", help="theory file to load")
-    shared.add_argument("--weak-mode", action="store_true",
-                        help="normalize P_a f to ~O_a ~f")
-    shared.add_argument("--max-depth", type=int, default=3, metavar="N",
-                        help="argument and scheme depth cap (default 3)")
-    shared.add_argument("--max-args", type=int, default=100_000, metavar="N",
-                        help="argument count cap (default 100000)")
+def _parser():
+    """The argparse parser of _COMMANDS, built on first use and kept for
+    the process: parse_args leaves it as it was and fills a new namespace
+    on every call. argparse is imported here, so that a call that
+    _read_argv reads never loads it."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="normargue",
         description="structured argumentation over a deontic-epistemic "
                     "action language")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", parents=[shared],
-                         help="build arguments, defeats and extensions")
-    run.add_argument("--json", action="store_true",
-                     help="emit a JSON report instead of text")
-    run.add_argument("--query", action="append", default=[], metavar="F",
-                     help="formula to test for acceptance (repeatable)")
-    run.add_argument("--semantics", choices=("stable", "grounded"),
-                     default="stable")
-    run.add_argument("--oracle", action="store_true",
-                     help="cross-check stable extensions by brute force")
-    run.set_defaults(func=cmd_run)
-
-    export = sub.add_parser("export", parents=[shared],
-                            help="print the defeat graph")
-    export.add_argument("--format", choices=("dot", "json"), default="dot")
-    export.set_defaults(func=cmd_export)
-
-    check = sub.add_parser("check", parents=[shared],
-                           help="validate a theory file")
-    check.set_defaults(func=cmd_check)
+    for name, (func, text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        command.add_argument("theory", help="theory file to load")
+        for option, kw in flags:
+            command.add_argument(option, **kw)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _read_argv(argv) or _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (SyntaxError, ValidationError, ValueError, OSError) as e:

@@ -4,8 +4,10 @@ pairs, random theories built from them, chains of rules whose links share
 sub-arguments, a long chain with one rebut, undermine and undercut each,
 deeply nested formula texts, random frameworks and their disjoint unions
 for solver fuzzing, grounded semantics from its definition, the golden
-theory table, and a one-call pipeline runner."""
+theory table, a one-call pipeline runner, and a loader of the scripts
+under tools/."""
 
+import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +19,8 @@ from normargue import (ArgumentationFramework, Atom, Box, Defeat, DefeatKind,
                        stable_extensions)
 from normargue.cli import _pipeline
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 DOCTOR = FIXTURES / "doctor.naf"
 ABORTION = FIXTURES / "abortion.naf"
 KNIFE = FIXTURES / "knife.naf"
@@ -304,3 +307,12 @@ def mask_of(ids):
 
 def ids_concluding(args, text):
     return {a.id for a in args if str(a.conclusion) == text}
+
+
+def load_tool(name):
+    """The script tools/<name>.py, imported as a module of that name."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / ("%s.py" % name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -19,8 +21,9 @@ from normargue.formula import MAX_NESTING
 from normargue.semantics import byte_columns
 
 import reference_report
-from helpers import (ABORTION, DOCTOR, KNIFE, THEORIES, deep_shapes,
-                     random_theory, run_pipeline, theory_queries)
+import test_fuzz
+from helpers import (ABORTION, DOCTOR, KNIFE, ROOT, THEORIES, deep_shapes,
+                     load_tool, random_theory, run_pipeline, theory_queries)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -671,6 +674,24 @@ def test_output_does_not_depend_on_the_hash_seed():
             assert done.stdout == golden, (seed, path.stem)
 
 
+def test_module_entry_point_exits_with_main_code(capsys, tmp_path):
+    # python -m normargue.cli reads its argv from sys.argv (main(None)) and
+    # exits with main's code and output (entry); run --json prints the
+    # golden report
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outcomes = []
+    for argv in (["check", str(DOCTOR)],
+                 ["check", str(tmp_path / "missing.naf")],
+                 ["run", str(DOCTOR), "--json"]):
+        done = subprocess.run([sys.executable, "-m", "normargue.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            run_cli(capsys, *argv), argv
+        outcomes.append((done.returncode, done.stdout[:3], done.stderr[:6]))
+    assert outcomes == [(0, "war", ""), (2, "", "error:"), (0, "{\n ", "")]
+    assert done.stdout == (GOLDEN / "doctor.json").read_text()
+
+
 # ------------------------------------------------------------------ color
 
 HEADER = re.compile(r"^(theory:|arguments \(\d+\):|defeats \(\d+\):|"
@@ -736,6 +757,72 @@ def test_parser_reused_across_calls_keeps_no_state(capsys, monkeypatch):
     run_parser = cli._parser()._subparsers._group_actions[0].choices["run"]
     assert run_parser.get_default("query") == []
     assert cli._parser().parse_args(["run", "x"]).query == []
+    # main reads these argvs itself, into the namespace argparse returns;
+    # a run's query list is new on every call
+    for argv in argvs:
+        ns = cli._read_argv(argv)
+        assert vars(ns) == vars(build().parse_args(argv)), argv
+        if ns.command == "run":
+            ns.query.append("changed")
+            assert cli._read_argv(argv).query == \
+                build().parse_args(argv).query
+
+
+# ------------------------------------------------------------- argv reader
+
+# flags of every kind, each spelled in full, abbreviated and with =; values
+# valid, invalid and starting with "-"; help; two theories
+VOCABULARY = (
+    "run", "export", "check", "frob", "x.naf", "y.naf", "", "p", "~p",
+    "--json", "--js", "--json=1", "--query", "--query=p", "--max-depth",
+    "--max-d", "--max-depth=2", "--max-args", "2", "0", " 3", "+3", "1_0",
+    "x", "-1", "--semantics", "stable", "grounded", "bogus", "--oracle",
+    "--format", "dot", "json", "--weak-mode", "--weak", "-h", "--help", "--",
+    "-")
+
+
+def argparse_reads(parser, argv):
+    """vars() of what parser.parse_args(argv) returns, or None where it
+    exits (an error, or help), with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_argv_reader_agrees_with_argparse(monkeypatch, tmp_path):
+    # main's own reader either defers to argparse (None) or returns what
+    # argparse would: on every gate argv, every fuzz argv and seeded random
+    # token lists, it never accepts an argv that argparse rejects
+    gate = load_tool("gate")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    gate.WORK.mkdir()
+    rng = random.Random(6151)
+    texts = [path.read_text() for path in (DOCTOR, ABORTION, KNIFE)]
+    fuzz = [[command, "mutant.naf", *flags] for command, flags in (
+        test_fuzz.random_flags(rng, rng.choice(texts)) for _ in range(700))]
+    rng = random.Random(7)
+    tokens = [[rng.choice(("run", "run", "export", "check",
+                           rng.choice(VOCABULARY))),
+               *(rng.choice(VOCABULARY) for _ in range(rng.randint(0, 5)))]
+              for _ in range(3000)]
+    parser, counts = cli._parser(), []
+    for argvs in (list(gate.recipe()), fuzz, tokens):
+        read = parsed = 0
+        for argv in argvs:
+            ns, expected = cli._read_argv(argv), argparse_reads(parser, argv)
+            if ns is not None:
+                assert vars(ns) == expected, argv
+                read += 1
+            parsed += expected is not None
+        counts.append((len(argvs), parsed, read))
+    # (argvs, those argparse reads, those the reader reads): argparse alone
+    # reads the 35 gate runs and 36 fuzz argvs with a negative --max-depth
+    # or --max-args, and the gate's --max-d and --query= runs
+    assert counts == [(1690, 1679, 1642), (700, 700, 664), (3000, 352, 246)]
 
 
 # ----------------------------------------------------------- report writer

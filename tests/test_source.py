@@ -1,21 +1,22 @@
 """Checks on the package source itself."""
 
 import ast
-import importlib.util
+import json
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import normargue
+from normargue import cli
 from normargue import (Argument, ArgumentationFramework, Defeat, DefeatKind,
                        NormativePosition, PositionKind, Premise, Rule,
                        RuleKind, Schemes, Strength, Theory, parse)
 from normargue.formula import _NODE_TYPES
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, load_tool
+
 SRC = ROOT / "src"
 
 
@@ -75,10 +76,7 @@ def test_readme_library_example_runs(capsys, monkeypatch):
 
 
 def test_code_lines_counts_code_only():
-    spec = importlib.util.spec_from_file_location(
-        "code_lines", ROOT / "tools" / "code_lines.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("code_lines")
     snippet = '''"""Module
 docstring."""
 
@@ -110,6 +108,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_cli_call_loads_neither_argparse_nor_json():
+    # a call that main's own argv reader reads imports no argparse (nor the
+    # gettext and locale it pulls in), and the report's string encoder is
+    # json's C function without the json package; --help still reaches
+    # argparse
+    start = "import sys; sys.path.insert(0, %r); from normargue.cli import " \
+        "main; " % str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", start + "main(['check', "
+         "'fixtures/doctor.naf']); print(sorted({'argparse', 'json'} & "
+         "set(sys.modules)))"],
+        cwd=ROOT, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-2:] == [
+        "ok: 2 agents, 4 premises, 4 rules, 0 contraries", "[]"]
+    done = subprocess.run([sys.executable, "-I", "-c",
+                           start + "main(['--help'])"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("usage: normargue")
+    assert cli._encode is json.encoder.encode_basestring_ascii
 
 
 def record_fields():
@@ -180,10 +199,7 @@ def test_formula_repr_names_each_field():
 
 
 def test_gate_writes_every_run_and_reports_escapes(monkeypatch, tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "gate", ROOT / "tools" / "gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = load_tool("gate")
 
     def crash(argv):
         print("partial")
@@ -197,7 +213,7 @@ def test_gate_writes_every_run_and_reports_escapes(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     gate.WORK.mkdir()
     argvs = list(gate.recipe())
-    assert len(argvs) == 1677 and argvs[0] == ["run", "fixtures/doctor.naf"]
+    assert len(argvs) == 1690 and argvs[0] == ["run", "fixtures/doctor.naf"]
     assert argvs[-1] == ["run", ".gate_work/conflicts-13.naf", "--query",
                          "p0", "--query", "~p12", "--query", "s0"]
     assert len(list(gate.WORK.iterdir())) == 1153
@@ -207,10 +223,7 @@ def test_traffic_runs_every_pool_case_with_exit_code_0(monkeypatch, capsys):
     # tools/traffic.py runs the --json runs of the gate's pool runs, and
     # each ends with exit code 0; sys.path and sys.dont_write_bytecode,
     # which it sets, are restored afterwards
-    spec = importlib.util.spec_from_file_location(
-        "traffic", ROOT / "tools" / "traffic.py")
-    traffic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traffic)
+    traffic = load_tool("traffic")
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     assert traffic.main() == 0

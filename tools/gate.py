@@ -16,6 +16,9 @@ The recipe:
     golden theory table, tests/theories/queries.txt, text and JSON, and
     the straddle theory with --oracle;
   - a missing file and a directory given as the theory;
+  - the ARGPARSE_RUNS below, whose argv only argparse reads: help, no
+    command or an unknown one, an unknown, abbreviated or --flag=value
+    flag, a bad choice or int, and no theory or two;
   - the CASES below: a modal prefix without its agent, a power not
     written Power_{a,b}, printing p(x,y), @r and parenthesized operands
     of a connective, an O_a s / O_a ~s clash, a self-directed POSITION,
@@ -46,8 +49,10 @@ The recipe:
 
 Theory files that the recipe makes are written under .gate_work/ in the
 current directory, so that argv and error texts are the same in every
-checkout. Exits 1 when a run ends other than with exit code 0-3 (an escaped
-exception is written as exit code "exception"), and 0 otherwise.
+checkout, and main sets COLUMNS=80, the width at which argparse wraps its
+usage and help, for every run. Exits 1 when a run ends other than with exit
+code 0-3 (an escaped exception is written as exit code "exception"), and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import random
 import shlex
 import sys
@@ -151,6 +157,19 @@ CASES = (
                       ["run", "--query", "~ p", "--query", " ~r "]]),
 )
 
+# argvs that normargue.cli's own reader leaves to argparse, so that the
+# texts and exit codes of argparse's help and errors stay as they were
+ARGPARSE_RUNS = (
+    ["--help"], ["run", "--help"], ["export", "--help"], ["check", "--help"],
+    [], ["frobnicate", "fixtures/doctor.naf"],
+    ["run", "fixtures/doctor.naf", "--undercut-gated"],
+    ["run", "fixtures/doctor.naf", "--max-d", "2"],
+    ["run", "fixtures/doctor.naf", "--query=p"],
+    ["run", "fixtures/doctor.naf", "--semantics", "bogus"],
+    ["run", "fixtures/doctor.naf", "--max-depth", "x"],
+    ["run", "--json"], ["check", "fixtures/doctor.naf", "fixtures/knife.naf"],
+)
+
 
 def pool_runs(written):
     """Yield (path, flags) for every case of the three benchmark pools of
@@ -195,6 +214,7 @@ def recipe():
     yield ["run", "tests/theories/straddle.naf", "--oracle"]
     yield ["run", str(WORK / "missing.naf"), "--json"]
     yield ["check", str(WORK)]
+    yield from map(list, ARGPARSE_RUNS)
     for name, text, runs in CASES:
         path = written(name, text)
         for command, *flags in runs:
@@ -266,6 +286,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [ns.src, str(ROOT / "tests"), str(ROOT / "benchmarks")]
     from normargue import cli
 
+    os.environ["COLUMNS"] = "80"
     WORK.mkdir(exist_ok=True)
     lines, bad = [], 0
     for args in recipe():
